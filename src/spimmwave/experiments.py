@@ -3,8 +3,9 @@
 A spec is a flat JSON object mirroring ExperimentSpec; unknown keys are
 rejected with the offending field path. Runs are deterministic given the
 seed: channel draws use one stream per trial, Monte-Carlo runs derive their
-seeds from (seed, grid index, trial, system), and output rows are emitted in
-a fixed (axis, method, variant) order regardless of execution order.
+seeds from (seed, grid index, trial, system), or from (seed, grid index,
+beam count, trial, system) in gamma sweeps, and output rows are emitted in a
+fixed (axis, method, variant) order regardless of execution order.
 """
 
 from __future__ import annotations
@@ -229,19 +230,25 @@ def _draw_channels(spec: ExperimentSpec, m: int):
     return draws
 
 
+def _effective(spec: ExperimentSpec, chan, m: int):
+    """Effective channel of the first m beams of one draw, and its model tag."""
+    mode = "asymptotic" if spec.channel.asymptotic else "exact"
+    return effective_channel(chan, build_abf(chan, m), mode), mode
+
+
+def _mc_rate(spec: ExperimentSpec, eff, mode: str, m: int, n0: float, *key: int):
+    """Monte-Carlo total rate of switching among the first m beams of eff."""
+    covs = covariances(eff[:, :m], pattern_alphabet(m, 1), n0, source=mode)
+    base = spec.mc
+    return mc_mutual_information(covs, MonteCarloSpec(
+        base.n_samples, seed=_mix_seed(base.seed, *key), batch=base.batch))
+
+
 def _mc_rates(spec: ExperimentSpec, chan, m: int, n0: float, point: int, trial: int):
     """Monte-Carlo (spim, mmwave) estimates for one channel draw at one noise level."""
-    mode = "asymptotic" if spec.channel.asymptotic else "exact"
-    cfg = build_abf(chan, m)
-    eff = effective_channel(chan, cfg, mode)
-    spim_covs = covariances(eff, pattern_alphabet(m, 1), n0, source=mode)
-    mm_covs = covariances(eff[:, :1], pattern_alphabet(1, 1), n0, source=mode)
-    base = spec.mc
-    spim_est = mc_mutual_information(spim_covs, MonteCarloSpec(
-        base.n_samples, seed=_mix_seed(base.seed, point, trial, 0), batch=base.batch))
-    mm_est = mc_mutual_information(mm_covs, MonteCarloSpec(
-        base.n_samples, seed=_mix_seed(base.seed, point, trial, 1), batch=base.batch))
-    return spim_est, mm_est
+    eff, mode = _effective(spec, chan, m)
+    return (_mc_rate(spec, eff, mode, m, n0, point, trial, 0),
+            _mc_rate(spec, eff, mode, 1, n0, point, trial, 1))
 
 
 class _Aggregator:
@@ -331,8 +338,8 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
                 agg.add(gamma, METHOD_GENERAL_M, variant,
                         spim_rate(chan.gains, np.full(m, g), chan.aoa, chan.n_rx, n0))
                 if spec.mc is not None:
-                    spim_est, _ = _mc_rates(spec, chan, m, n0,
-                                            point_idx * 101 + m, trial)
+                    eff, mode = _effective(spec, chan, m)
+                    spim_est = _mc_rate(spec, eff, mode, m, n0, point_idx, m, trial, 0)
                     agg.add(gamma, METHOD_MONTE_CARLO, variant,
                             spim_est.estimate, spim_est.stderr)
     return agg.rows()

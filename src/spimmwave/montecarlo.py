@@ -1,13 +1,22 @@
 """Monte-Carlo estimator of the exact mixture mutual information.
 
 The received signal is a K-component zero-mean complex Gaussian mixture
-whose differential entropy has no closed form. The estimator draws exactly
-ceil(N/K) samples from every component (stratification is unbiased because
-patterns are equiprobable and cuts variance), evaluates the mixture
-log-density with per-component Cholesky factors and log-sum-exp
-stabilization, and subtracts the analytic conditional entropy. Draw streams
-are keyed by (component, chunk), so results are reproducible under any
-execution schedule.
+whose differential entropy has no closed form. Every component is the noise
+floor plus a signal term, S_k = N0 I + (S_k - N0 I), and all signal terms
+live in one span of rank r <= K n_s, found once by an eigendecomposition of
+their sum. A received vector splits into its span coordinates u and the
+orthogonal remainder v. The density of v is CN(0, N0 I) under every pattern,
+so the estimator never samples it: its energy term |v|^2 / N0 is replaced by
+its exact mean n_r - r (Rao-Blackwellization), and ln|S_k| becomes
+(n_r - r) ln N0 + ln|C_k| with the r x r span covariance C_k = Q^H S_k Q.
+
+Only u is sampled, exactly ceil(N/K) draws from every component
+(stratification is unbiased because patterns are equiprobable and cuts
+variance). The in-span energy u^H C_j^-1 u stays inside the samples: it is
+strongly anti-correlated with the log-sum-exp over components, and
+integrating it as well would multiply the variance. Draw streams are keyed
+by (component, chunk), so results are reproducible under any execution
+schedule. A zero channel (r = 0) gives exactly zero with zero stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .capacity import LN2, CovarianceSet
 from .errors import ParameterError
@@ -50,56 +57,81 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> np.ndarray:
-    """Natural-log mixture densities of stratified draws, ceil(N/K) per component."""
-    k, n_r = covs.k, covs.n_r
-    chol = covs.cholesky()
-    eye = np.eye(n_r, dtype=np.complex128)
-    whiten = np.stack([solve_triangular(chol[j], eye, lower=True, check_finite=False)
-                       for j in range(k)])
-    logdets = covs.logdets()
+class _SpanDraws(NamedTuple):
+    logp: np.ndarray  # ln p(u) per draw, without the -r ln(pi) constant
+    rank: int  # r, the dimension of the signal span
+    logdets: np.ndarray  # ln|C_k| of the span covariances
+
+
+def _signal_span(covs: CovarianceSet) -> np.ndarray:
+    """Orthonormal basis Q (n_r x r) of the span of every signal term S_k - N0 I."""
+    n_r, k, n0 = covs.n_r, covs.k, covs.n0
+    signal = covs.sigmas.sum(axis=0) - k * n0 * np.eye(n_r)
+    evals, evecs = np.linalg.eigh(signal)
+    # eigenvalues of an exactly rank-r sum sit at the rounding floor off the span
+    scale = max(float(np.linalg.norm(covs.sigmas, axis=(1, 2)).max()), n0)
+    tol = n_r * k * np.finfo(np.float64).eps * scale
+    if evals[0] < -tol:
+        raise ParameterError(
+            "sigmas must be the noise floor n0*I plus a positive semidefinite signal term")
+    return evecs[:, evals > tol]
+
+
+def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDraws:
+    """Span mixture log-densities of stratified draws, ceil(N/K) per component."""
+    covs.logdets()  # the dense factorization rejects non-Hermitian or indefinite input
+    k = covs.k
+    q = _signal_span(covs)
+    r = q.shape[1]
+    chol = np.linalg.cholesky(q.conj().T @ covs.sigmas @ q)  # C_k = L_k L_k^H
+    logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
     per_component = math.ceil(spec.n_samples / k)
-    const = n_r * np.log(np.pi)
     out = np.empty(per_component * k)
     pos = 0
     for comp in range(k):
+        # column block j maps unit normals to the draws of comp whitened by C_j:
+        # x = z @ (L_j^-1 L_comp)^T, so |x_j|^2 = u^H C_j^-1 u for u = L_comp z
+        mix = np.linalg.solve(chol, chol[comp]).reshape(k * r, r).T / np.sqrt(2.0)
         drawn = 0
         chunk = 0
         while drawn < per_component:
             count = min(spec.batch, per_component - drawn)
             rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
-            z = (rng.standard_normal((count, n_r))
-                 + 1j * rng.standard_normal((count, n_r))) / np.sqrt(2.0)
-            y = np.ascontiguousarray((z @ chol[comp].T).T)  # columns ~ CN(0, sigma_comp)
-            comp_logpdf = np.empty((k, count))
-            for j in range(k):
-                x = whiten[j] @ y
-                comp_logpdf[j] = -(x.real ** 2 + x.imag ** 2).sum(axis=0) - const - logdets[j]
-            out[pos:pos + count] = logsumexp(comp_logpdf, axis=0) - np.log(k)
+            z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
+            x = z @ mix
+            log_terms = -(x.real ** 2 + x.imag ** 2).reshape(count, k, r).sum(axis=2) - logdets
+            peak = log_terms.max(axis=1)
+            out[pos:pos + count] = (peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
+                                    - np.log(k))
             pos += count
             drawn += count
             chunk += 1
-    return out
+    return _SpanDraws(out, r, logdets)
+
+
+def _information(logp: np.ndarray, conditional: float) -> McEstimate:
+    """Entropy gap -mean(logp) - conditional, from natural log to bits, with stderr."""
+    estimate = -(float(np.mean(logp)) + conditional) / LN2
+    stderr = float(np.std(logp, ddof=1)) / math.sqrt(logp.size) / LN2
+    return McEstimate(estimate, stderr)
 
 
 def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate:
-    """Estimate of the total rate h(y) - N_r log2(pi e N0) in bits, with stderr."""
-    logp = _mixture_logpdf_draws(covs, spec)
-    entropy_bits = -float(np.mean(logp)) / LN2
-    estimate = entropy_bits - covs.n_r * float(np.log2(np.pi * np.e * covs.n0))
-    stderr = float(np.std(logp, ddof=1)) / np.sqrt(logp.size) / LN2
-    return McEstimate(estimate, stderr)
+    """Estimate of the total rate h(y) - N_r log2(pi e N0) in bits, with stderr.
+
+    Off the span both entropies hold the same noise term, so only the span's
+    noise entropy, r (1 + ln N0) nats, is subtracted.
+    """
+    draws = _mixture_logpdf_draws(covs, spec)
+    return _information(draws.logp, draws.rank * (1.0 + math.log(covs.n0)))
 
 
 def mc_spatial_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate:
     """Estimate of the pattern-index rate h(y) - (1/K) sum_k h(y | pattern k).
 
     Per-component entropies are analytic, log2((pi e)^N_r |S_k|), so only
-    the mixture entropy carries Monte-Carlo noise.
+    the mixture entropy carries Monte-Carlo noise; in the span they are
+    r + ln|C_k| nats.
     """
-    logp = _mixture_logpdf_draws(covs, spec)
-    entropy_bits = -float(np.mean(logp)) / LN2
-    conditional_bits = covs.n_r * float(np.log2(np.pi * np.e)) \
-        + float(np.mean(covs.logdets())) / LN2
-    stderr = float(np.std(logp, ddof=1)) / np.sqrt(logp.size) / LN2
-    return McEstimate(entropy_bits - conditional_bits, stderr)
+    draws = _mixture_logpdf_draws(covs, spec)
+    return _information(draws.logp, draws.rank + float(np.mean(draws.logdets)))

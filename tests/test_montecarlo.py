@@ -1,20 +1,94 @@
 """Monte-Carlo mutual-information estimator against analytic oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
 from spimmwave import (
     CovarianceSet,
     MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
+    build_abf,
     conditional_symbol_rate,
     covariances,
+    effective_channel,
+    make_rng,
     mc_mutual_information,
     mc_spatial_information,
     pattern_alphabet,
+    sample_channel,
     total_rate_approx,
 )
+from spimmwave.montecarlo import _signal_span
+
+
+def dense_mutual_information(covs, spec):
+    """Oracle: the full n_r-dimensional estimator, whitening every draw densely.
+
+    It samples all receive dimensions, orthogonal noise included, from the
+    same (component, chunk) Philox keys as the package estimator.
+    """
+    k, n_r = covs.k, covs.n_r
+    chol = covs.cholesky()
+    eye = np.eye(n_r, dtype=np.complex128)
+    whiten = np.stack([solve_triangular(chol[j], eye, lower=True) for j in range(k)])
+    logdets = covs.logdets()
+    per_component = math.ceil(spec.n_samples / k)
+    logp = []
+    for comp in range(k):
+        drawn = chunk = 0
+        while drawn < per_component:
+            count = min(spec.batch, per_component - drawn)
+            rng = make_rng(spec.seed, stream=comp * (1 << 32) + chunk)
+            z = (rng.standard_normal((count, n_r))
+                 + 1j * rng.standard_normal((count, n_r))) / np.sqrt(2.0)
+            y = chol[comp] @ z.T  # columns ~ CN(0, sigma_comp)
+            comp_logpdf = np.stack([
+                -np.sum(np.abs(whiten[j] @ y) ** 2, axis=0) - n_r * np.log(np.pi) - logdets[j]
+                for j in range(k)])
+            logp.append(logsumexp(comp_logpdf, axis=0) - np.log(k))
+            drawn += count
+            chunk += 1
+    logp = np.concatenate(logp)
+    estimate = -np.mean(logp) / np.log(2) - n_r * np.log2(np.pi * np.e * covs.n0)
+    return estimate, np.std(logp, ddof=1) / np.sqrt(logp.size) / np.log(2)
+
+
+ORACLE_K = (1, 2, 4, 8)
+ORACLE_NR = (8, 64)
+ORACLE_N0 = (0.01, 0.1, 1.0)
+
+
+@pytest.fixture(scope="module")
+def oracle_grid():
+    """(projected, dense) estimates on exact-channel covariances over (K, n_r, n0)."""
+    out = {}
+    for k in ORACLE_K:
+        for n_r in ORACLE_NR:
+            chan = sample_channel(make_rng(k, n_r), 64, n_r, k, gains=list(0.7 ** np.arange(k)))
+            eff = effective_channel(chan, build_abf(chan, k), "exact")
+            for n0 in ORACLE_N0:
+                covs = covariances(eff, pattern_alphabet(k, 1), n0)
+                spec = MonteCarloSpec(5_000, seed=11)
+                out[k, n_r, n0] = (mc_mutual_information(covs, spec),
+                                   dense_mutual_information(covs, spec))
+    return out
+
+
+def test_projected_agrees_with_dense_oracle(oracle_grid):
+    for key, (projected, dense) in oracle_grid.items():
+        combined = math.hypot(projected.stderr, dense[1])
+        assert abs(projected.estimate - dense[0]) <= 3 * combined, key
+
+
+def test_projected_stderr_not_above_dense_on_large_array(oracle_grid):
+    for (k, n_r, n0), (projected, dense) in oracle_grid.items():
+        if n_r == 64:
+            assert projected.stderr <= dense[1], (k, n0)
 
 
 def test_spec_rejects_small_sample_counts():
@@ -32,11 +106,19 @@ def test_rejects_indefinite_covariance():
         mc_mutual_information(covs, MonteCarloSpec(1000, seed=0))
 
 
+def test_rejects_covariance_below_noise_floor():
+    covs = CovarianceSet(n0=1.0, sigmas=np.stack([0.5 * np.eye(4, dtype=complex)]))
+    with pytest.raises(ParameterError, match="noise floor"):
+        mc_mutual_information(covs, MonteCarloSpec(1000, seed=0))
+
+
 def test_zero_channel_rate_is_zero():
-    covs = covariances(np.zeros((8, 1)), pattern_alphabet(1, 1), 0.5)
-    est = mc_mutual_information(covs, MonteCarloSpec(20_000, seed=1))
-    assert est.stderr < 0.05
-    assert abs(est.estimate) <= 3 * est.stderr + 1e-9
+    # no signal span (r = 0): nothing is sampled and the answer is exact
+    for k in (1, 2):
+        covs = covariances(np.zeros((8, k)), pattern_alphabet(k, 1), 0.5)
+        assert _signal_span(covs).shape == (8, 0)
+        assert mc_mutual_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
+        assert mc_spatial_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
 
 
 def test_single_gaussian_matches_shannon_rate():
@@ -64,8 +146,12 @@ def test_spatial_information_single_pattern_is_zero():
 def test_spatial_information_identical_patterns_is_zero():
     sigma = asymptotic_covariances([0.5], [32.0], [0.1], 8, 0.2).sigmas[0]
     covs = CovarianceSet(n0=0.2, sigmas=np.stack([sigma, sigma]))
+    assert _signal_span(covs).shape == (8, 1)  # two patterns, one shared span dimension
     est = mc_spatial_information(covs, MonteCarloSpec(20_000, seed=4))
     assert abs(est.estimate) <= 3 * est.stderr
+    # the mixture of two identical Gaussians is that Gaussian
+    total = mc_mutual_information(covs, MonteCarloSpec(20_000, seed=4))
+    assert abs(total.estimate - conditional_symbol_rate(covs)) <= 3 * total.stderr
 
 
 def test_spatial_information_saturates_at_one_bit():
