@@ -10,17 +10,13 @@ from .beamforming import (
 )
 from .capacity import (
     CovarianceSet,
-    SpectralEfficiencyReport,
     asymptotic_covariances,
     conditional_symbol_rate,
     covariances,
     dirichlet_gain,
     mmwave_rate,
-    pair_covariance_det,
     pattern_rate_bound,
-    se_comparison,
     spim_rate,
-    spim_rate_two_path,
     total_rate_approx,
 )
 from .channel import (
@@ -38,7 +34,6 @@ from .conditions import (
     decay_condition_value,
     gamma_crossover,
     geometric_mean_threshold,
-    high_snr_superiority,
     spim_margin,
     two_path_margin,
 )
@@ -51,7 +46,7 @@ from .errors import (
     SpimmwaveError,
 )
 from .montecarlo import McEstimate, MonteCarloSpec, mc_mutual_information, mc_spatial_information
-from .numerics import hermitian_det, hermitian_logdet, make_rng, sample_complex_gaussian
+from .numerics import hermitian_logdet, make_rng, sample_complex_gaussian
 
 __version__ = "0.1.0"
 
@@ -68,7 +63,6 @@ __all__ = [
     "ParameterError",
     "PatternAlphabet",
     "SpecValidationError",
-    "SpectralEfficiencyReport",
     "SpimmwaveError",
     "ThresholdResult",
     "asymptotic_covariances",
@@ -81,24 +75,19 @@ __all__ = [
     "effective_channel",
     "gamma_crossover",
     "geometric_mean_threshold",
-    "hermitian_det",
     "hermitian_logdet",
-    "high_snr_superiority",
     "make_rng",
     "mc_mutual_information",
     "mc_spatial_information",
     "min_angle_separation",
     "mmwave_rate",
     "normalized_from_physical",
-    "pair_covariance_det",
     "pattern_alphabet",
     "pattern_rate_bound",
     "sample_channel",
     "sample_complex_gaussian",
-    "se_comparison",
     "spim_margin",
     "spim_rate",
-    "spim_rate_two_path",
     "steering_vector_rx",
     "steering_vector_tx",
     "total_rate_approx",

@@ -6,22 +6,27 @@ The total rate splits into the mean per-pattern Shannon term plus the rate
 carried by the pattern index itself; the latter has no closed form but a
 tight determinant-based bound, and combining the two (with a constant
 N_r(log2 e - 1) correction that neutralizes the bound's asymptotic offset)
-gives the closed-form approximation implemented here. All log-determinant
-work happens in natural logs and converts to bits at the boundary.
+gives the closed-form approximation implemented here.
+
+Every determinant comes from one identity on the small Gram matrix of the
+beam factors, ln|c N0 I + W W^H| = n_r ln(c N0) + ln|I + W^H W / (c N0)|,
+so the cost does not grow with the receive array beyond one Gram product.
+All log-determinant work happens in natural logs and converts to bits at
+the boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .beamforming import PatternAlphabet
 from .channel import steering_vector_rx
 from .errors import DimensionError, ParameterError
-from .numerics import hermitian_cholesky, hermitian_logdet
+from .numerics import hermitian_logdet
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
@@ -43,105 +48,96 @@ METHOD_TAGS = (
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """The K per-pattern received covariances sharing one noise floor.
+    """The K per-pattern received covariances S_k = N0 I + G_k G_k^H.
 
-    Cholesky factors and log-determinants are computed once and cached;
-    the object is immutable otherwise and safe to share across threads.
+    Holds the noise floor and the beam factors G_k, stacked as (k, n_r, s);
+    a pattern with fewer than s columns is zero-padded. The dense
+    covariances are built only on first use and cached; the object is
+    immutable otherwise and safe to share across threads.
     """
 
     n0: float
-    sigmas: np.ndarray  # (k, n_r, n_r) Hermitian positive definite
+    factors: np.ndarray  # (k, n_r, s)
     source: str = "exact"
 
     def __post_init__(self):
         if self.n0 <= 0:
             raise ParameterError(f"noise power must be > 0, got {self.n0}")
-        sig = np.asarray(self.sigmas, dtype=np.complex128)
-        if sig.ndim != 3 or sig.shape[1] != sig.shape[2] or sig.shape[0] < 1:
-            raise DimensionError(f"sigmas must be (k, n, n) with k >= 1, got {sig.shape}")
-        object.__setattr__(self, "sigmas", sig)
+        fac = np.asarray(self.factors, dtype=np.complex128)
+        if fac.ndim != 3 or fac.shape[0] < 1:
+            raise DimensionError(f"factors must be (k, n_r, s) with k >= 1, got {fac.shape}")
+        object.__setattr__(self, "factors", fac)
 
     @property
     def k(self) -> int:
-        return self.sigmas.shape[0]
+        return self.factors.shape[0]
 
     @property
     def n_r(self) -> int:
-        return self.sigmas.shape[1]
+        return self.factors.shape[1]
 
-    def cholesky(self) -> np.ndarray:
-        """Lower factors L_k with S_k = L_k L_k^H, cached."""
-        cached = self.__dict__.get("_chol")
-        if cached is None:
-            cached = np.stack([hermitian_cholesky(s) for s in self.sigmas])
-            object.__setattr__(self, "_chol", cached)
-        return cached
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        """Dense (k, n_r, n_r) covariances, for the sampler and for oracles."""
+        eye = np.eye(self.n_r, dtype=np.complex128)
+        return np.stack([self.n0 * eye + g @ g.conj().T for g in self.factors])
 
     def logdets(self) -> np.ndarray:
-        """Natural-log determinants ln|S_k|, cached."""
-        cached = self.__dict__.get("_logdets")
-        if cached is None:
-            diag = np.real(np.diagonal(self.cholesky(), axis1=1, axis2=2))
-            cached = 2.0 * np.sum(np.log(diag), axis=1)
-            object.__setattr__(self, "_logdets", cached)
-        return cached
+        """Natural-log determinants ln|S_k| = n_r ln N0 + ln|I + G_k^H G_k / N0|.
 
-
-@dataclass(frozen=True)
-class SpectralEfficiencyReport:
-    """Paired pattern-switched vs conventional rate, tagged by computation method."""
-
-    i_spim: float
-    i_mmwave: float
-    method: str
-    parameters: dict[str, Any]
+        Read off the diagonal ln|2 S_k| of the pair kernel.
+        """
+        return np.diagonal(_pair_logdets(self)) - self.n_r * LN2
 
 
 def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
-                dbf: np.ndarray | None = None, source: str = "exact") -> CovarianceSet:
+                source: str = "exact") -> CovarianceSet:
     """Per-pattern covariances N0 I + (HA B_k D)(HA B_k D)^H from an effective channel."""
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
     eff = np.asarray(eff, dtype=np.complex128)
     if eff.ndim != 2 or eff.shape[1] != alphabet.m:
         raise DimensionError(f"effective channel must be (n_r, {alphabet.m}), got {eff.shape}")
-    if dbf is None:
-        dbf = np.eye(alphabet.n_s, dtype=np.complex128) / np.sqrt(alphabet.n_s)
-    n_r = eff.shape[0]
-    eye = np.eye(n_r, dtype=np.complex128)
-    sigmas = np.empty((alphabet.k, n_r, n_r), dtype=np.complex128)
-    for i, pattern in enumerate(alphabet.patterns):
-        g = eff @ (pattern @ dbf)
-        sigmas[i] = n0 * eye + g @ g.conj().T
-    return CovarianceSet(n0=n0, sigmas=sigmas, source=source)
+    dbf = np.eye(alphabet.n_s, dtype=np.complex128) / np.sqrt(alphabet.n_s)
+    factors = np.stack([eff @ (pattern @ dbf) for pattern in alphabet.patterns])
+    return CovarianceSet(n0=n0, factors=factors, source=source)
 
 
 def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     """Rank-one covariances N0 I + w_k g_k a(theta_k) a(theta_k)^H, one per beam."""
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    eye = np.eye(n_r, dtype=np.complex128)
-    sigmas = np.empty((len(w), n_r, n_r), dtype=np.complex128)
-    for i in range(len(w)):
-        a = steering_vector_rx(theta[i], n_r)
-        sigmas[i] = n0 * eye + (w[i] * g[i]) * np.outer(a, a.conj())
-    return CovarianceSet(n0=n0, sigmas=sigmas, source="asymptotic")
+    if (w * g < 0).any():
+        raise ParameterError("gains must be non-negative")
+    beams = steering_vector_rx(theta[:, None], n_r) * np.sqrt(w * g)[:, None]
+    return CovarianceSet(n0=n0, factors=beams[:, :, None], source="asymptotic")
 
 
 def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
-    """Symmetric (k, k) matrix of ln|S_n + S_t|."""
-    k = covs.k
-    out = np.empty((k, k))
-    for n in range(k):
-        for t in range(n, k):
-            val = hermitian_logdet(covs.sigmas[n] + covs.sigmas[t])
-            out[n, t] = out[t, n] = val
-    return out
+    """(k, k) matrix of ln|S_n + S_t|, symmetric to rounding; its diagonal is ln|2 S_n|.
+
+    ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t]:
+    one Gram product of the stacked factors supplies every block, and one
+    batched factorization every (2s x 2s) determinant.
+    """
+    k, n_r, s = covs.factors.shape
+    stacked = covs.factors.transpose(1, 0, 2).reshape(n_r, k * s)
+    blocks = (stacked.conj().T @ stacked).reshape(k, s, k, s).swapaxes(1, 2)  # G_n^H G_t
+    own = blocks.diagonal(axis1=0, axis2=1).transpose(2, 0, 1)  # G_n^H G_n
+    gram = np.empty((k, k, 2 * s, 2 * s), dtype=np.complex128)  # W_nt^H W_nt
+    gram[:, :, :s, :s] = own[:, None]
+    gram[:, :, :s, s:] = blocks
+    gram[:, :, s:, :s] = blocks.swapaxes(0, 1)
+    gram[:, :, s:, s:] = own[None, :]
+    two_n0 = 2.0 * covs.n0
+    return n_r * math.log(two_n0) + hermitian_logdet(np.eye(2 * s) + gram / two_n0)
+
+
+def _mean_logsumexp(x: np.ndarray) -> float:
+    """Mean over rows n of ln sum_t exp(x_nt), each row shifted by its peak."""
+    peak = x.max(axis=1)
+    return float((peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))).mean())
 
 
 def conditional_symbol_rate(covs: CovarianceSet) -> float:
@@ -156,10 +152,10 @@ def pattern_rate_bound(covs: CovarianceSet) -> float:
     log2 K - N_r log2 e - (1/K) sum_n log2 sum_t |S_n| / |S_n + S_t|.
     This is a bound, not a rate: it goes negative when patterns overlap.
     """
-    ld = covs.logdets()
     pair = _pair_logdets(covs)
-    inner = logsumexp(ld[:, None] - pair, axis=1)
-    return float(np.log2(covs.k) - covs.n_r * LOG2E - np.mean(inner) / LN2)
+    ld = np.diagonal(pair) - covs.n_r * LN2
+    inner = _mean_logsumexp(ld[:, None] - pair)
+    return float(np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2)
 
 
 def total_rate_approx(covs: CovarianceSet) -> float:
@@ -168,9 +164,8 @@ def total_rate_approx(covs: CovarianceSet) -> float:
     log2(K / (2 N0)^N_r) - (1/K) sum_n log2 sum_t |S_n + S_t|^{-1}; equals
     conditional_symbol_rate + pattern_rate_bound + N_r (log2 e - 1).
     """
-    pair = _pair_logdets(covs)
-    inner = logsumexp(-pair, axis=1)
-    return float(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - np.mean(inner) / LN2)
+    inner = _mean_logsumexp(-_pair_logdets(covs))
+    return float(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
 
 
 def mmwave_rate(w1: float, g1: float, n0: float) -> float:
@@ -182,118 +177,37 @@ def mmwave_rate(w1: float, g1: float, n0: float) -> float:
     return float(np.log1p(w1 * g1 / n0) / LN2)
 
 
-def _dirichlet_ratio(delta: float, n: int) -> float:
-    """sin^2(pi n d) / sin^2(pi d) with its limit n^2 at integer d.
+def dirichlet_gain(delta_theta: float, n_r: int) -> float:
+    """Squared normalized steering inner product sin^2(pi n d)/(n^2 sin^2(pi d)) in [0, 1].
 
     Both sines are evaluated at the fractional distance from the nearest
     integer, which is exact for integer n and avoids precision loss near
-    the periodic points.
+    the periodic points, where the limit is 1.
     """
-    frac = delta - round(delta)
-    if abs(frac) < 1e-9:
-        return float(n) ** 2
-    s = np.sin(np.pi * n * frac) / np.sin(np.pi * frac)
-    return float(s * s)
-
-
-def dirichlet_gain(delta_theta: float, n_r: int) -> float:
-    """Squared normalized steering inner product sin^2(pi n d)/(n^2 sin^2(pi d)) in [0, 1]."""
     if n_r < 1:
         raise ParameterError(f"n_r must be >= 1, got {n_r}")
-    return _dirichlet_ratio(delta_theta, n_r) / float(n_r) ** 2
-
-
-def pair_covariance_det(w_n: float, w_t: float, g_n: float, g_t: float,
-                        theta_n: float, theta_t: float, n_r: int, n0: float) -> float:
-    """Closed form for |S_n + S_t| of two rank-one-beam covariances.
-
-    (2 N0)^N_r [(1 + w_n g_n / 2N0)(1 + w_t g_t / 2N0) - Q_nt] with the
-    Dirichlet cross term Q_nt = (w_n w_t g_n g_t / 4 N0^2 N_r^2)
-    sin^2(pi N_r dtheta)/sin^2(pi dtheta).
-    """
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
-    half_n = w_n * g_n / (2.0 * n0)
-    half_t = w_t * g_t / (2.0 * n0)
-    q = half_n * half_t * _dirichlet_ratio(theta_n - theta_t, n_r) / float(n_r) ** 2
-    return float((2.0 * n0) ** n_r * ((1.0 + half_n) * (1.0 + half_t) - q))
+    frac = delta_theta - round(delta_theta)
+    if abs(frac) < 1e-9:
+        return 1.0
+    s = np.sin(np.pi * n_r * frac) / np.sin(np.pi * frac)
+    return float(s * s) / float(n_r) ** 2
 
 
 def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     """General closed-form rate of index modulation over M steered beams.
 
-    log2 M - (1/M) sum_n log2 sum_t [(1 + w_n g_n/2N0)(1 + w_t g_t/2N0) - Q_nt]^{-1}.
+    total_rate_approx of the large-array covariances, which works out to
+    log2 M - (1/M) sum_n log2 sum_t [(1 + w_n g_n/2N0)(1 + w_t g_t/2N0) - Q_nt]^{-1}
+    with the Dirichlet cross term Q_nt = (w_n w_t g_n g_t / 4 N0^2) dirichlet_gain.
     M = 1 collapses exactly to the conventional single-beam rate.
     """
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    if np.any(w <= 0) or np.any(g <= 0):
+    if (w <= 0).any() or (g <= 0).any():
         raise ParameterError("all path gains must be > 0")
-    m = len(w)
-    if m == 1:
+    if len(w) == 1:
         return mmwave_rate(w[0], g[0], n0)
-    half = w * g / (2.0 * n0)
-    ratio = np.array([[_dirichlet_ratio(tn - tt, n_r) for tt in theta] for tn in theta])
-    core = np.outer(1.0 + half, 1.0 + half) - np.outer(half, half) * ratio / float(n_r) ** 2
-    inner = np.sum(1.0 / core, axis=1)
-    return float(np.log2(m) - np.mean(np.log2(inner)))
-
-
-def spim_rate_two_path(w1: float, w2: float, g1: float, g2: float,
-                       theta1: float, theta2: float, n_r: int, n0: float,
-                       variant: str = "lb") -> float:
-    """Two-beam rate via the pairwise determinant closed form, in bits.
-
-    variant "lb" keeps the pattern-bound form with |S_n| in the numerator of
-    each |S_n|/|S_n + S_t| term and agrees with total_rate_approx on the
-    matching covariances; "crossdet" swaps in |S_t| instead. For two patterns
-    the diagonal term cancels either numerator, so the variants coincide.
-    """
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
-    if w1 <= 0 or w2 <= 0:
-        raise ParameterError("both path gains must be > 0")
-    if variant not in ("lb", "crossdet"):
-        raise ParameterError(f"variant must be 'lb' or 'crossdet', got {variant!r}")
-    half = np.array([w1 * g1, w2 * g2]) / (2.0 * n0)
-    s = 1.0 + 2.0 * half  # |S_i| / N0^N_r
-    theta = np.array([theta1, theta2])
-    ratio = np.array([[_dirichlet_ratio(tn - tt, n_r) for tt in theta] for tn in theta])
-    core = np.outer(1.0 + half, 1.0 + half) - np.outer(half, half) * ratio / float(n_r) ** 2
-    num = s[:, None] if variant == "lb" else s[None, :]
-    inner = np.sum(num / core, axis=1)
-    return float(0.5 * np.sum(np.log2(s)) + 1.0 - 0.5 * np.sum(np.log2(inner)))
-
-
-def se_comparison(w, g, theta, n_r: int, n0: float,
-                  method: str = METHOD_GENERAL_M) -> SpectralEfficiencyReport:
-    """Paired switched-vs-conventional rates at one operating point.
-
-    The conventional side always steers the strongest path; the switched side
-    is evaluated with the requested closed form.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if method == METHOD_GENERAL_M:
-        i_spim = spim_rate(w, g, theta, n_r, n0)
-    elif method in (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET):
-        if len(w) != 2:
-            raise ParameterError(f"method {method!r} is the two-beam form, got {len(w)} beams")
-        variant = "lb" if method == METHOD_CLOSED_FORM_LB else "crossdet"
-        i_spim = spim_rate_two_path(w[0], w[1], g[0], g[1], theta[0], theta[1],
-                                    n_r, n0, variant=variant)
-    else:
-        raise ParameterError(f"method must be a closed-form tag, got {method!r}")
-    return SpectralEfficiencyReport(
-        i_spim=i_spim,
-        i_mmwave=mmwave_rate(w[0], g[0], n0),
-        method=method,
-        parameters={"w": w.tolist(), "g": g.tolist(), "theta": theta.tolist(),
-                    "n_r": n_r, "n0": n0},
-    )
+    return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))

@@ -73,8 +73,11 @@ def steering_vector_tx(phi: float, n_tx: int) -> np.ndarray:
     return _steering(phi, n_tx)
 
 
-def steering_vector_rx(theta: float, n_rx: int) -> np.ndarray:
-    """Unit-norm receive array response, same form as the transmit side."""
+def steering_vector_rx(theta, n_rx: int) -> np.ndarray:
+    """Unit-norm receive array response, same form as the transmit side.
+
+    A column of angles, shape (m, 1), gives the m responses as rows.
+    """
     return _steering(theta, n_rx)
 
 

@@ -88,10 +88,21 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     return ThresholdResult(tau=tau, geo_mean=geo_mean, holds=geo_mean > tau * w[0])
 
 
-def high_snr_superiority(w) -> bool:
-    """Noise-free limit of geometric_mean_threshold (array gains drop out)."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    return geometric_mean_threshold(w, np.ones_like(w), 0.0).holds
+def _log_condition(m, gamma, n0: float, g1: float):
+    """Natural log of the decay-condition value for m > 1, elementwise over m and gamma.
+
+    gamma^(1-M) is evaluated as exp((1-M) ln gamma): where it overflows the
+    penalty is infinite and the log is -inf (a value of 0) instead of an
+    OverflowError; with n0 = 0 there is no penalty at all, never 0 * inf.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    log_gamma = np.log(gamma)
+    lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
+    if n0 == 0:
+        return lead
+    with np.errstate(over="ignore"):
+        inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
+        return lead - 4.0 * n0 * inverse_gain_sum / g1
 
 
 def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float:
@@ -99,7 +110,8 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
 
     M^(M/(M-1)) gamma^(M/2) exp(-4 n0 (gamma^(1-M) - gamma) / (g1 (1-gamma))).
     m may be non-integer (relaxed search grids); m = 1 is defined as exactly 1,
-    the system compared against itself.
+    the system compared against itself. Evaluated in logs, so a value below
+    the floating-point range is 0.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
@@ -111,11 +123,7 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         raise ParameterError(f"m must be >= 1, got {m}")
     if m == 1:
         return 1.0
-    lead = m ** (m / (m - 1.0)) * gamma ** (m / 2.0)
-    if n0 == 0:
-        return float(lead)
-    inverse_gain_sum = (gamma ** (1.0 - m) - gamma) / (1.0 - gamma)
-    return float(lead * math.exp(-4.0 * n0 * inverse_gain_sum / g1))
+    return float(np.exp(_log_condition(m, gamma, n0, g1)))
 
 
 def spim_margin(query: MarginQuery) -> float:
@@ -130,10 +138,8 @@ def spim_margin(query: MarginQuery) -> float:
         candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
     else:
         candidates = np.array([2.0 ** b for b in range(1, query.b_max + 1)])
-    best = 1.0
-    for m in candidates:
-        if decay_condition_value(float(m), query.gamma, query.n0, query.g1) > 1.0:
-            best = float(m)
+    wins = candidates[_log_condition(candidates, query.gamma, query.n0, query.g1) > 0.0]
+    best = float(wins[-1]) if wins.size else 1.0
     return best if query.relax_integer else int(best)
 
 

@@ -10,7 +10,7 @@ class ParameterError(SpimmwaveError, ValueError):
 
 
 class DimensionError(SpimmwaveError, ValueError):
-    """Array arguments do not conform (non-square, mismatched, too large)."""
+    """Array arguments do not conform (non-square, mismatched)."""
 
 
 class NotPositiveDefiniteError(SpimmwaveError, ArithmeticError):

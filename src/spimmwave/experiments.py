@@ -30,7 +30,6 @@ from .capacity import (
     dirichlet_gain,
     mmwave_rate,
     spim_rate,
-    spim_rate_two_path,
 )
 from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, sample_channel
 from .conditions import MarginQuery, spim_margin
@@ -217,17 +216,24 @@ def _mix_seed(*parts: int) -> int:
 
 
 def _draw_channels(spec: ExperimentSpec, m: int):
+    """One channel per trial, each on its own stream, carrying unit gains.
+
+    The angle draws do not depend on the gains, and unit gains keep the paths
+    in drawn order; the constructor sorts paths by gain, so `_with_gains`
+    turns these draws into exactly the channels drawn with the gains it gets.
+    """
     ch = spec.channel
-    gains = ch.gains
-    if gains is not None and ch.normalize:
+    return [sample_channel(make_rng(spec.seed, t), ch.n_tx, ch.n_rx, m, gains=np.ones(m),
+                           aod_range=tuple(ch.aod_range), aoa_range=tuple(ch.aoa_range))
+            for t in range(spec.trials)]
+
+
+def _with_gains(spec: ExperimentSpec, draws, gains):
+    """The draws with these path gains, rescaled to unit total under channel.normalize."""
+    if spec.channel.normalize:
         total = float(np.sum(gains))
         gains = [g / total for g in gains]
-    draws = []
-    for t in range(spec.trials):
-        draws.append(sample_channel(
-            make_rng(spec.seed, t), ch.n_tx, ch.n_rx, m,
-            gains=gains, aod_range=tuple(ch.aod_range), aoa_range=tuple(ch.aoa_range)))
-    return draws
+    return [dataclasses.replace(chan, gains=gains) for chan in draws]
 
 
 def _effective(spec: ExperimentSpec, chan, m: int):
@@ -286,34 +292,24 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     kind = spec.experiment
     m = int(spec.channel.m)
     agg = _Aggregator(spec.seed, spec.trials)
+    draws = _draw_channels(spec, m)
     if kind == "snr-sweep":
         points = [(float(snr), 10.0 ** (-float(snr) / 10.0), None) for snr in spec.grid]
-        draw_sets = {None: _draw_channels(spec, m)}
+        draws = _with_gains(spec, draws, spec.channel.gains)
     else:
         n0 = _noise_level(spec)
         points = [(float(w1), n0, float(w1)) for w1 in spec.grid]
-        draw_sets = {}
+    # for two patterns the lb and crossdet forms coincide; both rows stay in the CSV schema
+    tags = (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET) if m == 2 else (METHOD_GENERAL_M,)
     g = float(spec.channel.n_tx)
     for point_idx, (axis, n0, w1) in enumerate(points):
-        if w1 is None:
-            draws = draw_sets[None]
-        else:
-            # per-point gains, same per-trial angle streams across the axis
-            override = dataclasses.replace(spec.channel, gains=[w1, 1.0 - w1])
-            draws = _draw_channels(dataclasses.replace(spec, channel=override), m)
-        for trial, chan in enumerate(draws):
+        point_draws = draws if w1 is None else _with_gains(spec, draws, [w1, 1.0 - w1])
+        for trial, chan in enumerate(point_draws):
             w = chan.gains
-            gains_vec = np.full(m, g)
             agg.add(axis, METHOD_SHANNON, "mmwave", mmwave_rate(w[0], g, n0))
-            if m == 2:
-                for variant_tag, variant in ((METHOD_CLOSED_FORM_LB, "lb"),
-                                             (METHOD_CLOSED_FORM_CROSSDET, "crossdet")):
-                    agg.add(axis, variant_tag, "spim", spim_rate_two_path(
-                        w[0], w[1], g, g, chan.aoa[0], chan.aoa[1], chan.n_rx, n0,
-                        variant=variant))
-            else:
-                agg.add(axis, METHOD_GENERAL_M, "spim",
-                        spim_rate(w, gains_vec, chan.aoa, chan.n_rx, n0))
+            rate = spim_rate(w, np.full(m, g), chan.aoa, chan.n_rx, n0)
+            for tag in tags:
+                agg.add(axis, tag, "spim", rate)
             if spec.mc is not None:
                 spim_est, mm_est = _mc_rates(spec, chan, m, n0, point_idx, trial)
                 agg.add(axis, METHOD_MONTE_CARLO, "spim", spim_est.estimate, spim_est.stderr)
@@ -327,14 +323,12 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     m_values = [int(m) for m in m_values]
     g = float(spec.channel.n_tx)
     agg = _Aggregator(spec.seed, spec.trials)
-    for point_idx, gamma in enumerate(spec.grid):
-        gamma = float(gamma)
-        for m in m_values:
-            override = dataclasses.replace(spec.channel,
-                                           gains=list(gamma ** np.arange(m)))
-            draws = _draw_channels(dataclasses.replace(spec, channel=override), m)
-            for trial, chan in enumerate(draws):
-                variant = f"m={m}"
+    for m in m_values:
+        variant = f"m={m}"
+        draws = _draw_channels(spec, m)
+        for point_idx, gamma in enumerate(spec.grid):
+            gamma = float(gamma)
+            for trial, chan in enumerate(_with_gains(spec, draws, list(gamma ** np.arange(m)))):
                 agg.add(gamma, METHOD_GENERAL_M, variant,
                         spim_rate(chan.gains, np.full(m, g), chan.aoa, chan.n_rx, n0))
                 if spec.mc is not None:

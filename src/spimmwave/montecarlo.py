@@ -71,15 +71,11 @@ def _signal_span(covs: CovarianceSet) -> np.ndarray:
     # eigenvalues of an exactly rank-r sum sit at the rounding floor off the span
     scale = max(float(np.linalg.norm(covs.sigmas, axis=(1, 2)).max()), n0)
     tol = n_r * k * np.finfo(np.float64).eps * scale
-    if evals[0] < -tol:
-        raise ParameterError(
-            "sigmas must be the noise floor n0*I plus a positive semidefinite signal term")
     return evecs[:, evals > tol]
 
 
 def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDraws:
     """Span mixture log-densities of stratified draws, ceil(N/K) per component."""
-    covs.logdets()  # the dense factorization rejects non-Hermitian or indefinite input
     k = covs.k
     q = _signal_span(covs)
     r = q.shape[1]

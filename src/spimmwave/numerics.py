@@ -1,10 +1,12 @@
-"""Dense complex-matrix kernel and reproducible random sampling.
+"""Log-determinant kernel and reproducible random sampling.
 
 Every determinant taken in this package is of a Hermitian positive-definite
-covariance, so factorization goes through Cholesky: it is numerically stable
-and rejects non-PD input for free. Randomness is built on counter-based
-Philox streams keyed by (seed, stream); identical pairs reproduce identical
-sequences under any parallel schedule, distinct stream ids are independent.
+matrix, so factorization goes through Cholesky: it is numerically stable
+and rejects non-PD input for free. Determinants are only ever returned as
+logs, which neither underflow nor overflow at large array sizes. Randomness
+is built on counter-based Philox streams keyed by (seed, stream); identical
+pairs reproduce identical sequences under any parallel schedule, distinct
+stream ids are independent.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
-
-MAX_DET_DIM = 64
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -36,36 +36,24 @@ def sample_complex_gaussian(rng: np.random.Generator, dim: int, variance: float)
     return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
-def _checked_square(m: np.ndarray) -> np.ndarray:
+def hermitian_logdet(m: np.ndarray):
+    """Natural log-determinant of a Hermitian positive-definite matrix.
+
+    A 2-D input returns a float; a stack of matrices over leading axes returns
+    the array of their log-determinants. Raises if any matrix is not square,
+    not Hermitian or not positive definite.
+    """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DET_DIM:
-        raise DimensionError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DET_DIM}")
-    return m
-
-
-def hermitian_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with m = L L^H; raises if m is not Hermitian PD."""
-    m = _checked_square(m)
-    # tolerance scales with entry magnitude; covariances formed as G G^H are
-    # exactly Hermitian in IEEE arithmetic, so this only catches misuse
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {m.shape}")
+    # tolerance scales with entry magnitude; matrices formed as G^H G are
+    # Hermitian to rounding, so this only catches misuse (and NaN)
     tol = 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=tol):
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol:
         raise ParameterError("matrix is not Hermitian")
     try:
-        return np.linalg.cholesky(m)
+        chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-
-
-def hermitian_det(m: np.ndarray) -> float:
-    """Determinant of a Hermitian positive-definite matrix (strictly positive)."""
-    diag = np.real(np.diagonal(hermitian_cholesky(m)))
-    return float(np.prod(diag) ** 2)
-
-
-def hermitian_logdet(m: np.ndarray) -> float:
-    """Natural log of hermitian_det(m); preferred inside entropy sums."""
-    diag = np.real(np.diagonal(hermitian_cholesky(m)))
-    return float(2.0 * np.sum(np.log(diag)))
+    out = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
+    return float(out) if m.ndim == 2 else out

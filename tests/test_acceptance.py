@@ -19,21 +19,18 @@ from spimmwave import (
     dirichlet_gain,
     effective_channel,
     gamma_crossover,
-    hermitian_det,
     make_rng,
     mc_mutual_information,
     mmwave_rate,
-    pair_covariance_det,
     pattern_alphabet,
     pattern_rate_bound,
     sample_channel,
     spim_margin,
     spim_rate,
-    spim_rate_two_path,
     steering_vector_rx,
     total_rate_approx,
 )
-from spimmwave.capacity import LOG2E
+from spimmwave.capacity import LOG2E, _pair_logdets
 from spimmwave.experiments import run_experiment, spec_from_dict, write_csv
 
 N_TX, N_RX, ARRAY_GAIN = 64, 8, 64.0
@@ -57,8 +54,7 @@ def _two_beam_crossover(n0: float) -> float:
     theta = (0.0, 1.0 / N_RX)
 
     def diff(w1: float) -> float:
-        return spim_rate_two_path(w1, 1.0 - w1, ARRAY_GAIN, ARRAY_GAIN,
-                                  theta[0], theta[1], N_RX, n0) \
+        return spim_rate([w1, 1.0 - w1], [ARRAY_GAIN, ARRAY_GAIN], theta, N_RX, n0) \
             - mmwave_rate(w1, ARRAY_GAIN, n0)
 
     lo, hi = 0.55, 0.99
@@ -97,8 +93,8 @@ def _mean_gaps(w1: float, w2: float, trials: int = 32, seed: int = 0,
         spim_est = mc_mutual_information(covs, MonteCarloSpec(n_samples, seed=seed * 7919 + 2 * t))
         mm_covs = asymptotic_covariances([w1], [ARRAY_GAIN], [chan.aoa[0]], N_RX, n0)
         mm_est = mc_mutual_information(mm_covs, MonteCarloSpec(n_samples, seed=seed * 7919 + 2 * t + 1))
-        closed.append(mm_closed - spim_rate_two_path(
-            w1, w2, ARRAY_GAIN, ARRAY_GAIN, chan.aoa[0], chan.aoa[1], N_RX, n0))
+        closed.append(mm_closed - spim_rate(
+            chan.gains, [ARRAY_GAIN] * 2, chan.aoa, N_RX, n0))
         sampled.append(mm_est.estimate - spim_est.estimate)
     return float(np.mean(closed)), float(np.mean(sampled))
 
@@ -146,12 +142,12 @@ def test_criterion_5_formulation_identity():
         k = int(rng.integers(1, 5))
         n_r = int(rng.integers(2, 9))
         n0 = float(rng.uniform(0.05, 2.0))
-        sigmas = np.empty((k, n_r, n_r), dtype=complex)
+        factors = np.zeros((k, n_r, 2), dtype=complex)  # narrower patterns zero-padded
         for i in range(k):
             g = rng.standard_normal((n_r, int(rng.integers(1, 3)))) \
                 + 1j * rng.standard_normal((n_r, int(rng.integers(1, 3))))
-            sigmas[i] = n0 * np.eye(n_r) + g @ g.conj().T
-        covs = CovarianceSet(n0=n0, sigmas=sigmas)
+            factors[i, :, :g.shape[1]] = g
+        covs = CovarianceSet(n0=n0, factors=factors)
         total = total_rate_approx(covs)
         decomposed = conditional_symbol_rate(covs) + pattern_rate_bound(covs) \
             + n_r * (LOG2E - 1.0)
@@ -170,9 +166,9 @@ def test_criterion_6_closed_form_oracles():
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = float(rng.uniform(0.05, 1.0))
         covs = asymptotic_covariances(w, g, theta, n_r, n0)
-        brute = hermitian_det(covs.sigmas[0] + covs.sigmas[1])
-        closed = pair_covariance_det(w[0], w[1], g[0], g[1], theta[0], theta[1], n_r, n0)
-        worst_det = max(worst_det, abs(closed - brute) / brute)
+        brute = np.linalg.slogdet(covs.sigmas[0] + covs.sigmas[1])[1]  # dense oracle
+        closed = _pair_logdets(covs)[0, 1]
+        worst_det = max(worst_det, abs(math.expm1(closed - brute)))  # relative det error
     for _ in range(1000):
         n_r = int(rng.integers(2, 17))
         t1, t2 = rng.uniform(-0.5, 0.5, 2)

@@ -2,26 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from spimmwave import (
     CovarianceSet,
     ParameterError,
     asymptotic_covariances,
+    build_abf,
     conditional_symbol_rate,
     covariances,
     dirichlet_gain,
-    hermitian_det,
+    effective_channel,
+    make_rng,
     mmwave_rate,
-    pair_covariance_det,
     pattern_alphabet,
     pattern_rate_bound,
+    sample_channel,
     spim_rate,
-    spim_rate_two_path,
     steering_vector_rx,
     total_rate_approx,
 )
-from spimmwave.capacity import LOG2E
+from spimmwave.capacity import LOG2E, _pair_logdets
 
 RATE_GAP = LOG2E - 1.0  # per receive antenna, closes the bound's constant offset
 
@@ -30,12 +34,42 @@ def random_covariance_set(rng):
     k = int(rng.integers(1, 5))
     n_r = int(rng.integers(2, 9))
     n0 = float(rng.uniform(0.05, 2.0))
-    sigmas = np.empty((k, n_r, n_r), dtype=complex)
+    factors = np.zeros((k, n_r, 2), dtype=complex)  # rank-one patterns zero-padded
     for i in range(k):
         rank = int(rng.integers(1, 3))
-        g = rng.standard_normal((n_r, rank)) + 1j * rng.standard_normal((n_r, rank))
-        sigmas[i] = n0 * np.eye(n_r) + g @ g.conj().T
-    return CovarianceSet(n0=n0, sigmas=sigmas)
+        factors[i, :, :rank] = rng.standard_normal((n_r, rank)) \
+            + 1j * rng.standard_normal((n_r, rank))
+    return CovarianceSet(n0=n0, factors=factors)
+
+
+def dense_pair_logdets(covs):
+    """Oracle: ln|S_n + S_t| by LU factorization of the dense covariance sums."""
+    sig = covs.sigmas
+    return np.array([[np.linalg.slogdet(a + b)[1] for b in sig] for a in sig])
+
+
+def dense_total_rate(covs):
+    """Oracle: total_rate_approx restated on the dense determinants."""
+    inner = logsumexp(-dense_pair_logdets(covs), axis=1)
+    return float(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0)
+                 - np.mean(inner) / np.log(2.0))
+
+
+@st.composite
+def factor_sets(draw):
+    """Ragged-rank factor sets: up to 4 patterns, n_r up to 512, rank 0..s per pattern."""
+    k = draw(st.integers(1, 4))
+    n_r = draw(st.integers(1, 512))
+    s = draw(st.integers(1, 3))
+    ranks = draw(st.lists(st.integers(0, s), min_size=k, max_size=k))
+    n0 = draw(st.floats(0.01, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = np.zeros((k, n_r, s), dtype=complex)
+    for i, rank in enumerate(ranks):
+        power = draw(st.floats(0.0, 128.0))  # expected squared column norm
+        cols = rng.standard_normal((n_r, rank)) + 1j * rng.standard_normal((n_r, rank))
+        factors[i, :, :rank] = cols * np.sqrt(power / (2.0 * n_r))
+    return CovarianceSet(n0=n0, factors=factors)
 
 
 def test_covariances_zero_channel():
@@ -55,7 +89,7 @@ def test_covariance_determinant_closed_form():
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances([w], [g], [theta], n_r, n0)
         expected = n0 ** n_r * (1.0 + w * g / n0)
-        assert_allclose(hermitian_det(covs.sigmas[0]), expected, rtol=1e-10)
+        assert_allclose(np.exp(covs.logdets()[0]), expected, rtol=1e-10)
 
 
 def test_covariances_rejects_bad_noise():
@@ -89,8 +123,8 @@ def test_pattern_bound_single_pattern():
 
 
 def test_pattern_bound_identical_patterns():
-    sigma = asymptotic_covariances([0.5], [32.0], [0.1], 6, 0.2).sigmas[0]
-    covs = CovarianceSet(n0=0.2, sigmas=np.stack([sigma, sigma]))
+    beam = asymptotic_covariances([0.5], [32.0], [0.1], 6, 0.2).factors[0]
+    covs = CovarianceSet(n0=0.2, factors=np.stack([beam, beam]))
     assert pattern_rate_bound(covs) == pytest.approx(6 * (1 - LOG2E), rel=1e-12)
 
 
@@ -175,10 +209,9 @@ def test_dirichlet_matches_steering_inner_product():
 def test_pair_determinant_doubling_identity():
     # same beam twice: |S + S| = 2^n_r |S|
     w, g, theta, n_r, n0 = 0.6, 50.0, 0.12, 8, 0.2
-    covs = asymptotic_covariances([w], [g], [theta], n_r, n0)
-    expected = 2 ** n_r * hermitian_det(covs.sigmas[0])
-    assert pair_covariance_det(w, w, g, g, theta, theta, n_r, n0) == pytest.approx(
-        expected, rel=1e-10)
+    covs = asymptotic_covariances([w, w], [g, g], [theta, theta], n_r, n0)
+    expected = n_r * np.log(2.0) + n_r * np.log(n0) + np.log1p(w * g / n0)
+    assert np.all(np.abs(np.expm1(_pair_logdets(covs) - expected)) <= 1e-10)
 
 
 def test_pair_determinant_orthogonal_beams():
@@ -186,9 +219,10 @@ def test_pair_determinant_orthogonal_beams():
     n_r, n0 = 8, 0.25
     w = (0.7, 0.2)
     g = (64.0, 64.0)
-    value = pair_covariance_det(w[0], w[1], g[0], g[1], 0.0, 2 / n_r, n_r, n0)
-    product_form = (2 * n0) ** n_r * (1 + w[0] * g[0] / (2 * n0)) * (1 + w[1] * g[1] / (2 * n0))
-    assert value == pytest.approx(product_form, rel=1e-12)
+    covs = asymptotic_covariances(w, g, [0.0, 2 / n_r], n_r, n0)
+    product_form = n_r * np.log(2 * n0) + np.log1p(w[0] * g[0] / (2 * n0)) \
+        + np.log1p(w[1] * g[1] / (2 * n0))
+    assert abs(np.expm1(_pair_logdets(covs)[0, 1] - product_form)) <= 1e-12
 
 
 def test_pair_determinant_matches_brute_force():
@@ -200,9 +234,46 @@ def test_pair_determinant_matches_brute_force():
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances(w, g, theta, n_r, n0)
-        brute = hermitian_det(covs.sigmas[0] + covs.sigmas[1])
-        closed = pair_covariance_det(w[0], w[1], g[0], g[1], theta[0], theta[1], n_r, n0)
-        assert_allclose(closed, brute, rtol=1e-10)
+        brute = np.linalg.slogdet(covs.sigmas[0] + covs.sigmas[1])[1]
+        assert abs(np.expm1(_pair_logdets(covs)[0, 1] - brute)) <= 1e-10
+
+
+@settings(max_examples=60)
+@given(factor_sets())
+def test_kernel_matches_dense_oracle(covs):
+    assert_allclose(_pair_logdets(covs), dense_pair_logdets(covs), rtol=0.0, atol=1e-9)
+    dense = np.array([np.linalg.slogdet(s)[1] for s in covs.sigmas])
+    assert_allclose(covs.logdets(), dense, rtol=0.0, atol=1e-9)
+    assert total_rate_approx(covs) == pytest.approx(dense_total_rate(covs), abs=1e-9)
+
+
+@given(factor_sets(), st.randoms(use_true_random=False))
+def test_kernel_invariant_under_pattern_permutation(covs, random):
+    perm = np.array(random.sample(range(covs.k), covs.k))
+    shuffled = CovarianceSet(n0=covs.n0, factors=covs.factors[perm])
+    assert_allclose(_pair_logdets(shuffled), _pair_logdets(covs)[np.ix_(perm, perm)],
+                    rtol=1e-12, atol=1e-10)
+    for rate in (total_rate_approx, conditional_symbol_rate, pattern_rate_bound):
+        assert rate(shuffled) == pytest.approx(rate(covs), rel=1e-12, abs=1e-10)
+
+
+@given(st.floats(1e-3, 1.0), st.floats(1.0, 128.0), st.floats(-0.5, 0.5),
+       st.integers(1, 512), st.floats(1e-3, 10.0))
+def test_single_beam_collapses_to_mmwave(w, g, theta, n_r, n0):
+    exact = mmwave_rate(w, g, n0)
+    assert spim_rate([w], [g], [theta], n_r, n0) == exact
+    covs = asymptotic_covariances([w], [g], [theta], n_r, n0)
+    assert total_rate_approx(covs) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_rx", [128, 512])
+def test_large_array_total_rate_matches_dense_oracle(n_rx):
+    chan = sample_channel(make_rng(3, n_rx), 64, n_rx, 4, gains=list(0.6 ** np.arange(4)))
+    eff = effective_channel(chan, build_abf(chan, 4), "exact")
+    covs = covariances(eff, pattern_alphabet(4, 1), 0.01)
+    value = total_rate_approx(covs)
+    assert np.isfinite(value)
+    assert value == pytest.approx(dense_total_rate(covs), abs=1e-9)
 
 
 def test_two_path_rate_matches_total_rate_approx():
@@ -212,41 +283,43 @@ def test_two_path_rate_matches_total_rate_approx():
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances(w, [64.0, 64.0], theta, 8, n0)
-        direct = spim_rate_two_path(w[0], w[1], 64.0, 64.0, theta[0], theta[1], 8, n0)
+        direct = spim_rate(w, [64.0, 64.0], theta, 8, n0)
         assert_allclose(direct, total_rate_approx(covs), rtol=1e-9)
 
 
 def test_two_path_rate_variants_coincide_for_two_patterns():
-    # the diagonal term cancels either determinant numerator when K = 2
+    # the diagonal term cancels either determinant numerator when K = 2:
+    # |S_t| in place of |S_n| in the pattern bound leaves it unchanged
     rng = np.random.default_rng(23)
     for _ in range(50):
         w = np.sort(rng.uniform(0.05, 1.0, 2))[::-1]
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
-        lb = spim_rate_two_path(w[0], w[1], 64, 64, theta[0], theta[1], 8, n0, variant="lb")
-        cross = spim_rate_two_path(w[0], w[1], 64, 64, theta[0], theta[1], 8, n0,
-                                   variant="crossdet")
+        covs = asymptotic_covariances(w, [64, 64], theta, 8, n0)
+        ld, pair = covs.logdets(), _pair_logdets(covs)
+        lb = np.mean(logsumexp(ld[:, None] - pair, axis=1))
+        cross = np.mean(logsumexp(ld[None, :] - pair, axis=1))
         assert_allclose(lb, cross, rtol=1e-12)
 
 
 def test_two_path_rate_high_snr_equal_gains():
     # equal gains, separated beams: symbol term plus one full pattern bit
-    value = spim_rate_two_path(0.5, 0.5, 64.0, 64.0, -0.25, 0.25, 8, 1e-4)
+    value = spim_rate([0.5, 0.5], [64.0, 64.0], [-0.25, 0.25], 8, 1e-4)
     assert value == pytest.approx(np.log2(1 + 0.5 * 64 / 1e-4) + 1.0, abs=0.1)
 
 
 def test_two_path_rate_balanced_gain_margin():
     # (0.6, 0.4) at high SNR clears the single-beam rate by about 0.6 bits
-    margin = spim_rate_two_path(0.6, 0.4, 64, 64, -0.2, 0.15, 8, 0.01) \
+    margin = spim_rate([0.6, 0.4], [64, 64], [-0.2, 0.15], 8, 0.01) \
         - mmwave_rate(0.6, 64, 0.01)
     assert margin == pytest.approx(0.6, abs=0.2)
 
 
 def test_two_path_rate_validation():
     with pytest.raises(ParameterError):
-        spim_rate_two_path(0.9, 0.0, 64, 64, 0.1, -0.1, 8, 0.1)
+        spim_rate([0.9, 0.0], [64, 64], [0.1, -0.1], 8, 0.1)
     with pytest.raises(ParameterError):
-        spim_rate_two_path(0.9, 0.1, 64, 64, 0.1, -0.1, 8, 0.1, variant="other")
+        asymptotic_covariances([0.9, -0.1], [64, 64], [0.1, -0.1], 8, 0.1)
 
 
 def test_general_rate_single_beam_is_exactly_mmwave():
@@ -255,14 +328,17 @@ def test_general_rate_single_beam_is_exactly_mmwave():
 
 
 def test_general_rate_two_beams_matches_pair_form():
+    # the paper's closed form with the Dirichlet cross term Q_nt
     rng = np.random.default_rng(29)
     for _ in range(100):
         w = np.sort(rng.uniform(0.05, 1.0, 2))[::-1]
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
-        general = spim_rate(w, [64.0, 64.0], theta, 8, n0)
-        pair = spim_rate_two_path(w[0], w[1], 64.0, 64.0, theta[0], theta[1], 8, n0)
-        assert_allclose(general, pair, rtol=1e-9)
+        half = w * 64.0 / (2.0 * n0)
+        q = np.array([[dirichlet_gain(a - b, 8) for b in theta] for a in theta])
+        core = np.outer(1.0 + half, 1.0 + half) - np.outer(half, half) * q
+        pair = 1.0 - 0.5 * np.sum(np.log2(np.sum(1.0 / core, axis=1)))
+        assert_allclose(spim_rate(w, [64.0, 64.0], theta, 8, n0), pair, rtol=1e-9)
 
 
 def test_general_rate_permutation_symmetry():
@@ -285,23 +361,5 @@ def test_general_rate_validation():
 
 def test_covariance_set_requires_positive_noise():
     with pytest.raises(ParameterError):
-        CovarianceSet(n0=0.0, sigmas=np.eye(2)[None, :, :])
+        CovarianceSet(n0=0.0, factors=np.ones((1, 2, 1)))
 
-
-def test_se_comparison_reports():
-    from spimmwave import se_comparison
-    report = se_comparison([0.6, 0.4], [64.0, 64.0], [-0.2, 0.15], 8, 0.1)
-    assert report.method == "general-m"
-    assert report.i_mmwave == pytest.approx(mmwave_rate(0.6, 64.0, 0.1))
-    assert report.i_spim == pytest.approx(
-        spim_rate([0.6, 0.4], [64.0, 64.0], [-0.2, 0.15], 8, 0.1))
-    assert report.i_spim >= 0 and report.i_mmwave >= 0
-    assert report.parameters["n0"] == 0.1
-    two_beam = se_comparison([0.6, 0.4], [64.0, 64.0], [-0.2, 0.15], 8, 0.1,
-                             method="closed-form-lb")
-    assert two_beam.i_spim == pytest.approx(report.i_spim, rel=1e-9)
-    with pytest.raises(ParameterError):
-        se_comparison([0.6, 0.3, 0.1], [64.0] * 3, [0.1, 0.0, -0.1], 8, 0.1,
-                      method="closed-form-lb")
-    with pytest.raises(ParameterError):
-        se_comparison([0.6, 0.4], [64.0] * 2, [0.1, -0.1], 8, 0.1, method="monte-carlo")

@@ -1,5 +1,7 @@
 """Superiority conditions, margin search, and the crossover root solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from spimmwave import (
     decay_condition_value,
     gamma_crossover,
     geometric_mean_threshold,
-    high_snr_superiority,
     spim_margin,
     two_path_margin,
 )
+
+
+def high_snr_superiority(w) -> bool:
+    """Noise-free limit of geometric_mean_threshold (array gains drop out)."""
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    return geometric_mean_threshold(w, np.ones_like(w), 0.0).holds
 
 
 def test_two_path_margin_values():
@@ -123,6 +130,14 @@ def test_decay_value_monotone_in_gamma():
         assert all(b > a for a, b in zip(values, values[1:]) if a > 1e-300)
 
 
+def test_decay_value_many_weak_beams_is_zero_not_overflow():
+    # gamma^(1 - m) = 100^499 overflows a double; the condition value underflows to 0
+    assert decay_condition_value(500, 0.01, 0.1, 64.0) == 0.0
+    # without noise there is no penalty term, so no 0 * inf
+    noise_free = decay_condition_value(500, 0.5, 0.0, 64.0)
+    assert noise_free == pytest.approx(500 ** (500 / 499) * 0.5 ** 250, rel=1e-12)
+
+
 def test_margin_small_decay_prefers_single_beam():
     assert spim_margin(MarginQuery(gamma=0.1, n0=0.1, g1=64.0)) == 1
 
@@ -134,6 +149,16 @@ def test_margin_matches_bruteforce_scan():
                     if b == 0 or decay_condition_value(2 ** b, gamma, n0, 64.0) > 1.0]
         assert spim_margin(query) == max(feasible)
         assert spim_margin(query) in {2 ** b for b in range(7)}
+        relaxed = MarginQuery(gamma=gamma, n0=n0, g1=64.0, b_max=6, relax_integer=True)
+        grid = [1.0 + 0.01 * i for i in range(1, 6301)]
+        best = max([1.0] + [m for m in grid if decay_condition_value(m, gamma, n0, 64.0) > 1.0])
+        assert spim_margin(relaxed) == pytest.approx(best, abs=1e-9)
+
+
+def test_margin_with_many_candidate_beams_does_not_overflow():
+    # the 0.01-step grid up to 2^10 beams reaches gamma^(1 - m) far beyond the double range
+    query = MarginQuery(0.02, 0.1, 64.0, b_max=10, relax_integer=True)
+    assert spim_margin(query) == 1.0
 
 
 def test_margin_monotone_in_gamma():
@@ -186,6 +211,13 @@ def test_crossover_no_root_detection():
         gamma_crossover(2, 50.0, 64.0)
     with pytest.raises(ParameterError):
         gamma_crossover(1, 0.1, 64.0)
+
+
+def test_crossover_for_many_beams_does_not_overflow():
+    # the bracket end gamma = 1e-9 puts gamma^(1 - 64) far beyond the double range
+    root = gamma_crossover(64, 0.1, 64.0)
+    assert 0.0 < root < 1.0
+    assert math.isclose(decay_condition_value(64, root, 0.1, 64.0), 1.0, abs_tol=1e-4)
 
 
 def test_margin_transition_matches_crossover():

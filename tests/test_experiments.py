@@ -1,11 +1,20 @@
 """Spec parsing, sweep execution, CSV contract, and the CLI surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from spimmwave import MarginQuery, SpecValidationError, dirichlet_gain, spim_margin
+from spimmwave import (
+    MarginQuery,
+    SpecValidationError,
+    dirichlet_gain,
+    make_rng,
+    sample_channel,
+    spim_margin,
+)
+from spimmwave import experiments
 from spimmwave.capacity import METHOD_TAGS
 from spimmwave.cli import main
 from spimmwave.experiments import (
@@ -123,6 +132,49 @@ def test_gamma_sweep_with_monte_carlo():
     sampled = {r.variant: r.value for r in rows if r.method == "monte-carlo"}
     for variant in mc_variants:
         assert sampled[variant] == pytest.approx(closed[variant], abs=1.0)
+
+
+def test_sweeps_draw_each_channel_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["gains"])
+        return sample_channel(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_channel", counting)
+    run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
+                                   "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
+                                   "trials": 3}))
+    assert len(calls) == 3 * 3  # trials x beam counts, not x grid points
+    calls.clear()
+    run_experiment(spec_from_dict({"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9],
+                                   "noise": {"n0": 0.1}, "trials": 2}))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_regained_draws_equal_fresh_draws(normalize):
+    # swapping gains into one draw gives exactly the channel drawn with them
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 3,
+                           "channel": {"m": [4], "normalize": normalize},
+                           "noise": {"n0": 0.1}, "seed": 4})
+    draws = experiments._draw_channels(spec, 4)
+    for gains in ([1.0, 0.5, 0.25, 0.125], [0.6, 0.4, 0.4, 0.0], [0.2, 0.7, 0.2, 0.5]):
+        scaled = np.asarray(gains) / sum(gains) if normalize else gains
+        for t, chan in enumerate(experiments._with_gains(spec, draws, gains)):
+            fresh = sample_channel(make_rng(4, t), 64, 8, 4, gains=scaled)
+            for field in ("aod", "aoa", "gains"):
+                assert np.array_equal(getattr(chan, field), getattr(fresh, field))
+
+
+def test_gamma_sweep_runs_on_large_array_with_monte_carlo():
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.6],
+                           "channel": {"n_rx": 128, "m": [1, 2, 4]}, "noise": {"n0": 0.1},
+                           "trials": 1, "mc": {"n_samples": 1000}})
+    rows = run_experiment(spec)
+    assert {r.method for r in rows} == {"general-m", "monte-carlo"}
+    assert len(rows) == 6
+    assert all(math.isfinite(r.value) for r in rows)
 
 
 def test_snr_sweep_with_four_beams_uses_general_form():
