@@ -6,7 +6,6 @@ from .beamforming import (
     build_abf,
     effective_channel,
     pattern_alphabet,
-    transmit,
 )
 from .capacity import (
     CovarianceSet,
@@ -91,6 +90,5 @@ __all__ = [
     "steering_vector_rx",
     "steering_vector_tx",
     "total_rate_approx",
-    "transmit",
     "two_path_margin",
 ]

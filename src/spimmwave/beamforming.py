@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, steering_vector_rx, steering_vector_tx
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,3 @@ def effective_channel(channel: ChannelRealization, config: BeamformerConfig,
         return np.column_stack(cols)
     raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
 
-
-def transmit(config: BeamformerConfig, pattern: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Antenna-domain signal A @ B @ D @ x for one selected spatial pattern."""
-    pattern = np.asarray(pattern, dtype=np.complex128)
-    symbol = np.asarray(symbol, dtype=np.complex128)
-    n_s = config.dbf.shape[0]
-    if pattern.shape != (config.m, n_s):
-        raise DimensionError(f"pattern must have shape {(config.m, n_s)}, got {pattern.shape}")
-    if symbol.shape[0] != n_s:
-        raise DimensionError(f"symbol must have {n_s} rows, got {symbol.shape}")
-    return config.abf @ (pattern @ (config.dbf @ symbol))

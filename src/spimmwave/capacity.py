@@ -61,8 +61,8 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
-        if self.n0 <= 0:
-            raise ParameterError(f"noise power must be > 0, got {self.n0}")
+        if not self.n0 > 0:
+            raise ParameterError(f"n0 must be > 0, got {self.n0}")
         fac = np.asarray(self.factors, dtype=np.complex128)
         if fac.ndim != 3 or fac.shape[0] < 1:
             raise DimensionError(f"factors must be (k, n_r, s) with k >= 1, got {fac.shape}")
@@ -76,9 +76,15 @@ class CovarianceSet:
     def n_r(self) -> int:
         return self.factors.shape[1]
 
+    @property
+    def stacked(self) -> np.ndarray:
+        """The beam factors side by side, [G_1 ... G_K], shape (n_r, k s)."""
+        k, n_r, s = self.factors.shape
+        return self.factors.transpose(1, 0, 2).reshape(n_r, k * s)
+
     @cached_property
     def sigmas(self) -> np.ndarray:
-        """Dense (k, n_r, n_r) covariances, for the sampler and for oracles."""
+        """Dense (k, n_r, n_r) covariances, a reference for test oracles only."""
         eye = np.eye(self.n_r, dtype=np.complex128)
         return np.stack([self.n0 * eye + g @ g.conj().T for g in self.factors])
 
@@ -108,8 +114,8 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    if (w * g < 0).any():
-        raise ParameterError("gains must be non-negative")
+    if not (w * g >= 0).all():
+        raise ParameterError(f"gains w * g must be >= 0, got w={w}, g={g}")
     beams = steering_vector_rx(theta[:, None], n_r) * np.sqrt(w * g)[:, None]
     return CovarianceSet(n0=n0, factors=beams[:, :, None], source="asymptotic")
 
@@ -122,7 +128,7 @@ def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
     batched factorization every (2s x 2s) determinant.
     """
     k, n_r, s = covs.factors.shape
-    stacked = covs.factors.transpose(1, 0, 2).reshape(n_r, k * s)
+    stacked = covs.stacked
     blocks = (stacked.conj().T @ stacked).reshape(k, s, k, s).swapaxes(1, 2)  # G_n^H G_t
     own = blocks.diagonal(axis1=0, axis2=1).transpose(2, 0, 1)  # G_n^H G_n
     gram = np.empty((k, k, 2 * s, 2 * s), dtype=np.complex128)  # W_nt^H W_nt
@@ -170,10 +176,10 @@ def total_rate_approx(covs: CovarianceSet) -> float:
 
 def mmwave_rate(w1: float, g1: float, n0: float) -> float:
     """Shannon rate log2(1 + w1 g1 / n0) of steering the single strongest beam."""
-    if n0 <= 0:
-        raise ParameterError(f"noise power must be > 0, got {n0}")
-    if w1 < 0 or g1 < 0:
-        raise ParameterError("gains must be non-negative")
+    if not n0 > 0:
+        raise ParameterError(f"n0 must be > 0, got {n0}")
+    if not (w1 >= 0 and g1 >= 0):
+        raise ParameterError(f"gains w1 and g1 must be >= 0, got {w1}, {g1}")
     return float(np.log1p(w1 * g1 / n0) / LN2)
 
 
@@ -206,8 +212,8 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    if (w <= 0).any() or (g <= 0).any():
-        raise ParameterError("all path gains must be > 0")
+    if not ((w > 0).all() and (g > 0).all()):
+        raise ParameterError(f"path gains w and g must be > 0, got w={w}, g={g}")
     if len(w) == 1:
         return mmwave_rate(w[0], g[0], n0)
     return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))

@@ -41,10 +41,10 @@ class ChannelRealization:
         gains = np.atleast_1d(np.asarray(self.gains, dtype=np.float64))
         if not (len(aod) == len(aoa) == len(gains)) or len(gains) < 1:
             raise ParameterError("aod, aoa and gains must share a common length >= 1")
-        if np.any(gains < 0):
+        if not np.all(gains >= 0):
             raise ParameterError("path gains must be non-negative")
         for name, angles in (("aod", aod), ("aoa", aoa)):
-            if np.any(np.abs(angles) > 0.5):
+            if not np.all(np.abs(angles) <= 0.5):
                 raise ParameterError(f"normalized {name} values must lie in [-0.5, 0.5]")
         order = np.argsort(-gains, kind="stable")
         object.__setattr__(self, "aod", aod[order])

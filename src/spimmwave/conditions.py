@@ -35,11 +35,11 @@ class MarginQuery:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.n0 < 0:
+        if not self.n0 >= 0:
             raise ParameterError(f"n0 must be >= 0, got {self.n0}")
-        if self.g1 <= 0:
+        if not self.g1 > 0:
             raise ParameterError(f"g1 must be > 0, got {self.g1}")
-        if self.b_max < 0:
+        if not self.b_max >= 0:
             raise ParameterError(f"b_max must be >= 0, got {self.b_max}")
 
 
@@ -55,9 +55,9 @@ def two_path_margin(w1: float, w2: float) -> float:
     Positive means index modulation is guaranteed to win at high SNR, zero
     is the boundary, negative gives no guarantee.
     """
-    if w2 <= 0:
+    if not w2 > 0:
         raise ParameterError(f"w2 must be > 0, got {w2}")
-    if w1 < w2:
+    if not w1 >= w2:
         raise ParameterError("gains must be ordered w1 >= w2")
     return 4.0 * w2 - w1
 
@@ -75,9 +75,9 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
         raise ParameterError(f"need at least 2 paths, got {m}")
     if len(g) != m:
         raise ParameterError("w and g must have equal lengths")
-    if np.any(w <= 0) or np.any(g <= 0):
-        raise ParameterError("all gains must be > 0")
-    if n0 < 0:
+    if not (np.all(w > 0) and np.all(g > 0)):
+        raise ParameterError(f"gains w and g must be > 0, got w={w}, g={g}")
+    if not n0 >= 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     tau = m ** (-m / (m - 1.0)) * math.exp(4.0 * n0 * float(np.sum(1.0 / (w * g))))
     prod = float(np.prod(w[1:]))
@@ -95,7 +95,6 @@ def _log_condition(m, gamma, n0: float, g1: float):
     penalty is infinite and the log is -inf (a value of 0) instead of an
     OverflowError; with n0 = 0 there is no penalty at all, never 0 * inf.
     """
-    m = np.asarray(m, dtype=np.float64)
     log_gamma = np.log(gamma)
     lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
     if n0 == 0:
@@ -115,11 +114,11 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    if g1 <= 0:
+    if not g1 > 0:
         raise ParameterError(f"g1 must be > 0, got {g1}")
-    if n0 < 0:
+    if not n0 >= 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
-    if m < 1:
+    if not m >= 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if m == 1:
         return 1.0
@@ -143,26 +142,29 @@ def spim_margin(query: MarginQuery) -> float:
     return best if query.relax_integer else int(best)
 
 
-def gamma_crossover(m: float, n0: float, g1: float, *, tol: float = 1e-6,
-                    newton_polish: bool = True) -> float:
+def gamma_crossover(m: float, n0: float, g1: float, *, newton_polish: bool = True) -> float:
     """Root gamma of decay_condition_value(m, gamma, n0, g1) = 1 inside (0, 1).
 
     The bracket endpoints are sign-checked on every call; bisection narrows
-    to below `tol`, then an optional guarded Newton polish (central-difference
-    slope) sharpens the residual.
+    the bracket to 1e-7, then an optional guarded Newton polish
+    (central-difference slope) sharpens the residual.
     """
-    if m < 2:
-        raise ParameterError(f"need m >= 2, got {m}")
+    if not m >= 2:
+        raise ParameterError(f"m must be >= 2, got {m}")
+    if not g1 > 0:
+        raise ParameterError(f"g1 must be > 0, got {g1}")
+    if not n0 >= 0:
+        raise ParameterError(f"n0 must be >= 0, got {n0}")
 
     def f(gamma: float) -> float:
-        return decay_condition_value(m, gamma, n0, g1) - 1.0
+        # value - 1, from the log-domain value without re-validating on every step
+        return math.expm1(float(_log_condition(m, gamma, n0, g1)))
 
     lo, hi = 1e-9, 1.0 - 1e-9
     if not (f(lo) < 0.0 < f(hi)):
         raise NoRootError(
             f"no sign change of the decay condition in ({lo}, {hi}) for m={m}, n0={n0}")
-    width = min(tol, 1e-7)
-    while hi - lo > width:
+    while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             hi = mid

@@ -144,7 +144,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
     grid = list(spec.grid)
     if not grid:
         raise SpecValidationError("grid", "must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(b > a for a, b in zip(grid, grid[1:])):
         raise SpecValidationError("grid", "must be strictly increasing")
     if spec.trials < 1:
         raise SpecValidationError("trials", "must be >= 1")
@@ -203,7 +203,7 @@ def _noise_level(spec: ExperimentSpec) -> float:
         n0 = float(spec.noise.n0)
     else:
         n0 = 10.0 ** (-float(spec.noise.snr_db) / 10.0)
-    if n0 <= 0:
+    if not n0 > 0:
         raise SpecValidationError("noise", "noise power must be > 0")
     return n0
 

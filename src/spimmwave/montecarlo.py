@@ -2,13 +2,15 @@
 
 The received signal is a K-component zero-mean complex Gaussian mixture
 whose differential entropy has no closed form. Every component is the noise
-floor plus a signal term, S_k = N0 I + (S_k - N0 I), and all signal terms
-live in one span of rank r <= K n_s, found once by an eigendecomposition of
-their sum. A received vector splits into its span coordinates u and the
-orthogonal remainder v. The density of v is CN(0, N0 I) under every pattern,
-so the estimator never samples it: its energy term |v|^2 / N0 is replaced by
-its exact mean n_r - r (Rao-Blackwellization), and ln|S_k| becomes
-(n_r - r) ln N0 + ln|C_k| with the r x r span covariance C_k = Q^H S_k Q.
+floor plus a signal term, S_k = N0 I + G_k G_k^H, and all signal terms live
+in one span of rank r <= K n_s: the column space of the stacked beam
+factors [G_1 ... G_K], whose orthonormal basis Q comes from one thin SVD of
+that n_r x K n_s matrix, so no n_r x n_r matrix is ever formed. A received
+vector splits into its span coordinates u and the orthogonal remainder v.
+The density of v is CN(0, N0 I) under every pattern, so the estimator never
+samples it: its energy term |v|^2 / N0 is replaced by its exact mean n_r - r
+(Rao-Blackwellization), and ln|S_k| becomes (n_r - r) ln N0 + ln|C_k| with
+the r x r span covariance C_k = N0 I + P_k P_k^H, P_k = Q^H G_k.
 
 Only u is sampled, exactly ceil(N/K) draws from every component
 (stratification is unbiased because patterns are equiprobable and cuts
@@ -63,23 +65,17 @@ class _SpanDraws(NamedTuple):
     logdets: np.ndarray  # ln|C_k| of the span covariances
 
 
-def _signal_span(covs: CovarianceSet) -> np.ndarray:
-    """Orthonormal basis Q (n_r x r) of the span of every signal term S_k - N0 I."""
-    n_r, k, n0 = covs.n_r, covs.k, covs.n0
-    signal = covs.sigmas.sum(axis=0) - k * n0 * np.eye(n_r)
-    evals, evecs = np.linalg.eigh(signal)
-    # eigenvalues of an exactly rank-r sum sit at the rounding floor off the span
-    scale = max(float(np.linalg.norm(covs.sigmas, axis=(1, 2)).max()), n0)
-    tol = n_r * k * np.finfo(np.float64).eps * scale
-    return evecs[:, evals > tol]
-
-
 def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDraws:
     """Span mixture log-densities of stratified draws, ceil(N/K) per component."""
     k = covs.k
-    q = _signal_span(covs)
+    stacked = covs.stacked
+    basis, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    # numpy's matrix_rank rule; a zero channel keeps no direction (r = 0)
+    q = basis[:, sv > sv.max(initial=0.0) * max(stacked.shape) * np.finfo(np.float64).eps]
     r = q.shape[1]
-    chol = np.linalg.cholesky(q.conj().T @ covs.sigmas @ q)  # C_k = L_k L_k^H
+    proj = q.conj().T @ covs.factors  # P_k = Q^H G_k
+    # C_k = N0 I + P_k P_k^H = L_k L_k^H
+    chol = np.linalg.cholesky(covs.n0 * np.eye(r) + proj @ proj.conj().swapaxes(1, 2))
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
     per_component = math.ceil(spec.n_samples / k)
     out = np.empty(per_component * k)

@@ -8,14 +8,11 @@ from numpy.testing import assert_allclose
 
 from spimmwave import (
     ChannelRealization,
-    DimensionError,
     ParameterError,
     build_abf,
     effective_channel,
     make_rng,
     pattern_alphabet,
-    sample_complex_gaussian,
-    transmit,
 )
 
 
@@ -143,43 +140,3 @@ def test_effective_channel_rejects_unknown_mode():
     ch = _channel()
     with pytest.raises(ParameterError):
         effective_channel(ch, build_abf(ch, 2), "fast")
-
-
-def test_transmit_zero_symbol():
-    cfg = build_abf(_channel(), 2)
-    pattern = pattern_alphabet(2, 1).patterns[0]
-    assert np.all(transmit(cfg, pattern, np.zeros(1)) == 0)
-
-
-def test_transmit_selects_column():
-    cfg = build_abf(_channel(n_paths=4), 4)
-    alpha = pattern_alphabet(4, 1)
-    for k in range(alpha.k):
-        x = np.array([1.5 - 0.5j])
-        assert_allclose(transmit(cfg, alpha.patterns[k], x), x[0] * cfg.abf[:, k], rtol=1e-12)
-
-
-def test_transmit_is_linear():
-    cfg = build_abf(_channel(), 2)
-    pattern = pattern_alphabet(2, 1).patterns[1]
-    x1, x2 = np.array([0.3 + 1j]), np.array([-1.2 + 0.4j])
-    lhs = transmit(cfg, pattern, 2.0 * x1 + x2)
-    rhs = 2.0 * transmit(cfg, pattern, x1) + transmit(cfg, pattern, x2)
-    assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_transmit_mean_power_is_array_size():
-    cfg = build_abf(_channel(), 2)
-    pattern = pattern_alphabet(2, 1).patterns[0]
-    symbols = sample_complex_gaussian(make_rng(21), 100_000, 1.0).reshape(1, -1)
-    sent = transmit(cfg, pattern, symbols)  # (n_tx, draws)
-    mean_power = np.mean(np.sum(np.abs(sent) ** 2, axis=0))
-    assert mean_power == pytest.approx(64.0, rel=0.02)
-
-
-def test_transmit_rejects_mismatched_shapes():
-    cfg = build_abf(_channel(), 2)
-    with pytest.raises(DimensionError):
-        transmit(cfg, np.ones((3, 1)), np.zeros(1))
-    with pytest.raises(DimensionError):
-        transmit(cfg, pattern_alphabet(2, 1).patterns[0], np.zeros(2))

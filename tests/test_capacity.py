@@ -8,20 +8,27 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from spimmwave import (
+    ChannelRealization,
     CovarianceSet,
+    MarginQuery,
     ParameterError,
     asymptotic_covariances,
     build_abf,
     conditional_symbol_rate,
     covariances,
+    decay_condition_value,
     dirichlet_gain,
     effective_channel,
+    gamma_crossover,
+    geometric_mean_threshold,
     make_rng,
     mmwave_rate,
     pattern_alphabet,
     pattern_rate_bound,
     sample_channel,
+    spim_margin,
     spim_rate,
+    two_path_margin,
     steering_vector_rx,
     total_rate_approx,
 )
@@ -97,6 +104,36 @@ def test_covariances_rejects_bad_noise():
         covariances(np.zeros((4, 2)), pattern_alphabet(2, 1), 0.0)
     with pytest.raises(ParameterError):
         asymptotic_covariances([1.0], [64.0], [0.0], 8, -0.1)
+
+
+NAN = float("nan")
+NAN_CALLS = {
+    "mmwave_rate-n0": (lambda: mmwave_rate(0.6, 64, NAN), "n0"),
+    "mmwave_rate-w1": (lambda: mmwave_rate(NAN, 64, 0.1), "w1"),
+    "spim_rate-w": (lambda: spim_rate([NAN, 0.4], [64, 64], [-0.1, 0.1], 8, 0.1), "w"),
+    "spim_rate-n0": (lambda: spim_rate([0.6, 0.4], [64, 64], [-0.1, 0.1], 8, NAN), "n0"),
+    "CovarianceSet-n0": (lambda: CovarianceSet(NAN, np.ones((2, 8, 1))), "n0"),
+    "asymptotic_covariances-w": (
+        lambda: asymptotic_covariances([NAN], [64.0], [0.0], 8, 0.1), "w"),
+    "MarginQuery-n0": (lambda: spim_margin(MarginQuery(0.5, NAN, 64.0)), "n0"),
+    "MarginQuery-g1": (lambda: spim_margin(MarginQuery(0.5, 0.1, NAN)), "g1"),
+    "decay_condition_value-n0": (lambda: decay_condition_value(4, 0.5, NAN, 64.0), "n0"),
+    "geometric_mean_threshold-w": (
+        lambda: geometric_mean_threshold([0.6, NAN], [64, 64], 0.1), "w"),
+    "gamma_crossover-n0": (lambda: gamma_crossover(2, NAN, 64.0), "n0"),
+    "gamma_crossover-m": (lambda: gamma_crossover(NAN, 0.1, 64.0), "m"),
+    "two_path_margin-w2": (lambda: two_path_margin(0.9, NAN), "w2"),
+    "ChannelRealization-gains": (
+        lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=[NAN]), "gains"),
+    "ChannelRealization-aoa": (
+        lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[NAN], gains=[1.0]), "aoa"),
+}
+
+
+@pytest.mark.parametrize("call, name", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_argument_raises_named_parameter_error(call, name):
+    with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+        call()
 
 
 def test_symbol_rate_zero_channel():

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,8 @@ def test_grid_must_increase():
     with pytest.raises(SpecValidationError, match="grid"):
         spec_from_dict({"experiment": "q-function", "grid": [0.2, 0.1]})
     with pytest.raises(SpecValidationError, match="grid"):
+        spec_from_dict({"experiment": "q-function", "grid": [0.1, math.nan]})
+    with pytest.raises(SpecValidationError, match="grid"):
         spec_from_dict({"experiment": "q-function", "grid": []})
 
 
@@ -74,6 +80,11 @@ def test_noise_field_rules():
     with pytest.raises(SpecValidationError, match="noise"):
         spec_from_dict({"experiment": "snr-sweep", "grid": [0.0, 10.0],
                         "channel": {"gains": [0.9, 0.1]}, "noise": {"n0": 0.1}})
+    # json.load accepts NaN; the runner must still refuse it as a noise level
+    for noise in ({"n0": math.nan}, {"snr_db": math.nan}):
+        with pytest.raises(SpecValidationError, match="noise"):
+            run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5, 0.6],
+                                           "noise": noise, "trials": 1}))
 
 
 def test_snr_sweep_rows_and_tags():
@@ -296,6 +307,13 @@ def test_cli_check_conditions_many_paths(capsys):
 def test_cli_reproduce_preset(tmp_path, capsys):
     assert main(["reproduce", "q-function", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "q-function.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    code = "import sys, spimmwave.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_preset_ids_are_documented():
