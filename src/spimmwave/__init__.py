@@ -1,7 +1,6 @@
 """Spectral-efficiency toolkit for spatial path index modulation over mmWave beams."""
 
 from .beamforming import (
-    BeamformerConfig,
     PatternAlphabet,
     build_abf,
     effective_channel,
@@ -24,8 +23,7 @@ from .channel import (
     min_angle_separation,
     normalized_from_physical,
     sample_channel,
-    steering_vector_rx,
-    steering_vector_tx,
+    steering_vector,
 )
 from .conditions import (
     MarginQuery,
@@ -45,12 +43,11 @@ from .errors import (
     SpimmwaveError,
 )
 from .montecarlo import McEstimate, MonteCarloSpec, mc_mutual_information, mc_spatial_information
-from .numerics import hermitian_logdet, make_rng, sample_complex_gaussian
+from .numerics import hermitian_logdet, make_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamformerConfig",
     "ChannelRealization",
     "CovarianceSet",
     "DimensionError",
@@ -84,11 +81,9 @@ __all__ = [
     "pattern_alphabet",
     "pattern_rate_bound",
     "sample_channel",
-    "sample_complex_gaussian",
     "spim_margin",
     "spim_rate",
-    "steering_vector_rx",
-    "steering_vector_tx",
+    "steering_vector",
     "total_rate_approx",
     "two_path_margin",
 ]

@@ -1,8 +1,10 @@
-"""Analog/digital beamformer construction and the spatial-pattern alphabet.
+"""Analog beam steering and the spatial-pattern alphabet.
 
 The analog stage steers one unit-modulus phase-shifter column per spatial
 path; the pattern alphabet enumerates which subset of those columns the RF
-chains drive in a given symbol period.
+chains drive in a given symbol period. The digital stage I/sqrt(n_s) is a
+scaled identity, applied where the per-pattern covariances are built
+(capacity.covariances).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, steering_vector_rx, steering_vector_tx
+from .channel import ChannelRealization, build_channel, steering_vector
 from .errors import ParameterError
 
 
@@ -28,20 +30,6 @@ class PatternAlphabet:
     @property
     def k(self) -> int:
         return self.patterns.shape[0]
-
-
-@dataclass(frozen=True)
-class BeamformerConfig:
-    """Analog matrix (n_tx, m), digital matrix (n_s, n_s) and per-beam array gains."""
-
-    abf: np.ndarray
-    dbf: np.ndarray
-    array_gains: np.ndarray
-    path_indices: np.ndarray  # channel paths (strongest-first) each column steers
-
-    @property
-    def m(self) -> int:
-        return self.abf.shape[1]
 
 
 def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
@@ -62,44 +50,34 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
     return PatternAlphabet(m=m, n_s=n_s, patterns=patterns)
 
 
-def build_abf(channel: ChannelRealization, m: int, n_s: int = 1) -> BeamformerConfig:
-    """Steer one scaled steering-vector column along each of the m strongest paths.
+def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
+    """Analog matrix (n_tx, m) steering one column along each of the m strongest paths.
 
     Columns are sqrt(n_tx) * a_tx(phi_j), which keeps every entry at unit
-    modulus; the coherent array gain per beam is n_tx. The digital stage is
-    I/sqrt(n_s), spending the whole unit power budget (the scalar 1 when
-    n_s = 1).
+    modulus; the coherent array gain per beam is n_tx.
     """
     if not 1 <= m <= channel.n_paths:
         raise ParameterError(f"m must be in [1, {channel.n_paths}], got {m}")
-    if n_s < 1 or n_s > m:
-        raise ParameterError(f"need 1 <= n_s <= m, got n_s={n_s}")
-    cols = [np.sqrt(channel.n_tx) * steering_vector_tx(channel.aod[j], channel.n_tx)
-            for j in range(m)]
-    return BeamformerConfig(
-        abf=np.column_stack(cols),
-        dbf=np.eye(n_s, dtype=np.complex128) / np.sqrt(n_s),
-        array_gains=np.full(m, float(channel.n_tx)),
-        path_indices=np.arange(m),
-    )
+    return np.sqrt(channel.n_tx) * steering_vector(channel.aod[:m], channel.n_tx).T
 
 
-def effective_channel(channel: ChannelRealization, config: BeamformerConfig,
+def large_array_beams(w, g, theta, n_r: int) -> np.ndarray:
+    """Large-array receive beams sqrt(w_j g_j) a_rx(theta_j), one per row, shape (m, n_r)."""
+    return steering_vector(theta, n_r) * np.sqrt(w * g)[:, None]
+
+
+def effective_channel(channel: ChannelRealization, abf: np.ndarray,
                       mode: str = "exact") -> np.ndarray:
     """Receive-side view H @ A of the steered beams, shape (n_rx, m).
 
     mode "exact" multiplies the full channel matrix; mode "asymptotic" takes
-    the large-array limit where beam j collapses to sqrt(w_j g_j) a_rx(theta_j)
+    the large-array limit where beam j collapses to sqrt(w_j n_tx) a_rx(theta_j)
     with no cross-path leakage.
     """
     if mode == "exact":
-        from .channel import build_channel
-        return build_channel(channel) @ config.abf
+        return build_channel(channel) @ abf
     if mode == "asymptotic":
-        cols = []
-        for col, j in enumerate(config.path_indices):
-            amp = np.sqrt(channel.gains[j] * config.array_gains[col])
-            cols.append(amp * steering_vector_rx(channel.aoa[j], channel.n_rx))
-        return np.column_stack(cols)
+        m = abf.shape[1]
+        return large_array_beams(channel.gains[:m], float(channel.n_tx), channel.aoa[:m],
+                                 channel.n_rx).T
     raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-

@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beamforming import PatternAlphabet
-from .channel import steering_vector_rx
+from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
 from .numerics import hermitian_logdet
 
@@ -61,8 +60,8 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
-        if not self.n0 > 0:
-            raise ParameterError(f"n0 must be > 0, got {self.n0}")
+        if not 0 < self.n0 < math.inf:
+            raise ParameterError(f"n0 must be finite and > 0, got {self.n0}")
         fac = np.asarray(self.factors, dtype=np.complex128)
         if fac.ndim != 3 or fac.shape[0] < 1:
             raise DimensionError(f"factors must be (k, n_r, s) with k >= 1, got {fac.shape}")
@@ -98,12 +97,17 @@ class CovarianceSet:
 
 def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
                 source: str = "exact") -> CovarianceSet:
-    """Per-pattern covariances N0 I + (HA B_k D)(HA B_k D)^H from an effective channel."""
+    """Per-pattern covariances N0 I + G_k G_k^H of an effective channel.
+
+    The factor of pattern k is G_k = HA B_k / sqrt(n_s): its selection of
+    the steered beams under the digital stage I/sqrt(n_s).
+    """
     eff = np.asarray(eff, dtype=np.complex128)
     if eff.ndim != 2 or eff.shape[1] != alphabet.m:
         raise DimensionError(f"effective channel must be (n_r, {alphabet.m}), got {eff.shape}")
-    dbf = np.eye(alphabet.n_s, dtype=np.complex128) / np.sqrt(alphabet.n_s)
-    factors = np.stack([eff @ (pattern @ dbf) for pattern in alphabet.patterns])
+    if not np.isfinite(eff).all():
+        raise ParameterError("effective channel eff must be finite")
+    factors = eff @ alphabet.patterns / np.sqrt(alphabet.n_s)
     return CovarianceSet(n0=n0, factors=factors, source=source)
 
 
@@ -114,9 +118,9 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    if not (w * g >= 0).all():
-        raise ParameterError(f"gains w * g must be >= 0, got w={w}, g={g}")
-    beams = steering_vector_rx(theta[:, None], n_r) * np.sqrt(w * g)[:, None]
+    if not ((w * g >= 0) & (w * g < np.inf)).all():
+        raise ParameterError(f"gains w * g must be finite and >= 0, got w={w}, g={g}")
+    beams = large_array_beams(w, g, theta, n_r)
     return CovarianceSet(n0=n0, factors=beams[:, :, None], source="asymptotic")
 
 
@@ -176,10 +180,10 @@ def total_rate_approx(covs: CovarianceSet) -> float:
 
 def mmwave_rate(w1: float, g1: float, n0: float) -> float:
     """Shannon rate log2(1 + w1 g1 / n0) of steering the single strongest beam."""
-    if not n0 > 0:
-        raise ParameterError(f"n0 must be > 0, got {n0}")
-    if not (w1 >= 0 and g1 >= 0):
-        raise ParameterError(f"gains w1 and g1 must be >= 0, got {w1}, {g1}")
+    if not 0 < n0 < math.inf:
+        raise ParameterError(f"n0 must be finite and > 0, got {n0}")
+    if not (0 <= w1 < math.inf and 0 <= g1 < math.inf):
+        raise ParameterError(f"gains w1 and g1 must be finite and >= 0, got {w1}, {g1}")
     return float(np.log1p(w1 * g1 / n0) / LN2)
 
 
@@ -212,8 +216,8 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if not len(w) == len(g) == len(theta):
         raise DimensionError("w, g and theta must have equal lengths")
-    if not ((w > 0).all() and (g > 0).all()):
-        raise ParameterError(f"path gains w and g must be > 0, got w={w}, g={g}")
+    if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
+        raise ParameterError(f"path gains w and g must be finite and > 0, got w={w}, g={g}")
     if len(w) == 1:
         return mmwave_rate(w[0], g[0], n0)
     return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))

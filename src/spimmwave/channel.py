@@ -1,8 +1,9 @@
 """Geometric narrow-band multipath channel and uniform-linear-array steering.
 
 Angles are kept in the normalized form a = sin(physical)/2 in [-0.5, 0.5],
-so a steering phase advances by 2*pi*a per array element. Conversion from
-physical radians happens only at the CLI boundary.
+so a steering phase advances by 2*pi*a per array element. No function here
+takes radians: a caller holding physical angles converts them first with
+normalized_from_physical.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class ChannelRealization:
         gains = np.atleast_1d(np.asarray(self.gains, dtype=np.float64))
         if not (len(aod) == len(aoa) == len(gains)) or len(gains) < 1:
             raise ParameterError("aod, aoa and gains must share a common length >= 1")
-        if not np.all(gains >= 0):
-            raise ParameterError("path gains must be non-negative")
+        if not np.all((gains >= 0) & (gains < np.inf)):
+            raise ParameterError("path gains must be finite and non-negative")
         for name, angles in (("aod", aod), ("aoa", aoa)):
             if not np.all(np.abs(angles) <= 0.5):
                 raise ParameterError(f"normalized {name} values must lie in [-0.5, 0.5]")
@@ -61,31 +62,25 @@ def normalized_from_physical(angle_rad: float) -> float:
     return float(0.5 * np.sin(angle_rad))
 
 
-def _steering(angle: float, n: int) -> np.ndarray:
-    if n < 1:
-        raise ParameterError(f"array size must be >= 1, got {n}")
-    offsets = np.arange(n) - (n - 1) / 2.0
-    return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
+def steering_vector(angle, n: int) -> np.ndarray:
+    """Unit-norm array response; entry k is exp(-j2*pi*a*(k-(n-1)/2))/sqrt(n).
 
-
-def steering_vector_tx(phi: float, n_tx: int) -> np.ndarray:
-    """Unit-norm transmit array response; entry k is exp(-j2*pi*phi*(k-(n-1)/2))/sqrt(n)."""
-    return _steering(phi, n_tx)
-
-
-def steering_vector_rx(theta, n_rx: int) -> np.ndarray:
-    """Unit-norm receive array response, same form as the transmit side.
-
-    A column of angles, shape (m, 1), gives the m responses as rows.
+    Both ends of the link use this one form. The response runs along a new
+    last axis: a scalar angle gives shape (n,), a vector of m angles gives
+    the (m, n) array with one response per row.
     """
-    return _steering(theta, n_rx)
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ParameterError(f"array size n must be an integer >= 1, got {n!r}")
+    offsets = np.arange(n) - (n - 1) / 2.0
+    angle = np.asarray(angle, dtype=np.float64)[..., None]
+    return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
 
 
 def build_channel(real: ChannelRealization) -> np.ndarray:
     """Assemble the (n_rx, n_tx) matrix sum_i sqrt(w_i) a_rx(theta_i) a_tx(phi_i)^H."""
-    p = np.column_stack([steering_vector_rx(t, real.n_rx) for t in real.aoa])
-    q = np.column_stack([steering_vector_tx(f, real.n_tx) for f in real.aod])
-    return (p * np.sqrt(real.gains)) @ q.conj().T
+    p = steering_vector(real.aoa, real.n_rx).T
+    q = steering_vector(real.aod, real.n_tx)
+    return (p * np.sqrt(real.gains)) @ q.conj()
 
 
 def min_angle_separation(n_tx: int, n_rx: int) -> float:
@@ -106,24 +101,16 @@ def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
 
 
 def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int, *,
-                   gains=None, decay: float | None = None,
-                   aod_range=DEFAULT_AOD_RANGE,
+                   gains, aod_range=DEFAULT_AOD_RANGE,
                    aoa_range=DEFAULT_AOA_RANGE) -> ChannelRealization:
-    """Draw a channel with uniform angles and explicit or decaying gains.
+    """Draw a channel with uniform angles and the given per-path powers.
 
-    Exactly one of `gains` (explicit per-path powers) or `decay` (gamma in
-    (0,1), giving w_n = gamma**(n-1)) must be given. Angle draws are rejected
-    until every pairwise distance, per side, reaches min_angle_separation so
-    near-coincident paths cannot occur at finite array sizes.
+    Angle draws are rejected until every pairwise distance, per side,
+    reaches min_angle_separation so near-coincident paths cannot occur at
+    finite array sizes.
     """
-    if (gains is None) == (decay is None):
-        raise ParameterError("pass exactly one of gains= or decay=")
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
-    if decay is not None:
-        if not 0.0 < decay < 1.0:
-            raise ParameterError(f"decay must lie in (0, 1), got {decay}")
-        gains = decay ** np.arange(n_paths, dtype=np.float64)
     gains = np.asarray(gains, dtype=np.float64)
     if len(gains) != n_paths:
         raise ParameterError(f"expected {n_paths} gains, got {len(gains)}")

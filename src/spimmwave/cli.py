@@ -30,7 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the spec seed")
     run_p.add_argument("--trials", type=int, help="override the channel-draw count")
     run_p.add_argument("--mc-samples", type=int, help="override Monte-Carlo samples per point")
-    run_p.add_argument("--format", choices=("csv",), default="csv")
 
     rep_p = sub.add_parser("reproduce", help="run a canned experiment preset")
     rep_p.add_argument("preset", help="one of: " + ", ".join(PRESET_IDS))

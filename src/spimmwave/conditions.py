@@ -6,7 +6,7 @@ proportional to the strongest gain. Under an exponentially decaying gain
 profile w_n = gamma^(n-1) the threshold becomes a scalar condition in gamma
 whose unit crossing is found by bracketed bisection (the function is
 monotone and flat near gamma -> 0, so raw Newton from a blind guess is not
-safe; an optional Newton polish sharpens the bisection result).
+safe; a guarded Newton polish sharpens the bisection result).
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ class MarginQuery:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.n0 >= 0:
-            raise ParameterError(f"n0 must be >= 0, got {self.n0}")
-        if not self.g1 > 0:
-            raise ParameterError(f"g1 must be > 0, got {self.g1}")
-        if not self.b_max >= 0:
-            raise ParameterError(f"b_max must be >= 0, got {self.b_max}")
+        if not 0 <= self.n0 < math.inf:
+            raise ParameterError(f"n0 must be finite and >= 0, got {self.n0}")
+        if not 0 < self.g1 < math.inf:
+            raise ParameterError(f"g1 must be finite and > 0, got {self.g1}")
+        if not 0 <= self.b_max < math.inf:
+            raise ParameterError(f"b_max must be finite and >= 0, got {self.b_max}")
 
 
 class ThresholdResult(NamedTuple):
@@ -55,10 +55,9 @@ def two_path_margin(w1: float, w2: float) -> float:
     Positive means index modulation is guaranteed to win at high SNR, zero
     is the boundary, negative gives no guarantee.
     """
-    if not w2 > 0:
-        raise ParameterError(f"w2 must be > 0, got {w2}")
-    if not w1 >= w2:
-        raise ParameterError("gains must be ordered w1 >= w2")
+    if not 0 < w2 <= w1 < math.inf:
+        raise ParameterError(
+            f"gains must be finite and ordered w1 >= w2 > 0, got w1={w1}, w2={w2}")
     return 4.0 * w2 - w1
 
 
@@ -75,10 +74,10 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
         raise ParameterError(f"need at least 2 paths, got {m}")
     if len(g) != m:
         raise ParameterError("w and g must have equal lengths")
-    if not (np.all(w > 0) and np.all(g > 0)):
-        raise ParameterError(f"gains w and g must be > 0, got w={w}, g={g}")
-    if not n0 >= 0:
-        raise ParameterError(f"n0 must be >= 0, got {n0}")
+    if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
+        raise ParameterError(f"gains w and g must be finite and > 0, got w={w}, g={g}")
+    if not 0 <= n0 < math.inf:
+        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
     tau = m ** (-m / (m - 1.0)) * math.exp(4.0 * n0 * float(np.sum(1.0 / (w * g))))
     prod = float(np.prod(w[1:]))
     if prod > 0:
@@ -114,12 +113,12 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    if not g1 > 0:
-        raise ParameterError(f"g1 must be > 0, got {g1}")
-    if not n0 >= 0:
-        raise ParameterError(f"n0 must be >= 0, got {n0}")
-    if not m >= 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    if not 0 < g1 < math.inf:
+        raise ParameterError(f"g1 must be finite and > 0, got {g1}")
+    if not 0 <= n0 < math.inf:
+        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
+    if not 1 <= m < math.inf:
+        raise ParameterError(f"m must be finite and >= 1, got {m}")
     if m == 1:
         return 1.0
     return float(np.exp(_log_condition(m, gamma, n0, g1)))
@@ -142,19 +141,19 @@ def spim_margin(query: MarginQuery) -> float:
     return best if query.relax_integer else int(best)
 
 
-def gamma_crossover(m: float, n0: float, g1: float, *, newton_polish: bool = True) -> float:
+def gamma_crossover(m: float, n0: float, g1: float) -> float:
     """Root gamma of decay_condition_value(m, gamma, n0, g1) = 1 inside (0, 1).
 
     The bracket endpoints are sign-checked on every call; bisection narrows
-    the bracket to 1e-7, then an optional guarded Newton polish
-    (central-difference slope) sharpens the residual.
+    the bracket to 1e-7, then a guarded Newton polish (central-difference
+    slope) sharpens the residual.
     """
-    if not m >= 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if not g1 > 0:
-        raise ParameterError(f"g1 must be > 0, got {g1}")
-    if not n0 >= 0:
-        raise ParameterError(f"n0 must be >= 0, got {n0}")
+    if not 2 <= m < math.inf:
+        raise ParameterError(f"m must be finite and >= 2, got {m}")
+    if not 0 < g1 < math.inf:
+        raise ParameterError(f"g1 must be finite and > 0, got {g1}")
+    if not 0 <= n0 < math.inf:
+        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
 
     def f(gamma: float) -> float:
         # value - 1, from the log-domain value without re-validating on every step
@@ -171,18 +170,17 @@ def gamma_crossover(m: float, n0: float, g1: float, *, newton_polish: bool = Tru
         else:
             lo = mid
     root = 0.5 * (lo + hi)
-    if newton_polish:
-        step = 1e-7
-        for _ in range(4):
-            value = f(root)
-            slope = (f(min(root + step, hi)) - f(max(root - step, lo))) / (2.0 * step)
-            if slope == 0.0:
-                break
-            candidate = root - value / slope
-            if not lo <= candidate <= hi:
-                break
-            moved = abs(candidate - root)
-            root = candidate
-            if moved < 1e-13:
-                break
+    step = 1e-7
+    for _ in range(4):
+        value = f(root)
+        slope = (f(min(root + step, hi)) - f(max(root - step, lo))) / (2.0 * step)
+        if slope == 0.0:
+            break
+        candidate = root - value / slope
+        if not lo <= candidate <= hi:
+            break
+        moved = abs(candidate - root)
+        root = candidate
+        if moved < 1e-13:
+            break
     return float(root)

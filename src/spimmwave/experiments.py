@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,73 +139,121 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     return spec
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.experiment not in EXPERIMENT_KINDS:
-        raise SpecValidationError("experiment", f"must be one of {EXPERIMENT_KINDS}")
-    grid = list(spec.grid)
-    if not grid:
-        raise SpecValidationError("grid", "must be non-empty")
-    if not all(b > a for a, b in zip(grid, grid[1:])):
-        raise SpecValidationError("grid", "must be strictly increasing")
-    if spec.trials < 1:
-        raise SpecValidationError("trials", "must be >= 1")
-    ch = spec.channel
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that converts to a finite float (NaN fails the comparison)."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 1
+
+
+def _is_list_of(value, test) -> bool:
+    return isinstance(value, (list, tuple)) and all(test(v) for v in value)
+
+
+def _as_list(value) -> list:
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def _require(ok: bool, path: str, message: str) -> None:
+    if not ok:
+        raise SpecValidationError(path, message)
+
+
+def _validate_types(spec: ExperimentSpec) -> None:
+    """Every field has its JSON type, so the runners never see a string or a float count."""
     kind = spec.experiment
-    if isinstance(ch.n_rx, (list, tuple)) and kind != "q-function":
-        raise SpecValidationError("channel.n_rx", f"must be a single count for {kind}")
-    n_rx_values = ch.n_rx if isinstance(ch.n_rx, (list, tuple)) else [ch.n_rx]
-    if ch.n_tx < 1 or any(int(v) < 1 for v in n_rx_values):
-        raise SpecValidationError("channel", "antenna counts must be >= 1")
-    if kind in ("snr-sweep", "w1-sweep", "gamma-sweep"):
-        m_values = ch.m if isinstance(ch.m, (list, tuple)) else [ch.m]
-        if any(int(m) < 1 for m in m_values):
-            raise SpecValidationError("channel.m", "beam counts must be >= 1")
-        if kind != "gamma-sweep" and isinstance(ch.m, (list, tuple)):
-            raise SpecValidationError("channel.m", f"must be a single count for {kind}")
+    ch = spec.channel
+    _require(_is_list_of(spec.grid, _is_number), "grid", "must be a list of finite numbers")
+    _require(_is_count(spec.trials), "trials", "must be an integer >= 1")
+    _require(_is_int(spec.seed), "seed", "must be an integer")
+    _require(_is_count(ch.n_tx), "channel.n_tx", "must be an integer >= 1")
+    _require(_is_count(ch.n_rx) or (kind == "q-function" and _is_list_of(ch.n_rx, _is_count)),
+             "channel.n_rx", f"must be a single integer >= 1 for {kind}")
+    _require(_is_count(ch.m) or (kind == "gamma-sweep" and _is_list_of(ch.m, _is_count)),
+             "channel.m", f"must be a single integer >= 1 for {kind}")
+    _require(ch.gains is None or _is_list_of(ch.gains, _is_number),
+             "channel.gains", "must be a list of finite numbers")
+    for name in ("aod_range", "aoa_range"):
+        value = getattr(ch, name)
+        _require(_is_list_of(value, _is_number) and len(value) == 2,
+                 f"channel.{name}", "must be a pair of finite numbers")
+    for path, value in (("channel.normalize", ch.normalize), ("channel.asymptotic", ch.asymptotic),
+                        ("margin.relax_integer", spec.margin.relax_integer)):
+        _require(isinstance(value, bool), path, "must be true or false")
+    if spec.noise is not None:
+        n0 = spec.noise.n0
+        _require(n0 is None or _is_number(n0)
+                 or (kind == "margin-map" and _is_list_of(n0, _is_number)),
+                 "noise.n0", "must be a finite number, or a list of them for margin-map")
+        _require(spec.noise.snr_db is None or _is_number(spec.noise.snr_db),
+                 "noise.snr_db", "must be a finite number")
+    for name in ("n_samples", "seed", "batch") if spec.mc is not None else ():
+        _require(_is_int(getattr(spec.mc, name)), f"mc.{name}", "must be an integer")
+    _require(_is_int(spec.margin.b_max) and spec.margin.b_max >= 0,
+             "margin.b_max", "must be an integer >= 0")
+    for name in ("csv", "plot_script"):
+        value = getattr(spec.outputs, name)
+        _require(value is None or isinstance(value, str), f"outputs.{name}", "must be a path")
+
+
+def validate_spec(spec: ExperimentSpec) -> None:
+    kind = spec.experiment
+    _require(kind in EXPERIMENT_KINDS, "experiment", f"must be one of {EXPERIMENT_KINDS}")
+    _validate_types(spec)
+    grid = list(spec.grid)
+    ch = spec.channel
+    _require(len(grid) > 0, "grid", "must be non-empty")
+    _require(all(b > a for a, b in zip(grid, grid[1:])), "grid", "must be strictly increasing")
+    if kind in ("gamma-sweep", "margin-map"):
+        _require(all(0.0 < g < 1.0 for g in grid), "grid", "decay values must lie in (0, 1)")
     if kind == "snr-sweep":
-        if spec.noise is not None:
-            raise SpecValidationError("noise", "snr-sweep takes its noise axis from the grid")
-        if ch.gains is None:
-            raise SpecValidationError("channel.gains", "snr-sweep needs explicit path gains")
-        if len(ch.gains) != int(ch.m):
-            raise SpecValidationError("channel.gains", f"expected {ch.m} entries")
+        _require(spec.noise is None, "noise", "snr-sweep takes its noise axis from the grid")
+        _require(all(0 < _noise_from_snr(snr) < math.inf for snr in grid),
+                 "grid", "SNR values must give a finite noise power > 0")
+        _require(ch.gains is not None, "channel.gains", "snr-sweep needs explicit path gains")
+        _require(len(ch.gains) == ch.m, "channel.gains", f"expected {ch.m} entries")
     elif kind == "w1-sweep":
-        if int(ch.m) != 2:
-            raise SpecValidationError("channel.m", "w1-sweep is a two-beam experiment")
-        if any(not 0.5 <= w < 1.0 for w in grid):
-            raise SpecValidationError("grid", "w1 values must lie in [0.5, 1)")
+        _require(ch.m == 2, "channel.m", "w1-sweep is a two-beam experiment")
+        _require(all(0.5 <= w < 1.0 for w in grid), "grid", "w1 values must lie in [0.5, 1)")
         _require_scalar_noise(spec)
     elif kind == "gamma-sweep":
-        if ch.gains is not None:
-            raise SpecValidationError("channel.gains", "gamma-sweep derives gains from the axis")
-        if any(not 0.0 < g < 1.0 for g in grid):
-            raise SpecValidationError("grid", "decay values must lie in (0, 1)")
+        _require(ch.gains is None, "channel.gains", "gamma-sweep derives gains from the axis")
         _require_scalar_noise(spec)
     elif kind == "margin-map":
-        if spec.noise is None or spec.noise.n0 is None:
-            raise SpecValidationError("noise.n0", "margin-map needs one or more noise levels")
-        if any(not 0.0 < g < 1.0 for g in grid):
-            raise SpecValidationError("grid", "decay values must lie in (0, 1)")
+        _require(spec.noise is not None and spec.noise.n0 is not None,
+                 "noise.n0", "margin-map needs one or more noise levels")
     elif kind == "q-function":
-        if spec.noise is not None:
-            raise SpecValidationError("noise", "q-function uses no noise model")
+        _require(spec.noise is None, "noise", "q-function uses no noise model")
 
 
 def _require_scalar_noise(spec: ExperimentSpec) -> None:
     noise = spec.noise
-    if noise is None or (noise.n0 is None) == (noise.snr_db is None):
-        raise SpecValidationError("noise", "set exactly one of n0 or snr_db")
-    if noise.n0 is not None and isinstance(noise.n0, (list, tuple)):
-        raise SpecValidationError("noise.n0", "must be a scalar for this experiment")
+    _require(noise is not None and (noise.n0 is None) != (noise.snr_db is None),
+             "noise", "set exactly one of n0 or snr_db")
+    _noise_level(spec)
+
+
+def _noise_from_snr(snr_db: float) -> float:
+    """Linear noise power 10^(-snr_db/10); inf where that overflows."""
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _noise_level(spec: ExperimentSpec) -> float:
     if spec.noise.n0 is not None:
         n0 = float(spec.noise.n0)
     else:
-        n0 = 10.0 ** (-float(spec.noise.snr_db) / 10.0)
-    if not n0 > 0:
-        raise SpecValidationError("noise", "noise power must be > 0")
+        n0 = _noise_from_snr(spec.noise.snr_db)
+    if not 0 < n0 < math.inf:
+        raise SpecValidationError("noise", "noise power must be finite and > 0")
     return n0
 
 
@@ -228,11 +277,15 @@ def _draw_channels(spec: ExperimentSpec, m: int):
             for t in range(spec.trials)]
 
 
+def _path_gains(spec: ExperimentSpec, gains) -> np.ndarray:
+    """These path gains, rescaled to unit total under channel.normalize."""
+    gains = np.asarray(gains, dtype=np.float64)
+    return gains / float(np.sum(gains)) if spec.channel.normalize else gains
+
+
 def _with_gains(spec: ExperimentSpec, draws, gains):
     """The draws with these path gains, rescaled to unit total under channel.normalize."""
-    if spec.channel.normalize:
-        total = float(np.sum(gains))
-        gains = [g / total for g in gains]
+    gains = _path_gains(spec, gains)
     return [dataclasses.replace(chan, gains=gains) for chan in draws]
 
 
@@ -290,11 +343,11 @@ class _Aggregator:
 def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Shared implementation of snr-sweep and w1-sweep."""
     kind = spec.experiment
-    m = int(spec.channel.m)
+    m = spec.channel.m
     agg = _Aggregator(spec.seed, spec.trials)
     draws = _draw_channels(spec, m)
     if kind == "snr-sweep":
-        points = [(float(snr), 10.0 ** (-float(snr) / 10.0), None) for snr in spec.grid]
+        points = [(float(snr), _noise_from_snr(snr), None) for snr in spec.grid]
         draws = _with_gains(spec, draws, spec.channel.gains)
     else:
         n0 = _noise_level(spec)
@@ -319,8 +372,7 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
 def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     n0 = _noise_level(spec)
-    m_values = spec.channel.m if isinstance(spec.channel.m, (list, tuple)) else [spec.channel.m]
-    m_values = [int(m) for m in m_values]
+    m_values = _as_list(spec.channel.m)
     g = float(spec.channel.n_tx)
     agg = _Aggregator(spec.seed, spec.trials)
     for m in m_values:
@@ -328,11 +380,14 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         draws = _draw_channels(spec, m)
         for point_idx, gamma in enumerate(spec.grid):
             gamma = float(gamma)
-            for trial, chan in enumerate(_with_gains(spec, draws, list(gamma ** np.arange(m)))):
+            gains = _path_gains(spec, gamma ** np.arange(m))
+            # the strongest-first order a draw rebuilt with these gains would take
+            order = np.argsort(-gains, kind="stable")
+            for trial, draw in enumerate(draws):
                 agg.add(gamma, METHOD_GENERAL_M, variant,
-                        spim_rate(chan.gains, np.full(m, g), chan.aoa, chan.n_rx, n0))
+                        spim_rate(gains[order], np.full(m, g), draw.aoa[order], draw.n_rx, n0))
                 if spec.mc is not None:
-                    eff, mode = _effective(spec, chan, m)
+                    eff, mode = _effective(spec, dataclasses.replace(draw, gains=gains), m)
                     spim_est = _mc_rate(spec, eff, mode, m, n0, point_idx, m, trial, 0)
                     agg.add(gamma, METHOD_MONTE_CARLO, variant,
                             spim_est.estimate, spim_est.stderr)
@@ -340,12 +395,9 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
-    n0_values = spec.noise.n0
-    if not isinstance(n0_values, (list, tuple)):
-        n0_values = [n0_values]
     rows = []
     for gamma in spec.grid:
-        for n0 in n0_values:
+        for n0 in _as_list(spec.noise.n0):
             query = MarginQuery(gamma=float(gamma), n0=float(n0), g1=float(spec.channel.n_tx),
                                 b_max=spec.margin.b_max,
                                 relax_integer=spec.margin.relax_integer)
@@ -356,14 +408,11 @@ def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_q_function(spec: ExperimentSpec) -> list[ResultRow]:
-    n_rx_values = spec.channel.n_rx
-    if not isinstance(n_rx_values, (list, tuple)):
-        n_rx_values = [n_rx_values]
     rows = []
     for delta in spec.grid:
-        for n_rx in n_rx_values:
-            rows.append(ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={int(n_rx)}",
-                                  dirichlet_gain(float(delta), int(n_rx)),
+        for n_rx in _as_list(spec.channel.n_rx):
+            rows.append(ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={n_rx}",
+                                  dirichlet_gain(float(delta), n_rx),
                                   None, None, spec.seed, 1))
     rows.sort(key=lambda r: (r.axis, r.method, r.variant))
     return rows

@@ -24,18 +24,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_complex_gaussian(rng: np.random.Generator, dim: int, variance: float) -> np.ndarray:
-    """Draw a CN(0, variance * I_dim) vector; variance is per complex entry."""
-    if variance < 0:
-        raise ParameterError(f"variance must be >= 0, got {variance}")
-    if dim < 0:
-        raise ParameterError(f"dim must be >= 0, got {dim}")
-    if variance == 0:
-        return np.zeros(dim, dtype=np.complex128)
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-
-
 def hermitian_logdet(m: np.ndarray):
     """Natural log-determinant of a Hermitian positive-definite matrix.
 

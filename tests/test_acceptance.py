@@ -27,7 +27,7 @@ from spimmwave import (
     sample_channel,
     spim_margin,
     spim_rate,
-    steering_vector_rx,
+    steering_vector,
     total_rate_approx,
 )
 from spimmwave.capacity import LOG2E, _pair_logdets
@@ -172,7 +172,7 @@ def test_criterion_6_closed_form_oracles():
     for _ in range(1000):
         n_r = int(rng.integers(2, 17))
         t1, t2 = rng.uniform(-0.5, 0.5, 2)
-        direct = abs(np.vdot(steering_vector_rx(t1, n_r), steering_vector_rx(t2, n_r))) ** 2
+        direct = abs(np.vdot(steering_vector(t1, n_r), steering_vector(t2, n_r))) ** 2
         closed = dirichlet_gain(t1 - t2, n_r)
         worst_dir = max(worst_dir, abs(closed - direct) / max(direct, 1e-30))
     ok = worst_det <= 1e-10 and worst_dir <= 1e-10

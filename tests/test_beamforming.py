@@ -9,10 +9,14 @@ from numpy.testing import assert_allclose
 from spimmwave import (
     ChannelRealization,
     ParameterError,
+    asymptotic_covariances,
     build_abf,
+    covariances,
     effective_channel,
     make_rng,
     pattern_alphabet,
+    sample_channel,
+    steering_vector,
 )
 
 
@@ -72,17 +76,21 @@ def _channel(n_paths=3, n_tx=64, n_rx=8, seed=0):
 
 
 def test_abf_unit_modulus_and_gains():
-    cfg = build_abf(_channel(), 3)
-    assert_allclose(np.abs(cfg.abf), 1.0, atol=1e-12)
-    assert_allclose(cfg.array_gains, 64.0)
-    assert np.trace(cfg.dbf @ cfg.dbf.conj().T).real <= 1.0 + 1e-12
+    abf = build_abf(_channel(), 3)
+    assert abf.shape == (64, 3)
+    assert_allclose(np.abs(abf), 1.0, atol=1e-12)
+    # each column carries the coherent array gain n_tx
+    assert_allclose(np.linalg.norm(abf, axis=0) ** 2, 64.0, rtol=1e-12)
 
 
 def test_abf_single_beam():
-    cfg = build_abf(_channel(), 1)
-    assert cfg.abf.shape == (64, 1)
-    assert cfg.dbf.shape == (1, 1)
-    assert cfg.dbf[0, 0] == pytest.approx(1.0)
+    ch = _channel()
+    abf = build_abf(ch, 1)
+    assert abf.shape == (64, 1)
+    assert_allclose(np.abs(abf), 1.0, atol=1e-12)
+    assert np.linalg.norm(abf[:, 0]) ** 2 == pytest.approx(64.0, rel=1e-12)
+    # the column steers along the strongest path
+    assert_allclose(abf[:, 0], 8.0 * steering_vector(ch.aod[0], 64), atol=1e-12)
 
 
 def test_abf_rejects_too_many_beams():
@@ -109,9 +117,9 @@ def test_effective_channel_exact_close_to_asymptotic():
             if abs(aod[0] - aod[1]) >= 0.05 and abs(aoa[0] - aoa[1]) >= 0.05:
                 break
         ch = ChannelRealization(64, 8, aod=aod, aoa=aoa, gains=[0.7, 0.3])
-        cfg = build_abf(ch, 2)
-        exact = effective_channel(ch, cfg, "exact")
-        asym = effective_channel(ch, cfg, "asymptotic")
+        abf = build_abf(ch, 2)
+        exact = effective_channel(ch, abf, "exact")
+        asym = effective_channel(ch, abf, "asymptotic")
         deviations.append(np.linalg.norm(exact - asym, "fro") / np.linalg.norm(asym, "fro"))
     assert max(deviations) < 0.10
     assert np.median(deviations) < 0.05
@@ -122,21 +130,43 @@ def test_effective_channel_deviation_shrinks_with_array_size():
     deviations = []
     for n_tx in (16, 64, 256):
         ch = ChannelRealization(n_tx, 8, aod=aod, aoa=aoa, gains=[0.7, 0.3])
-        cfg = build_abf(ch, 2)
-        exact = effective_channel(ch, cfg, "exact")
-        asym = effective_channel(ch, cfg, "asymptotic")
+        abf = build_abf(ch, 2)
+        exact = effective_channel(ch, abf, "exact")
+        asym = effective_channel(ch, abf, "asymptotic")
         deviations.append(np.linalg.norm(exact - asym, "fro") / np.linalg.norm(asym, "fro"))
     assert deviations[0] > deviations[1] > deviations[2]
 
 
 def test_effective_channel_single_path_modes_agree():
     ch = ChannelRealization(32, 8, aod=[0.1], aoa=[-0.1], gains=[1.0])
-    cfg = build_abf(ch, 1)
-    assert_allclose(effective_channel(ch, cfg, "exact"),
-                    effective_channel(ch, cfg, "asymptotic"), atol=1e-12)
+    abf = build_abf(ch, 1)
+    assert_allclose(effective_channel(ch, abf, "exact"),
+                    effective_channel(ch, abf, "asymptotic"), atol=1e-12)
 
 
 def test_effective_channel_rejects_unknown_mode():
     ch = _channel()
     with pytest.raises(ParameterError):
         effective_channel(ch, build_abf(ch, 2), "fast")
+
+
+def test_asymptotic_effective_channel_equals_asymptotic_factors():
+    # one large-array beam formula serves the runners and the closed forms, bit for bit
+    for seed, m in enumerate((1, 2, 4, 8)):
+        chan = sample_channel(make_rng(seed), 64, 8, m, gains=0.7 ** np.arange(m))
+        eff = effective_channel(chan, build_abf(chan, m), "asymptotic")
+        covs = asymptotic_covariances(chan.gains, [64.0] * m, chan.aoa, 8, 0.1)
+        assert np.array_equal(eff.T[:, :, None], covs.factors)
+        assert np.array_equal(covariances(eff, pattern_alphabet(m, 1), 0.1).factors,
+                              covs.factors)
+
+
+def test_covariance_factors_apply_the_digital_stage():
+    # G_k = HA B_k / sqrt(n_s) for every pattern of a multi-stream alphabet
+    ch = _channel(n_paths=4)
+    eff = effective_channel(ch, build_abf(ch, 4), "exact")
+    alphabet = pattern_alphabet(4, 2)
+    factors = covariances(eff, alphabet, 0.1).factors
+    assert factors.shape == (alphabet.k, 8, 2)
+    for pattern, g in zip(alphabet.patterns, factors):
+        assert_allclose(g, eff @ pattern / np.sqrt(2.0), rtol=1e-15)

@@ -29,7 +29,7 @@ from spimmwave import (
     spim_margin,
     spim_rate,
     two_path_margin,
-    steering_vector_rx,
+    steering_vector,
     total_rate_approx,
 )
 from spimmwave.capacity import LOG2E, _pair_logdets
@@ -107,6 +107,7 @@ def test_covariances_rejects_bad_noise():
 
 
 NAN = float("nan")
+INF = float("inf")
 NAN_CALLS = {
     "mmwave_rate-n0": (lambda: mmwave_rate(0.6, 64, NAN), "n0"),
     "mmwave_rate-w1": (lambda: mmwave_rate(NAN, 64, 0.1), "w1"),
@@ -127,6 +128,37 @@ NAN_CALLS = {
         lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=[NAN]), "gains"),
     "ChannelRealization-aoa": (
         lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[NAN], gains=[1.0]), "aoa"),
+    # infinities pass a bare `> 0` guard as well
+    "spim_rate-w-inf": (lambda: spim_rate([INF, 0.4], [64, 64], [-0.1, 0.1], 8, 0.1), "w"),
+    "spim_rate-g-inf": (lambda: spim_rate([0.6, 0.4], [64, INF], [-0.1, 0.1], 8, 0.1), "g"),
+    "spim_rate-n0-inf": (lambda: spim_rate([0.6, 0.4], [64, 64], [-0.1, 0.1], 8, INF), "n0"),
+    "spim_rate-single-n0-inf": (lambda: spim_rate([0.6], [64], [0.1], 8, INF), "n0"),
+    "mmwave_rate-n0-inf": (lambda: mmwave_rate(0.6, 64, INF), "n0"),
+    "mmwave_rate-g1-inf": (lambda: mmwave_rate(0.6, INF, 0.1), "g1"),
+    "mmwave_rate-w1-neg-inf": (lambda: mmwave_rate(-INF, 64, 0.1), "w1"),
+    "CovarianceSet-n0-inf": (lambda: CovarianceSet(INF, np.ones((2, 8, 1))), "n0"),
+    "covariances-eff-inf": (
+        lambda: covariances(np.full((8, 2), INF), pattern_alphabet(2, 1), 0.1), "eff"),
+    "asymptotic_covariances-w-inf": (
+        lambda: asymptotic_covariances([INF], [64.0], [0.0], 8, 0.1), "w"),
+    "asymptotic_covariances-n0-inf": (
+        lambda: asymptotic_covariances([0.5], [64.0], [0.0], 8, INF), "n0"),
+    "MarginQuery-n0-inf": (lambda: spim_margin(MarginQuery(0.5, INF, 64.0)), "n0"),
+    "MarginQuery-g1-inf": (lambda: spim_margin(MarginQuery(0.5, 0.1, INF)), "g1"),
+    "MarginQuery-b_max-inf": (lambda: spim_margin(MarginQuery(0.5, 0.1, 64.0, INF)), "b_max"),
+    "decay_condition_value-n0-inf": (lambda: decay_condition_value(4, 0.5, INF, 64.0), "n0"),
+    "decay_condition_value-g1-inf": (lambda: decay_condition_value(4, 0.5, 0.1, INF), "g1"),
+    "decay_condition_value-m-inf": (lambda: decay_condition_value(INF, 0.5, 0.1, 64.0), "m"),
+    "geometric_mean_threshold-n0-inf": (
+        lambda: geometric_mean_threshold([0.6, 0.4], [64, 64], INF), "n0"),
+    "geometric_mean_threshold-w-inf": (
+        lambda: geometric_mean_threshold([INF, 0.4], [64, 64], 0.1), "w"),
+    "gamma_crossover-n0-inf": (lambda: gamma_crossover(2, INF, 64.0), "n0"),
+    "gamma_crossover-g1-inf": (lambda: gamma_crossover(2, 0.1, INF), "g1"),
+    "gamma_crossover-m-inf": (lambda: gamma_crossover(INF, 0.1, 64.0), "m"),
+    "two_path_margin-w1-inf": (lambda: two_path_margin(INF, 0.1), "w1"),
+    "ChannelRealization-gains-inf": (
+        lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=[INF]), "gains"),
 }
 
 
@@ -239,7 +271,7 @@ def test_dirichlet_matches_steering_inner_product():
     for _ in range(1000):
         n_r = int(rng.integers(2, 17))
         t1, t2 = rng.uniform(-0.5, 0.5, 2)
-        direct = abs(np.vdot(steering_vector_rx(t1, n_r), steering_vector_rx(t2, n_r))) ** 2
+        direct = abs(np.vdot(steering_vector(t1, n_r), steering_vector(t2, n_r))) ** 2
         assert_allclose(dirichlet_gain(t1 - t2, n_r), direct, rtol=1e-10, atol=1e-12)
 
 

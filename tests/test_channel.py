@@ -12,8 +12,7 @@ from spimmwave import (
     min_angle_separation,
     normalized_from_physical,
     sample_channel,
-    steering_vector_rx,
-    steering_vector_tx,
+    steering_vector,
 )
 
 
@@ -25,25 +24,37 @@ def test_normalized_angle_conversion():
 
 
 def test_steering_zero_angle():
-    assert_allclose(steering_vector_tx(0.0, 4), np.full(4, 0.5), atol=1e-15)
-    assert_allclose(steering_vector_rx(0.0, 8), np.full(8, 1 / np.sqrt(8)), atol=1e-15)
+    assert_allclose(steering_vector(0.0, 4), np.full(4, 0.5), atol=1e-15)
+    assert_allclose(steering_vector(0.0, 8), np.full(8, 1 / np.sqrt(8)), atol=1e-15)
 
 
 def test_steering_unit_norm():
     rng = np.random.default_rng(1)
     for _ in range(20):
         phi = rng.uniform(-0.5, 0.5)
-        assert np.linalg.norm(steering_vector_tx(phi, 64)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(steering_vector(phi, 64)) == pytest.approx(1.0, abs=1e-12)
     theta = rng.uniform(-0.5, 0.5)
-    v = steering_vector_rx(theta, 8)
+    v = steering_vector(theta, 8)
     assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_steering_two_element_phase():
     # entries exp(-j2*pi*phi*(k - 1/2))/sqrt(2) at phi = 1/4
-    v = steering_vector_tx(0.25, 2)
+    v = steering_vector(0.25, 2)
     expected = np.array([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]) / np.sqrt(2)
     assert_allclose(v, expected, atol=1e-15)
+
+
+def test_steering_rows_equal_scalar_responses():
+    angles = np.array([-0.31, 0.0, 0.12, 0.5])
+    rows = steering_vector(angles, 16)
+    assert rows.shape == (4, 16)
+    for angle, row in zip(angles, rows):
+        assert np.array_equal(row, steering_vector(angle, 16))
+    # a fractional size would silently give n rounded up entries of the wrong norm
+    for bad in (0, 4.5):
+        with pytest.raises(ParameterError):
+            steering_vector(angles, bad)
 
 
 def test_build_channel_single_path():
@@ -70,8 +81,8 @@ def test_build_channel_matches_elementwise_sum():
         # brute-force oracle: per-entry sum over paths of the outer products
         oracle = np.zeros((6, 12), dtype=complex)
         for w, phi, theta in zip(real.gains, real.aod, real.aoa):
-            ar = steering_vector_rx(theta, 6)
-            at = steering_vector_tx(phi, 12)
+            ar = steering_vector(theta, 6)
+            at = steering_vector(phi, 12)
             for r in range(6):
                 for c in range(12):
                     oracle[r, c] += np.sqrt(w) * ar[r] * np.conj(at[c])
@@ -96,9 +107,9 @@ def test_realization_validation():
 
 
 def test_sample_channel_decay_gains():
-    ch = sample_channel(make_rng(0), 64, 8, 3, decay=0.5)
+    ch = sample_channel(make_rng(0), 64, 8, 3, gains=0.5 ** np.arange(3))
     assert_allclose(ch.gains, [1.0, 0.5, 0.25])
-    single = sample_channel(make_rng(0), 64, 8, 1, decay=0.37)
+    single = sample_channel(make_rng(0), 64, 8, 1, gains=0.37 ** np.arange(1))
     assert_allclose(single.gains, [1.0])
 
 
@@ -113,7 +124,7 @@ def test_sample_channel_angle_separation():
     floor = min_angle_separation(64, 8)
     assert floor == pytest.approx(1 / 256)
     for seed in range(20):
-        ch = sample_channel(make_rng(seed), 64, 8, 6, decay=0.8)
+        ch = sample_channel(make_rng(seed), 64, 8, 6, gains=0.8 ** np.arange(6))
         for angles in (ch.aod, ch.aoa):
             diffs = np.abs(np.subtract.outer(angles, angles))
             np.fill_diagonal(diffs, np.inf)
@@ -122,11 +133,9 @@ def test_sample_channel_angle_separation():
 
 def test_sample_channel_parameter_errors():
     with pytest.raises(ParameterError):
-        sample_channel(make_rng(0), 64, 8, 2)  # neither gains nor decay
+        sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, 0.5, 0.25])
     with pytest.raises(ParameterError):
-        sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, 0.5], decay=0.5)
-    with pytest.raises(ParameterError):
-        sample_channel(make_rng(0), 64, 8, 2, decay=1.5)
+        sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, -0.5])
     with pytest.raises(ParameterError):
         sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, 0.5], aoa_range=(-0.7, 0.7))
 
@@ -147,8 +156,8 @@ def test_beams_decorrelate_with_array_size():
             phi1, phi2 = rng.uniform(-0.5, 0.5, 2)
             if abs(phi1 - phi2) < 0.02:
                 continue
-            v1 = steering_vector_tx(phi1, n_tx)
-            v2 = steering_vector_tx(phi2, n_tx)
+            v1 = steering_vector(phi1, n_tx)
+            v2 = steering_vector(phi2, n_tx)
             overlaps.append(abs(np.vdot(v1, v2)))
         means.append(np.mean(overlaps))
     assert means[0] > means[1] > means[2]

@@ -198,13 +198,6 @@ def test_crossover_residual_is_tiny():
         assert abs(decay_condition_value(m, root, 0.1, 64.0) - 1.0) <= 1e-4
 
 
-def test_crossover_agrees_with_bisection_only():
-    for m in (2, 4, 8):
-        polished = gamma_crossover(m, 0.1, 64.0, newton_polish=True)
-        plain = gamma_crossover(m, 0.1, 64.0, newton_polish=False)
-        assert polished == pytest.approx(plain, abs=1e-6)
-
-
 def test_crossover_no_root_detection():
     # heavy noise keeps the condition below 1 on the whole interval
     with pytest.raises(NoRootError):

@@ -17,6 +17,7 @@ from spimmwave import (
     make_rng,
     sample_channel,
     spim_margin,
+    spim_rate,
 )
 from spimmwave import experiments
 from spimmwave.capacity import METHOD_TAGS
@@ -80,11 +81,46 @@ def test_noise_field_rules():
     with pytest.raises(SpecValidationError, match="noise"):
         spec_from_dict({"experiment": "snr-sweep", "grid": [0.0, 10.0],
                         "channel": {"gains": [0.9, 0.1]}, "noise": {"n0": 0.1}})
-    # json.load accepts NaN; the runner must still refuse it as a noise level
-    for noise in ({"n0": math.nan}, {"snr_db": math.nan}):
+    # json.load accepts NaN and overflows 1e999 to inf; neither is a noise level
+    for noise in ({"n0": math.nan}, {"snr_db": math.nan}, {"n0": json.loads("1e999")},
+                  {"n0": -math.inf}, {"snr_db": math.inf}, {"snr_db": -math.inf},
+                  {"snr_db": -4000.0}):
         with pytest.raises(SpecValidationError, match="noise"):
             run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5, 0.6],
                                            "noise": noise, "trials": 1}))
+    with pytest.raises(SpecValidationError, match="grid"):
+        spec_from_dict({"experiment": "snr-sweep", "grid": [-4000.0, 0.0],
+                        "channel": {"gains": [0.9, 0.1]}})
+
+
+WRONG_TYPES = {
+    "trials": ({"trials": "3"}, "trials"),
+    "n_tx": ({"channel": {"gains": [0.6, 0.4], "n_tx": "64"}}, "channel.n_tx"),
+    "grid": ({"grid": "ab"}, "grid"),
+    "seed": ({"seed": 1.5}, "seed"),
+    "aod_range": ({"channel": {"gains": [0.6, 0.4], "aod_range": [0.3]}}, "channel.aod_range"),
+    "gains": ({"channel": {"gains": [0.6, "x"]}}, "channel.gains"),
+    "margin-map-n0": ({"experiment": "margin-map", "grid": [0.5], "channel": {},
+                       "noise": {"n0": "x"}}, "noise.n0"),
+    "grid-huge-int": ({"grid": [0, 10 ** 400]}, "grid"),
+    "asymptotic": ({"channel": {"gains": [0.6, 0.4], "asymptotic": "false"}},
+                   "channel.asymptotic"),
+    "mc-n_samples": ({"mc": {"n_samples": 2000.5}}, "mc.n_samples"),
+}
+
+
+@pytest.mark.parametrize("override, field", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_wrong_field_type_names_the_field(override, field, tmp_path):
+    data = {"experiment": "snr-sweep", "grid": [0.0, 10.0],
+            "channel": {"gains": [0.6, 0.4]}, "trials": 1}
+    data.update(override)
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict(data)
+    assert info.value.field == field
+    # the CLI reports it in one line instead of a traceback
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(spec_path)]) == 2
 
 
 def test_snr_sweep_rows_and_tags():
@@ -176,6 +212,25 @@ def test_regained_draws_equal_fresh_draws(normalize):
             fresh = sample_channel(make_rng(4, t), 64, 8, 4, gains=scaled)
             for field in ("aod", "aoa", "gains"):
                 assert np.array_equal(getattr(chan, field), getattr(fresh, field))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_gamma_sweep_closed_form_equals_fresh_channels(normalize):
+    # the closed form reads the unit-gain draws without rebuilding them; each row
+    # must equal spim_rate averaged over channels drawn afresh with the gains
+    grid = [0.05, 0.5, 0.9999999999999999]
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": grid, "trials": 3,
+                           "channel": {"m": [1, 3, 8], "normalize": normalize},
+                           "noise": {"n0": 0.1}, "seed": 4})
+    rows = {(r.axis, r.variant): r.value for r in run_experiment(spec)}
+    for m in (1, 3, 8):
+        for gamma in grid:
+            gains = gamma ** np.arange(m)
+            if normalize:
+                gains = gains / np.sum(gains)
+            fresh = [sample_channel(make_rng(4, t), 64, 8, m, gains=gains) for t in range(3)]
+            rates = [spim_rate(c.gains, np.full(m, 64.0), c.aoa, 8, 0.1) for c in fresh]
+            assert rows[(gamma, f"m={m}")] == float(np.mean(rates))
 
 
 def test_gamma_sweep_runs_on_large_array_with_monte_carlo():
@@ -314,6 +369,13 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
     code = "import sys, spimmwave.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_public_names_resolve():
+    import spimmwave
+    assert len(set(spimmwave.__all__)) == len(spimmwave.__all__)
+    for name in spimmwave.__all__:
+        assert getattr(spimmwave, name) is not None, name
 
 
 def test_preset_ids_are_documented():

@@ -10,7 +10,6 @@ from spimmwave import (
     ParameterError,
     hermitian_logdet,
     make_rng,
-    sample_complex_gaussian,
 )
 
 
@@ -108,30 +107,10 @@ def test_rejects_indefinite():
         hermitian_logdet(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
 
 
-def test_gaussian_zero_variance():
-    v = sample_complex_gaussian(make_rng(0), 16, 0.0)
-    assert v.shape == (16,)
-    assert np.all(v == 0)
-
-
-def test_gaussian_negative_variance_rejected():
-    with pytest.raises(ParameterError):
-        sample_complex_gaussian(make_rng(0), 4, -1.0)
-
-
-def test_gaussian_empirical_variance():
-    v = sample_complex_gaussian(make_rng(123), 100_000, 1.0)
-    assert np.mean(np.abs(v) ** 2) == pytest.approx(1.0, abs=0.02)
-    assert np.abs(np.mean(v)) < 0.02
-    # real and imaginary parts carry half the variance each
-    assert np.var(v.real) == pytest.approx(0.5, abs=0.02)
-    assert np.var(v.imag) == pytest.approx(0.5, abs=0.02)
-
-
 def test_gaussian_determinism():
-    a = sample_complex_gaussian(make_rng(9, 2), 64, 1.0)
-    b = sample_complex_gaussian(make_rng(9, 2), 64, 1.0)
-    c = sample_complex_gaussian(make_rng(9, 3), 64, 1.0)
+    a = make_rng(9, 2).standard_normal(64)
+    b = make_rng(9, 2).standard_normal(64)
+    c = make_rng(9, 3).standard_normal(64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
