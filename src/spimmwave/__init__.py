@@ -42,7 +42,7 @@ from .errors import (
     SpecValidationError,
     SpimmwaveError,
 )
-from .montecarlo import McEstimate, MonteCarloSpec, mc_mutual_information, mc_spatial_information
+from .montecarlo import McEstimate, MonteCarloSpec, mc_mutual_information
 from .numerics import hermitian_logdet, make_rng
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "hermitian_logdet",
     "make_rng",
     "mc_mutual_information",
-    "mc_spatial_information",
     "min_angle_separation",
     "mmwave_rate",
     "normalized_from_physical",

@@ -62,8 +62,8 @@ def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
 
 
 def large_array_beams(w, g, theta, n_r: int) -> np.ndarray:
-    """Large-array receive beams sqrt(w_j g_j) a_rx(theta_j), one per row, shape (m, n_r)."""
-    return steering_vector(theta, n_r) * np.sqrt(w * g)[:, None]
+    """Large-array receive beams sqrt(w_j g_j) a_rx(theta_j), one per row, shape (..., m, n_r)."""
+    return steering_vector(theta, n_r) * np.sqrt(w * g)[..., None]
 
 
 def effective_channel(channel: ChannelRealization, abf: np.ndarray,

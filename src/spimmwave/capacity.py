@@ -50,49 +50,51 @@ class CovarianceSet:
     """The K per-pattern received covariances S_k = N0 I + G_k G_k^H.
 
     Holds the noise floor and the beam factors G_k, stacked as (k, n_r, s);
-    a pattern with fewer than s columns is zero-padded. The dense
+    a pattern with fewer than s columns is zero-padded. Leading axes before
+    (k, n_r, s) hold a batch of sets sharing n0, and every closed form
+    below returns one value per set, a float for an unbatched one. The dense
     covariances are built only on first use and cached; the object is
     immutable otherwise and safe to share across threads.
     """
 
     n0: float
-    factors: np.ndarray  # (k, n_r, s)
+    factors: np.ndarray  # (..., k, n_r, s)
     source: str = "exact"
 
     def __post_init__(self):
         if not 0 < self.n0 < math.inf:
             raise ParameterError(f"n0 must be finite and > 0, got {self.n0}")
         fac = np.asarray(self.factors, dtype=np.complex128)
-        if fac.ndim != 3 or fac.shape[0] < 1:
-            raise DimensionError(f"factors must be (k, n_r, s) with k >= 1, got {fac.shape}")
+        if fac.ndim < 3 or fac.shape[-3] < 1:
+            raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
         object.__setattr__(self, "factors", fac)
 
     @property
     def k(self) -> int:
-        return self.factors.shape[0]
+        return self.factors.shape[-3]
 
     @property
     def n_r(self) -> int:
-        return self.factors.shape[1]
+        return self.factors.shape[-2]
 
     @property
     def stacked(self) -> np.ndarray:
-        """The beam factors side by side, [G_1 ... G_K], shape (n_r, k s)."""
-        k, n_r, s = self.factors.shape
-        return self.factors.transpose(1, 0, 2).reshape(n_r, k * s)
+        """The beam factors side by side, [G_1 ... G_K], shape (..., n_r, k s)."""
+        *batch, k, n_r, s = self.factors.shape
+        return self.factors.swapaxes(-3, -2).reshape(*batch, n_r, k * s)
 
     @cached_property
     def sigmas(self) -> np.ndarray:
-        """Dense (k, n_r, n_r) covariances, a reference for test oracles only."""
-        eye = np.eye(self.n_r, dtype=np.complex128)
-        return np.stack([self.n0 * eye + g @ g.conj().T for g in self.factors])
+        """Dense (..., k, n_r, n_r) covariances, a reference for test oracles only."""
+        fac = self.factors
+        return self.n0 * np.eye(self.n_r) + fac @ fac.conj().swapaxes(-1, -2)
 
     def logdets(self) -> np.ndarray:
         """Natural-log determinants ln|S_k| = n_r ln N0 + ln|I + G_k^H G_k / N0|.
 
         Read off the diagonal ln|2 S_k| of the pair kernel.
         """
-        return np.diagonal(_pair_logdets(self)) - self.n_r * LN2
+        return np.diagonal(_pair_logdets(self), axis1=-2, axis2=-1) - self.n_r * LN2
 
 
 def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
@@ -111,49 +113,68 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
     return CovarianceSet(n0=n0, factors=factors, source=source)
 
 
-def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
-    """Rank-one covariances N0 I + w_k g_k a(theta_k) a(theta_k)^H, one per beam."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if not len(w) == len(g) == len(theta):
+def _paths(w, g, theta):
+    """w, g and theta as float arrays of one shape: paths on the last axis, batch axes broadcast."""
+    w, g, theta = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (w, g, theta))
+    if not w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths")
-    if not ((w * g >= 0) & (w * g < np.inf)).all():
-        raise ParameterError(f"gains w * g must be finite and >= 0, got w={w}, g={g}")
+    try:
+        return np.broadcast_arrays(w, g, theta)
+    except ValueError as exc:
+        raise DimensionError(f"w, g and theta have incompatible batch shapes {w.shape}, "
+                             f"{g.shape} and {theta.shape}") from exc
+
+
+def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
+    """Rank-one covariances N0 I + w_k g_k a(theta_k) a(theta_k)^H, one per beam.
+
+    Leading axes of w, g and theta broadcast into a batch of sets.
+    """
+    w, g, theta = _paths(w, g, theta)
+    ok = (w * g >= 0) & (w * g < np.inf)
+    if not ok.all():
+        raise ParameterError(f"gains w * g must be finite and >= 0, got w={w[~ok][0]}, "
+                             f"g={g[~ok][0]}")
     beams = large_array_beams(w, g, theta, n_r)
-    return CovarianceSet(n0=n0, factors=beams[:, :, None], source="asymptotic")
+    return CovarianceSet(n0=n0, factors=beams[..., None], source="asymptotic")
 
 
 def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
-    """(k, k) matrix of ln|S_n + S_t|, symmetric to rounding; its diagonal is ln|2 S_n|.
+    """(..., k, k) matrices of ln|S_n + S_t|, symmetric to rounding; diagonals are ln|2 S_n|.
 
     ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t]:
     one Gram product of the stacked factors supplies every block, and one
     batched factorization every (2s x 2s) determinant.
     """
-    k, n_r, s = covs.factors.shape
+    *batch, k, n_r, s = covs.factors.shape
     stacked = covs.stacked
-    blocks = (stacked.conj().T @ stacked).reshape(k, s, k, s).swapaxes(1, 2)  # G_n^H G_t
-    own = blocks.diagonal(axis1=0, axis2=1).transpose(2, 0, 1)  # G_n^H G_n
-    gram = np.empty((k, k, 2 * s, 2 * s), dtype=np.complex128)  # W_nt^H W_nt
-    gram[:, :, :s, :s] = own[:, None]
-    gram[:, :, :s, s:] = blocks
-    gram[:, :, s:, :s] = blocks.swapaxes(0, 1)
-    gram[:, :, s:, s:] = own[None, :]
+    blocks = (stacked.conj().swapaxes(-1, -2) @ stacked).reshape(*batch, k, s, k, s)
+    blocks = blocks.swapaxes(-3, -2)  # G_n^H G_t
+    own = np.moveaxis(blocks.diagonal(axis1=-4, axis2=-3), -1, -3)  # G_n^H G_n
+    gram = np.empty((*batch, k, k, 2 * s, 2 * s), dtype=np.complex128)  # W_nt^H W_nt
+    gram[..., :s, :s] = own[..., :, None, :, :]
+    gram[..., :s, s:] = blocks
+    gram[..., s:, :s] = blocks.swapaxes(-4, -3)
+    gram[..., s:, s:] = own[..., None, :, :, :]
     two_n0 = 2.0 * covs.n0
     return n_r * math.log(two_n0) + hermitian_logdet(np.eye(2 * s) + gram / two_n0)
 
 
-def _mean_logsumexp(x: np.ndarray) -> float:
-    """Mean over rows n of ln sum_t exp(x_nt), each row shifted by its peak."""
-    peak = x.max(axis=1)
-    return float((peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))).mean())
+def _mean_logsumexp(x: np.ndarray) -> np.ndarray:
+    """Mean over rows n of ln sum_t exp(x_nt), each row shifted by its peak, per (k, k) matrix."""
+    peak = x.max(axis=-1)
+    return (peak + np.log(np.exp(x - peak[..., None]).sum(axis=-1))).mean(axis=-1)
+
+
+def _bits(x):
+    """A float for an unbatched result, the array of a batched one."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def conditional_symbol_rate(covs: CovarianceSet) -> float:
     """Mean per-pattern Shannon rate (1/K) sum_k log2 |S_k / N0|, in bits."""
     ld = covs.logdets()
-    return float(np.mean(ld - covs.n_r * np.log(covs.n0)) / LN2)
+    return _bits(np.mean(ld - covs.n_r * np.log(covs.n0), axis=-1) / LN2)
 
 
 def pattern_rate_bound(covs: CovarianceSet) -> float:
@@ -163,9 +184,9 @@ def pattern_rate_bound(covs: CovarianceSet) -> float:
     This is a bound, not a rate: it goes negative when patterns overlap.
     """
     pair = _pair_logdets(covs)
-    ld = np.diagonal(pair) - covs.n_r * LN2
-    inner = _mean_logsumexp(ld[:, None] - pair)
-    return float(np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2)
+    ld = np.diagonal(pair, axis1=-2, axis2=-1) - covs.n_r * LN2
+    inner = _mean_logsumexp(ld[..., :, None] - pair)
+    return _bits(np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2)
 
 
 def total_rate_approx(covs: CovarianceSet) -> float:
@@ -175,16 +196,20 @@ def total_rate_approx(covs: CovarianceSet) -> float:
     conditional_symbol_rate + pattern_rate_bound + N_r (log2 e - 1).
     """
     inner = _mean_logsumexp(-_pair_logdets(covs))
-    return float(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
+    return _bits(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
 
 
-def mmwave_rate(w1: float, g1: float, n0: float) -> float:
-    """Shannon rate log2(1 + w1 g1 / n0) of steering the single strongest beam."""
+def mmwave_rate(w1, g1, n0: float) -> float:
+    """Shannon rate log2(1 + w1 g1 / n0) of steering the single strongest beam.
+
+    Array gains broadcast and give one rate per element.
+    """
     if not 0 < n0 < math.inf:
         raise ParameterError(f"n0 must be finite and > 0, got {n0}")
-    if not (0 <= w1 < math.inf and 0 <= g1 < math.inf):
+    w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
+    if not ((0 <= w1) & (w1 < np.inf) & (0 <= g1) & (g1 < np.inf)).all():
         raise ParameterError(f"gains w1 and g1 must be finite and >= 0, got {w1}, {g1}")
-    return float(np.log1p(w1 * g1 / n0) / LN2)
+    return _bits(np.log1p(w1 * g1 / n0) / LN2)
 
 
 def dirichlet_gain(delta_theta: float, n_r: int) -> float:
@@ -209,15 +234,15 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     total_rate_approx of the large-array covariances, which works out to
     log2 M - (1/M) sum_n log2 sum_t [(1 + w_n g_n/2N0)(1 + w_t g_t/2N0) - Q_nt]^{-1}
     with the Dirichlet cross term Q_nt = (w_n w_t g_n g_t / 4 N0^2) dirichlet_gain.
-    M = 1 collapses exactly to the conventional single-beam rate.
+    M = 1 collapses exactly to the conventional single-beam rate. Paths run
+    along the last axis; leading axes broadcast into a batch, so a (trials, M)
+    theta gives one rate per trial, each equal to its own unbatched call.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if not len(w) == len(g) == len(theta):
-        raise DimensionError("w, g and theta must have equal lengths")
-    if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
-        raise ParameterError(f"path gains w and g must be finite and > 0, got w={w}, g={g}")
-    if len(w) == 1:
-        return mmwave_rate(w[0], g[0], n0)
+    w, g, theta = _paths(w, g, theta)
+    ok = (w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)
+    if not ok.all():
+        raise ParameterError(f"path gains w and g must be finite and > 0, got w={w[~ok][0]}, "
+                             f"g={g[~ok][0]}")
+    if w.shape[-1] == 1:
+        return mmwave_rate(w[..., 0], g[..., 0], n0)
     return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))

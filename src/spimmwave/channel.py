@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .numerics import require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -35,6 +36,8 @@ class ChannelRealization:
     gains: np.ndarray
 
     def __post_init__(self):
+        require_integer("n_tx", self.n_tx)
+        require_integer("n_rx", self.n_rx)
         if self.n_tx < 1 or self.n_rx < 1:
             raise ParameterError("antenna counts must be >= 1")
         aod = np.atleast_1d(np.asarray(self.aod, dtype=np.float64))

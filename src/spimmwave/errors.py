@@ -6,7 +6,11 @@ class SpimmwaveError(Exception):
 
 
 class ParameterError(SpimmwaveError, ValueError):
-    """An argument is outside its documented domain."""
+    """An argument is outside its documented domain; `field` names it where the raiser knows it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class DimensionError(SpimmwaveError, ValueError):

@@ -11,11 +11,10 @@ fixed (axis, method, variant) order regardless of execution order.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .capacity import (
     mmwave_rate,
     spim_rate,
 )
-from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, sample_channel
+from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, sample_channel
 from .conditions import MarginQuery, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
@@ -104,14 +103,15 @@ class ResultRow:
 def _coerce(cls, data, path: str):
     if not isinstance(data, dict):
         raise SpecValidationError(path, f"expected an object, got {type(data).__name__}")
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in fields(cls)]
     for key in data:
         if key not in names:
             raise SpecValidationError(f"{path}.{key}", "unknown key")
     try:
         return cls(**data)
     except (TypeError, ParameterError) as exc:
-        raise SpecValidationError(path, str(exc)) from exc
+        name = getattr(exc, "field", None)
+        raise SpecValidationError(f"{path}.{name}" if name else path, str(exc)) from exc
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -132,7 +132,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
               "outputs": (OutputParams, "outputs")}
     prepared = dict(data)
     for key, (cls, path) in nested.items():
-        if key in prepared and prepared[key] is not None:
+        # null means "not set" only where the default is None; elsewhere it is no object
+        if key in prepared and (prepared[key] is not None or key not in ("noise", "mc")):
             prepared[key] = _coerce(cls, prepared[key], path)
     spec = _coerce(ExperimentSpec, prepared, "<root>")
     validate_spec(spec)
@@ -193,8 +194,6 @@ def _validate_types(spec: ExperimentSpec) -> None:
                  "noise.n0", "must be a finite number, or a list of them for margin-map")
         _require(spec.noise.snr_db is None or _is_number(spec.noise.snr_db),
                  "noise.snr_db", "must be a finite number")
-    for name in ("n_samples", "seed", "batch") if spec.mc is not None else ():
-        _require(_is_int(getattr(spec.mc, name)), f"mc.{name}", "must be an integer")
     _require(_is_int(spec.margin.b_max) and spec.margin.b_max >= 0,
              "margin.b_max", "must be an integer >= 0")
     for name in ("csv", "plot_script"):
@@ -224,6 +223,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require_scalar_noise(spec)
     elif kind == "gamma-sweep":
         _require(ch.gains is None, "channel.gains", "gamma-sweep derives gains from the axis")
+        _require(len(set(_as_list(ch.m))) == len(_as_list(ch.m)), "channel.m",
+                 "beam counts must be distinct")
         _require_scalar_noise(spec)
     elif kind == "margin-map":
         _require(spec.noise is not None and spec.noise.n0 is not None,
@@ -264,134 +265,101 @@ def _mix_seed(*parts: int) -> int:
     return out
 
 
-def _draw_channels(spec: ExperimentSpec, m: int):
-    """One channel per trial, each on its own stream, carrying unit gains.
+def _draw_angles(spec: ExperimentSpec, m: int):
+    """(trials, m) departure and arrival angles in drawn order, one stream per trial.
 
-    The angle draws do not depend on the gains, and unit gains keep the paths
-    in drawn order; the constructor sorts paths by gain, so `_with_gains`
-    turns these draws into exactly the channels drawn with the gains it gets.
+    The angle draws do not depend on the path gains, so a sweep draws them
+    once per beam count; unit gains keep the paths in drawn order.
     """
     ch = spec.channel
-    return [sample_channel(make_rng(spec.seed, t), ch.n_tx, ch.n_rx, m, gains=np.ones(m),
-                           aod_range=tuple(ch.aod_range), aoa_range=tuple(ch.aoa_range))
-            for t in range(spec.trials)]
+    draws = [sample_channel(make_rng(spec.seed, t), ch.n_tx, ch.n_rx, m, gains=np.ones(m),
+                            aod_range=tuple(ch.aod_range), aoa_range=tuple(ch.aoa_range))
+             for t in range(spec.trials)]
+    return np.array([d.aod for d in draws]), np.array([d.aoa for d in draws])
 
 
-def _path_gains(spec: ExperimentSpec, gains) -> np.ndarray:
-    """These path gains, rescaled to unit total under channel.normalize."""
-    gains = np.asarray(gains, dtype=np.float64)
-    return gains / float(np.sum(gains)) if spec.channel.normalize else gains
+def _row(spec: ExperimentSpec, axis: float, method: str, variant: str, values,
+         stderrs=None) -> ResultRow:
+    """One row from a point's per-trial values: mean, ddof=1 spread, combined MC stderr."""
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    stderr = None if stderrs is None else float(np.sqrt(np.sum(stderrs ** 2)) / len(stderrs))
+    return ResultRow(axis, method, variant, float(np.mean(values)), std, stderr,
+                     spec.seed, len(values))
 
 
-def _with_gains(spec: ExperimentSpec, draws, gains):
-    """The draws with these path gains, rescaled to unit total under channel.normalize."""
-    gains = _path_gains(spec, gains)
-    return [dataclasses.replace(chan, gains=gains) for chan in draws]
+def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0: float, key: tuple,
+                 beam_counts: tuple) -> np.ndarray:
+    """Per-trial Monte-Carlo rates of one grid point, shape (len(beam_counts), 2, trials).
 
-
-def _effective(spec: ExperimentSpec, chan, m: int):
-    """Effective channel of the first m beams of one draw, and its model tag."""
-    mode = "asymptotic" if spec.channel.asymptotic else "exact"
-    return effective_channel(chan, build_abf(chan, m), mode), mode
-
-
-def _mc_rate(spec: ExperimentSpec, eff, mode: str, m: int, n0: float, *key: int):
-    """Monte-Carlo total rate of switching among the first m beams of eff."""
-    covs = covariances(eff[:, :m], pattern_alphabet(m, 1), n0, source=mode)
-    base = spec.mc
-    return mc_mutual_information(covs, MonteCarloSpec(
-        base.n_samples, seed=_mix_seed(base.seed, *key), batch=base.batch))
-
-
-def _mc_rates(spec: ExperimentSpec, chan, m: int, n0: float, point: int, trial: int):
-    """Monte-Carlo (spim, mmwave) estimates for one channel draw at one noise level."""
-    eff, mode = _effective(spec, chan, m)
-    return (_mc_rate(spec, eff, mode, m, n0, point, trial, 0),
-            _mc_rate(spec, eff, mode, 1, n0, point, trial, 1))
-
-
-class _Aggregator:
-    """Collects per-trial samples and emits one averaged row per series."""
-
-    def __init__(self, seed: int, trials: int):
-        self.seed = seed
-        self.trials = trials
-        self.values: dict = {}
-        self.errs: dict = {}
-
-    def add(self, axis: float, method: str, variant: str, value: float,
-            stderr: float | None = None):
-        self.values.setdefault((axis, method, variant), []).append(value)
-        if stderr is not None:
-            self.errs.setdefault((axis, method, variant), []).append(stderr)
-
-    def rows(self) -> list[ResultRow]:
-        out = []
-        for key in sorted(self.values):
-            axis, method, variant = key
-            vals = np.asarray(self.values[key])
-            std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-            stderr = None
-            if key in self.errs:
-                errs = np.asarray(self.errs[key])
-                stderr = float(np.sqrt(np.sum(errs ** 2)) / len(errs))
-            out.append(ResultRow(float(axis), method, variant, float(np.mean(vals)),
-                                 std, stderr, self.seed, len(vals)))
-        return out
+    Entry [i, :, t] is the (estimate, stderr) of switching among the first
+    beam_counts[i] steered beams of trial t's channel, whose paths hold the
+    strongest-first gains w; it is sampled on the seed
+    _mix_seed(mc.seed, *key, t, i).
+    """
+    ch = spec.channel
+    mode = "asymptotic" if ch.asymptotic else "exact"
+    out = np.empty((len(beam_counts), 2, spec.trials))
+    for t in range(spec.trials):
+        chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
+        eff = effective_channel(chan, build_abf(chan, len(w)), mode)
+        for i, beams in enumerate(beam_counts):
+            covs = covariances(eff[:, :beams], pattern_alphabet(beams, 1), n0, source=mode)
+            out[i, :, t] = mc_mutual_information(covs, MonteCarloSpec(
+                spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i),
+                batch=spec.mc.batch))
+    return out
 
 
 def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Shared implementation of snr-sweep and w1-sweep."""
-    kind = spec.experiment
-    m = spec.channel.m
-    agg = _Aggregator(spec.seed, spec.trials)
-    draws = _draw_channels(spec, m)
-    if kind == "snr-sweep":
-        points = [(float(snr), _noise_from_snr(snr), None) for snr in spec.grid]
-        draws = _with_gains(spec, draws, spec.channel.gains)
+    ch = spec.channel
+    m = ch.m
+    if spec.experiment == "snr-sweep":
+        points = [(float(snr), _noise_from_snr(snr), ch.gains) for snr in spec.grid]
     else:
         n0 = _noise_level(spec)
-        points = [(float(w1), n0, float(w1)) for w1 in spec.grid]
+        points = [(float(w1), n0, [w1, 1.0 - w1]) for w1 in spec.grid]
     # for two patterns the lb and crossdet forms coincide; both rows stay in the CSV schema
     tags = (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET) if m == 2 else (METHOD_GENERAL_M,)
-    g = float(spec.channel.n_tx)
-    for point_idx, (axis, n0, w1) in enumerate(points):
-        point_draws = draws if w1 is None else _with_gains(spec, draws, [w1, 1.0 - w1])
-        for trial, chan in enumerate(point_draws):
-            w = chan.gains
-            agg.add(axis, METHOD_SHANNON, "mmwave", mmwave_rate(w[0], g, n0))
-            rate = spim_rate(w, np.full(m, g), chan.aoa, chan.n_rx, n0)
-            for tag in tags:
-                agg.add(axis, tag, "spim", rate)
-            if spec.mc is not None:
-                spim_est, mm_est = _mc_rates(spec, chan, m, n0, point_idx, trial)
-                agg.add(axis, METHOD_MONTE_CARLO, "spim", spim_est.estimate, spim_est.stderr)
-                agg.add(axis, METHOD_MONTE_CARLO, "mmwave", mm_est.estimate, mm_est.stderr)
-    return agg.rows()
+    g = float(ch.n_tx)
+    aod, aoa = _draw_angles(spec, m)
+    rows = []
+    for point, (axis, n0, gains) in enumerate(points):
+        w = np.asarray(gains, dtype=np.float64)
+        w = w / float(np.sum(w)) if ch.normalize else w
+        # paths strongest-first, the stable order a channel drawn with these gains holds
+        order = np.argsort(-w, kind="stable")
+        w, point_aod, point_aoa = w[order], aod[:, order], aoa[:, order]
+        rate = spim_rate(w, np.full(m, g), point_aoa, ch.n_rx, n0)
+        rows.append(_row(spec, axis, METHOD_SHANNON, "mmwave",
+                         np.full(spec.trials, mmwave_rate(w[0], g, n0))))
+        rows += [_row(spec, axis, tag, "spim", rate) for tag in tags]
+        if spec.mc is not None:
+            spim, mm = _monte_carlo(spec, w, point_aod, point_aoa, n0, (point,), (m, 1))
+            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "spim", *spim))
+            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "mmwave", *mm))
+    return rows
 
 
 def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
+    ch = spec.channel
     n0 = _noise_level(spec)
-    m_values = _as_list(spec.channel.m)
-    g = float(spec.channel.n_tx)
-    agg = _Aggregator(spec.seed, spec.trials)
-    for m in m_values:
+    rows = []
+    for m in _as_list(ch.m):
         variant = f"m={m}"
-        draws = _draw_channels(spec, m)
-        for point_idx, gamma in enumerate(spec.grid):
+        g = np.full(m, float(ch.n_tx))
+        aod, aoa = _draw_angles(spec, m)
+        for point, gamma in enumerate(spec.grid):
             gamma = float(gamma)
-            gains = _path_gains(spec, gamma ** np.arange(m))
-            # the strongest-first order a draw rebuilt with these gains would take
-            order = np.argsort(-gains, kind="stable")
-            for trial, draw in enumerate(draws):
-                agg.add(gamma, METHOD_GENERAL_M, variant,
-                        spim_rate(gains[order], np.full(m, g), draw.aoa[order], draw.n_rx, n0))
-                if spec.mc is not None:
-                    eff, mode = _effective(spec, dataclasses.replace(draw, gains=gains), m)
-                    spim_est = _mc_rate(spec, eff, mode, m, n0, point_idx, m, trial, 0)
-                    agg.add(gamma, METHOD_MONTE_CARLO, variant,
-                            spim_est.estimate, spim_est.stderr)
-    return agg.rows()
+            # gamma ** arange(m) never rises for gamma in (0, 1): drawn order is strongest-first
+            w = gamma ** np.arange(m)
+            w = w / float(np.sum(w)) if ch.normalize else w
+            rows.append(_row(spec, gamma, METHOD_GENERAL_M, variant,
+                             spim_rate(w, g, aoa, ch.n_rx, n0)))
+            if spec.mc is not None:
+                (mc,) = _monte_carlo(spec, w, aod, aoa, n0, (point, m), (m,))
+                rows.append(_row(spec, gamma, METHOD_MONTE_CARLO, variant, *mc))
+    return rows
 
 
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
@@ -403,7 +371,6 @@ def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
                                 relax_integer=spec.margin.relax_integer)
             rows.append(ResultRow(float(gamma), METHOD_MARGIN, f"n0={n0:g}",
                                   float(spim_margin(query)), None, None, spec.seed, 1))
-    rows.sort(key=lambda r: (r.axis, r.method, r.variant))
     return rows
 
 
@@ -414,7 +381,6 @@ def _run_q_function(spec: ExperimentSpec) -> list[ResultRow]:
             rows.append(ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={n_rx}",
                                   dirichlet_gain(float(delta), n_rx),
                                   None, None, spec.seed, 1))
-    rows.sort(key=lambda r: (r.axis, r.method, r.variant))
     return rows
 
 
@@ -428,9 +394,9 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """Execute a validated spec and return its result rows; write outputs if set."""
+    """Execute a validated spec, write its outputs if set, and return its rows sorted."""
     validate_spec(spec)
-    rows = _RUNNERS[spec.experiment](spec)
+    rows = sorted(_RUNNERS[spec.experiment](spec), key=lambda r: (r.axis, r.method, r.variant))
     if spec.outputs.csv:
         write_csv(rows, spec.outputs.csv)
     if spec.outputs.plot_script:

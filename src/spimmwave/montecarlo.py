@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .capacity import LN2, CovarianceSet
-from .errors import ParameterError
-from .numerics import make_rng
+from .errors import DimensionError, ParameterError
+from .numerics import make_rng, require_integer
 
 MIN_SAMPLES = 1_000
 
@@ -47,11 +47,14 @@ class MonteCarloSpec:
     batch: int = 16_384
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "batch"):
+            require_integer(name, getattr(self, name))
         if self.n_samples < MIN_SAMPLES:
             raise ParameterError(
-                f"n_samples must be >= {MIN_SAMPLES} to keep estimator variance usable")
+                f"n_samples must be >= {MIN_SAMPLES} to keep estimator variance usable",
+                field="n_samples")
         if self.batch < 1:
-            raise ParameterError("batch must be >= 1")
+            raise ParameterError("batch must be >= 1", field="batch")
 
 
 class McEstimate(NamedTuple):
@@ -67,6 +70,9 @@ class _SpanDraws(NamedTuple):
 
 def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDraws:
     """Span mixture log-densities of stratified draws, ceil(N/K) per component."""
+    if covs.factors.ndim != 3:
+        raise DimensionError(f"the estimator takes one covariance set, got factors "
+                             f"{covs.factors.shape}")
     k = covs.k
     stacked = covs.stacked
     basis, sv, _ = np.linalg.svd(stacked, full_matrices=False)
@@ -117,13 +123,3 @@ def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstima
     draws = _mixture_logpdf_draws(covs, spec)
     return _information(draws.logp, draws.rank * (1.0 + math.log(covs.n0)))
 
-
-def mc_spatial_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate:
-    """Estimate of the pattern-index rate h(y) - (1/K) sum_k h(y | pattern k).
-
-    Per-component entropies are analytic, log2((pi e)^N_r |S_k|), so only
-    the mixture entropy carries Monte-Carlo noise; in the span they are
-    r + ln|C_k| nats.
-    """
-    draws = _mixture_logpdf_draws(covs, spec)
-    return _information(draws.logp, draws.rank + float(np.mean(draws.logdets)))

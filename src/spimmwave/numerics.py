@@ -18,6 +18,12 @@ from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
 _UINT64_MASK = (1 << 64) - 1
 
 
+def require_integer(name: str, value) -> None:
+    """Raise a ParameterError naming the field unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}", field=name)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair of the splittable RNG contract."""
     key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)

@@ -10,7 +10,9 @@ from scipy.special import logsumexp
 from spimmwave import (
     ChannelRealization,
     CovarianceSet,
+    DimensionError,
     MarginQuery,
+    MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
     build_abf,
@@ -166,6 +168,50 @@ NAN_CALLS = {
 def test_nan_argument_raises_named_parameter_error(call, name):
     with pytest.raises(ParameterError, match=rf"\b{name}\b"):
         call()
+
+
+FLOAT_COUNTS = {
+    "ChannelRealization-n_tx": (
+        lambda: ChannelRealization(64.5, 8, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_tx"),
+    "ChannelRealization-n_rx": (
+        lambda: ChannelRealization(64, 8.0, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_rx"),
+    "MonteCarloSpec-n_samples": (lambda: MonteCarloSpec(n_samples=2000.5), "n_samples"),
+    "MonteCarloSpec-seed": (lambda: MonteCarloSpec(seed=1.5), "seed"),
+    "MonteCarloSpec-batch": (lambda: MonteCarloSpec(batch=1000.5), "batch"),
+    "MonteCarloSpec-bool": (lambda: MonteCarloSpec(seed=True), "seed"),
+}
+
+
+@pytest.mark.parametrize("call, name", FLOAT_COUNTS.values(), ids=FLOAT_COUNTS.keys())
+def test_non_integer_count_raises_named_parameter_error(call, name):
+    with pytest.raises(ParameterError, match=rf"\b{name}\b") as info:
+        call()
+    assert info.value.field == name
+
+
+def test_mismatched_path_counts_raise_dimension_error():
+    for w, g, theta in (([0.5, 0.4], [64, 64, 64], [0.1, -0.1, 0.2]),
+                        ([0.5, 0.4, 0.1], [64, 64], [0.1, -0.1]),
+                        (np.full((2, 2), 0.5), [64, 64], np.zeros((3, 2)))):
+        for call in (spim_rate, asymptotic_covariances):
+            with pytest.raises(DimensionError):
+                call(w, g, theta, 8, 0.1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_batched_rates_equal_per_row_calls(m):
+    # a (trials, m) batch is each row's own call, to the bit
+    rng = np.random.default_rng(m)
+    w = np.sort(rng.uniform(0.05, 1.0, m))[::-1]
+    g = np.full(m, 64.0)
+    theta = rng.uniform(-0.5, 0.5, (7, m))
+    batched = spim_rate(w, g, theta, 8, 0.1)
+    assert batched.shape == (7,)
+    assert np.array_equal(batched, [spim_rate(w, g, row, 8, 0.1) for row in theta])
+    covs = asymptotic_covariances(w, g, theta, 16, 0.3)
+    assert np.array_equal(total_rate_approx(covs), [
+        total_rate_approx(asymptotic_covariances(w, g, row, 16, 0.3)) for row in theta])
+    assert isinstance(spim_rate(w, g, theta[0], 8, 0.1), float)
 
 
 def test_symbol_rate_zero_channel():

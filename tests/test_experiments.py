@@ -5,16 +5,21 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spimmwave import (
     MarginQuery,
+    MonteCarloSpec,
     SpecValidationError,
     dirichlet_gain,
     make_rng,
+    mmwave_rate,
     sample_channel,
     spim_margin,
     spim_rate,
@@ -24,9 +29,15 @@ from spimmwave.capacity import METHOD_TAGS
 from spimmwave.cli import main
 from spimmwave.experiments import (
     CSV_COLUMNS,
+    EXPERIMENT_KINDS,
     METHOD_MARGIN,
     METHOD_Q_FUNCTION,
     PRESET_IDS,
+    ChannelParams,
+    ExperimentSpec,
+    MarginParams,
+    NoiseParams,
+    OutputParams,
     load_spec,
     reproduce,
     run_experiment,
@@ -123,6 +134,65 @@ def test_wrong_field_type_names_the_field(override, field, tmp_path):
     assert main(["run", str(spec_path)]) == 2
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+COUNTS = st.integers(0, 4) | JSON
+NUMBERS = st.lists(st.integers(-30, 30) | st.floats(-30, 30), max_size=4)
+
+
+def json_object(cls, required=(), **values):
+    """Objects keyed by cls's field names, plus the odd unknown key, or any JSON value.
+
+    Fields without a strategy in values take counts, so that most examples
+    get past the type checks and reach the checks that read several fields.
+    """
+    keys = {f.name: values.get(f.name, COUNTS) for f in fields(cls)}
+    return st.fixed_dictionaries(
+        {name: keys.pop(name) for name in required},
+        optional={**keys, "extra": JSON}) | JSON
+
+
+SPECS = json_object(
+    ExperimentSpec, required=("experiment", "grid"),
+    experiment=st.sampled_from(EXPERIMENT_KINDS),
+    grid=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True).map(sorted)
+    | NUMBERS,
+    channel=json_object(ChannelParams, m=COUNTS | NUMBERS, gains=NUMBERS | JSON,
+                        n_rx=COUNTS | NUMBERS, aod_range=NUMBERS, normalize=JSON,
+                        asymptotic=JSON),
+    noise=json_object(NoiseParams, n0=st.floats(-1, 2) | NUMBERS | JSON,
+                      snr_db=st.floats(-400, 400) | JSON),
+    mc=json_object(MonteCarloSpec, n_samples=st.integers(0, 3000) | JSON),
+    margin=json_object(MarginParams, relax_integer=JSON),
+    outputs=json_object(OutputParams, csv=st.text(max_size=4) | JSON))
+
+
+@settings(max_examples=400)
+@given(SPECS)
+def test_any_json_gives_a_spec_or_a_spec_validation_error(data):
+    try:
+        spec = spec_from_dict(data)
+    except SpecValidationError:
+        return
+    assert isinstance(spec, ExperimentSpec)
+
+
+@pytest.mark.parametrize("key", ["channel", "margin", "outputs"])
+def test_null_section_is_rejected(key):
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict({"experiment": "q-function", "grid": [0.0], key: None})
+    assert info.value.field == key
+
+
+def test_gamma_sweep_rejects_repeated_beam_counts():
+    with pytest.raises(SpecValidationError, match="channel.m"):
+        spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2, 4, 2]},
+                        "noise": {"n0": 0.1}})
+
+
 def test_snr_sweep_rows_and_tags():
     rows = run_experiment(tiny_snr_spec())
     assert all(row.method in ALL_TAGS for row in rows)
@@ -182,36 +252,47 @@ def test_gamma_sweep_with_monte_carlo():
 
 
 def test_sweeps_draw_each_channel_once(monkeypatch):
-    calls = []
+    draws, rates = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["gains"])
-        return sample_channel(*args, **kwargs)
+    def counting(log, fn):
+        def counted(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(experiments, "sample_channel", counting)
+    monkeypatch.setattr(experiments, "sample_channel", counting(draws, sample_channel))
+    monkeypatch.setattr(experiments, "spim_rate", counting(rates, spim_rate))
     run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
                                    "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
                                    "trials": 3}))
-    assert len(calls) == 3 * 3  # trials x beam counts, not x grid points
-    calls.clear()
+    assert len(draws) == 3 * 3  # trials x beam counts, not x grid points
+    assert len(rates) == 3 * 3  # grid points x beam counts, not x trials
+    draws.clear()
+    rates.clear()
     run_experiment(spec_from_dict({"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9],
                                    "noise": {"n0": 0.1}, "trials": 2}))
-    assert len(calls) == 2
+    assert len(draws) == 2
+    assert len(rates) == 3
 
 
 @pytest.mark.parametrize("normalize", [False, True])
-def test_regained_draws_equal_fresh_draws(normalize):
-    # swapping gains into one draw gives exactly the channel drawn with them
-    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 3,
-                           "channel": {"m": [4], "normalize": normalize},
-                           "noise": {"n0": 0.1}, "seed": 4})
-    draws = experiments._draw_channels(spec, 4)
-    for gains in ([1.0, 0.5, 0.25, 0.125], [0.6, 0.4, 0.4, 0.0], [0.2, 0.7, 0.2, 0.5]):
-        scaled = np.asarray(gains) / sum(gains) if normalize else gains
-        for t, chan in enumerate(experiments._with_gains(spec, draws, gains)):
-            fresh = sample_channel(make_rng(4, t), 64, 8, 4, gains=scaled)
-            for field in ("aod", "aoa", "gains"):
-                assert np.array_equal(getattr(chan, field), getattr(fresh, field))
+def test_snr_sweep_out_of_order_gains_equal_fresh_channels(normalize):
+    # the runner sorts one draw's angles by gain; each closed-form and shannon row
+    # must equal the mean over channels drawn afresh with those gains
+    gains = [0.2, 0.7, 0.2, 0.5]
+    grid = [-4.0, 6.0]
+    spec = spec_from_dict({"experiment": "snr-sweep", "grid": grid, "trials": 3,
+                           "channel": {"m": 4, "gains": gains, "normalize": normalize},
+                           "seed": 4})
+    rows = {(r.axis, r.method): r.value for r in run_experiment(spec)}
+    scaled = np.asarray(gains) / sum(gains) if normalize else gains
+    fresh = [sample_channel(make_rng(4, t), 64, 8, 4, gains=scaled) for t in range(3)]
+    for snr in grid:
+        n0 = 10.0 ** (-snr / 10.0)
+        rates = [spim_rate(c.gains, np.full(4, 64.0), c.aoa, 8, n0) for c in fresh]
+        assert rows[(snr, "general-m")] == float(np.mean(rates))
+        shannon = [mmwave_rate(c.gains[0], 64.0, n0) for c in fresh]
+        assert rows[(snr, "shannon")] == float(np.mean(shannon))
 
 
 @pytest.mark.parametrize("normalize", [False, True])

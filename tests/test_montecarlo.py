@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from spimmwave import (
     CovarianceSet,
+    DimensionError,
     MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
@@ -19,12 +20,22 @@ from spimmwave import (
     effective_channel,
     make_rng,
     mc_mutual_information,
-    mc_spatial_information,
     pattern_alphabet,
     sample_channel,
     total_rate_approx,
 )
-from spimmwave.montecarlo import _mixture_logpdf_draws
+from spimmwave.montecarlo import _information, _mixture_logpdf_draws
+
+
+def mc_spatial_information(covs, spec):
+    """Estimate of the pattern-index rate h(y) - (1/K) sum_k h(y | pattern k).
+
+    Per-component entropies are analytic, log2((pi e)^N_r |S_k|), so only
+    the mixture entropy carries Monte-Carlo noise; in the span they are
+    r + ln|C_k| nats.
+    """
+    draws = _mixture_logpdf_draws(covs, spec)
+    return _information(draws.logp, draws.rank + float(np.mean(draws.logdets)))
 
 
 def dense_mutual_information(covs, spec):
@@ -90,6 +101,12 @@ def test_projected_stderr_not_above_dense_on_large_array(oracle_grid):
     for (k, n_r, n0), (projected, dense) in oracle_grid.items():
         if n_r == 64:
             assert projected.stderr <= dense[1], (k, n0)
+
+
+def test_estimator_rejects_a_batch_of_sets():
+    covs = asymptotic_covariances([0.6, 0.4], [64, 64], np.zeros((3, 2)), 8, 0.1)
+    with pytest.raises(DimensionError):
+        mc_mutual_information(covs, MonteCarloSpec(1_000))
 
 
 def test_spec_rejects_small_sample_counts():
