@@ -10,15 +10,20 @@ vector splits into its span coordinates u and the orthogonal remainder v.
 The density of v is CN(0, N0 I) under every pattern, so the estimator never
 samples it: its energy term |v|^2 / N0 is replaced by its exact mean n_r - r
 (Rao-Blackwellization), and ln|S_k| becomes (n_r - r) ln N0 + ln|C_k| with
-the r x r span covariance C_k = N0 I + P_k P_k^H, P_k = Q^H G_k.
+the r x r span covariance C_k = N0 I + P_k P_k^H = L_k L_k^H, P_k = Q^H G_k.
 
 Only u is sampled, exactly ceil(N/K) draws from every component
 (stratification is unbiased because patterns are equiprobable and cuts
-variance). The in-span energy u^H C_j^-1 u stays inside the samples: it is
-strongly anti-correlated with the log-sum-exp over components, and
-integrating it as well would multiply the variance. Draw streams are keyed
-by (component, chunk), so results are reproducible under any execution
-schedule. A zero channel (r = 0) gives exactly zero with zero stderr.
+variance). A draw u = L_c z / sqrt(2) of component c has the whitened
+energies e_j = u^H C_j^-1 u; its own one, e_c = |z|^2 / 2, has the exact
+mean r, so it is integrated as well: each draw contributes
+ln sum_j exp(e_c - e_j - ln|C_j|) - ln K - r, whose own term is exactly
+exp(-ln|C_c|). The energies are strongly correlated across components, so
+the differences e_c - e_j carry far less variance than the energies alone.
+With one pattern, or with no span (r = 0), nothing random is left: the
+answer is exact, no normals are drawn and the stderr is zero. Draw streams
+are keyed by (component, chunk), so results are reproducible under any
+execution schedule.
 """
 
 from __future__ import annotations
@@ -63,13 +68,17 @@ class McEstimate(NamedTuple):
 
 
 class _SpanDraws(NamedTuple):
-    logp: np.ndarray  # ln p(u) per draw, without the -r ln(pi) constant
+    logp: np.ndarray  # per-draw values whose mean is E ln p(u), without -r ln(pi); one if exact
     rank: int  # r, the dimension of the signal span
     logdets: np.ndarray  # ln|C_k| of the span covariances
 
 
 def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDraws:
-    """Span mixture log-densities of stratified draws, ceil(N/K) per component."""
+    """Per-draw terms whose mean is the span mixture's mean log-density.
+
+    ceil(N/K) stratified draws per component, or one exact value when K = 1
+    or r = 0.
+    """
     if covs.factors.ndim != 3:
         raise DimensionError(f"the estimator takes one covariance set, got factors "
                              f"{covs.factors.shape}")
@@ -80,27 +89,38 @@ def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDra
     q = basis[:, sv > sv.max(initial=0.0) * max(stacked.shape) * np.finfo(np.float64).eps]
     r = q.shape[1]
     proj = q.conj().T @ covs.factors  # P_k = Q^H G_k
-    # C_k = N0 I + P_k P_k^H = L_k L_k^H
     chol = np.linalg.cholesky(covs.n0 * np.eye(r) + proj @ proj.conj().swapaxes(1, 2))
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
+    if k == 1 or r == 0:
+        # every draw equals -ln|C_1| - r (with r = 0 every ln|C_k| is 0)
+        return _SpanDraws(np.array([-logdets[0] - r]), r, logdets)
     per_component = math.ceil(spec.n_samples / k)
+    offset = math.log(k) + r
+    # mixes[c] block j maps unit normals to the draws of c whitened by C_j, L_j^-1 L_c / sqrt(2),
+    # as the real rows [[Re, -Im], [Im, Re]] acting on the stacked (re, im) normals
+    mixes = np.linalg.solve(chol, chol[:, None]) / np.sqrt(2.0)
+    mixes = np.block([[mixes.real, -mixes.imag],
+                      [mixes.imag, mixes.real]]).reshape(k, 2 * k * r, 2 * r)
     out = np.empty(per_component * k)
     pos = 0
-    for comp in range(k):
-        # column block j maps unit normals to the draws of comp whitened by C_j:
-        # x = z @ (L_j^-1 L_comp)^T, so |x_j|^2 = u^H C_j^-1 u for u = L_comp z
-        mix = np.linalg.solve(chol, chol[comp]).reshape(k * r, r).T / np.sqrt(2.0)
+    for comp, mix in enumerate(mixes):
         drawn = 0
         chunk = 0
         while drawn < per_component:
             count = min(spec.batch, per_component - drawn)
             rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
-            z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
-            x = z @ mix
-            log_terms = -(x.real ** 2 + x.imag ** 2).reshape(count, k, r).sum(axis=2) - logdets
-            peak = log_terms.max(axis=1)
-            out[pos:pos + count] = (peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
-                                    - np.log(k))
+            normals = np.empty((2 * r, count))  # rows: real parts, then imaginary parts
+            normals[:r] = rng.standard_normal((count, r)).T
+            normals[r:] = rng.standard_normal((count, r)).T
+            x = mix @ normals  # (2 k r, count), component-major rows
+            energy = np.square(x, out=x).reshape(k, 2 * r, count).sum(axis=1)
+            terms = energy[comp] - energy
+            terms -= logdets[:, None]
+            terms[comp] = -logdets[comp]
+            peak = terms.max(axis=0)
+            terms -= peak
+            total = np.exp(terms, out=terms).sum(axis=0)
+            out[pos:pos + count] = np.log(total, out=total) + peak - offset
             pos += count
             drawn += count
             chunk += 1
@@ -108,8 +128,13 @@ def _mixture_logpdf_draws(covs: CovarianceSet, spec: MonteCarloSpec) -> _SpanDra
 
 
 def _information(logp: np.ndarray, conditional: float) -> McEstimate:
-    """Entropy gap -mean(logp) - conditional, from natural log to bits, with stderr."""
+    """Entropy gap -mean(logp) - conditional, from natural log to bits, with stderr.
+
+    A single value is an exact result and has zero stderr.
+    """
     estimate = -(float(np.mean(logp)) + conditional) / LN2
+    if logp.size == 1:
+        return McEstimate(estimate, 0.0)
     stderr = float(np.std(logp, ddof=1)) / math.sqrt(logp.size) / LN2
     return McEstimate(estimate, stderr)
 

@@ -17,7 +17,9 @@ from spimmwave import (
     MarginQuery,
     MonteCarloSpec,
     SpecValidationError,
+    build_abf,
     dirichlet_gain,
+    effective_channel,
     make_rng,
     mmwave_rate,
     sample_channel,
@@ -194,14 +196,28 @@ def test_gamma_sweep_rejects_repeated_beam_counts():
 
 
 def test_snr_sweep_rows_and_tags():
-    rows = run_experiment(tiny_snr_spec())
+    spec = tiny_snr_spec()
+    rows = run_experiment(spec)
     assert all(row.method in ALL_TAGS for row in rows)
     keys = [(row.axis, row.method, row.variant) for row in rows]
     assert keys == sorted(keys)
     by_method = {row.method for row in rows}
     assert {"shannon", "closed-form-lb", "closed-form-crossdet", "monte-carlo"} <= by_method
-    mc_rows = [row for row in rows if row.method == "monte-carlo"]
-    assert all(row.mc_stderr is not None and row.mc_stderr > 0 for row in mc_rows)
+    spim_mc = [row for row in rows if row.method == "monte-carlo" and row.variant == "spim"]
+    assert len(spim_mc) == 2
+    assert all(row.mc_stderr is not None and row.mc_stderr > 0 for row in spim_mc)
+    # one beam is one Gaussian: its MC row is the exact Shannon rate of the steered beam
+    mm_mc = [row for row in rows if row.method == "monte-carlo" and row.variant == "mmwave"]
+    assert len(mm_mc) == 2
+    ch = spec.channel
+    beams = [effective_channel(chan, build_abf(chan, 2), "exact")[:, 0] for chan in (
+        sample_channel(make_rng(spec.seed, t), ch.n_tx, ch.n_rx, 2, gains=ch.gains)
+        for t in range(spec.trials))]
+    for row in mm_mc:
+        n0 = 10 ** (-row.axis / 10)
+        exact = np.mean([np.log2(1 + np.vdot(b, b).real / n0) for b in beams])
+        assert row.mc_stderr == 0
+        assert abs(row.value - exact) <= 1e-12
     closed = [row for row in rows if row.method == "closed-form-lb"]
     assert all(row.mc_stderr is None for row in closed)
     assert all(row.trials == 2 for row in rows)
