@@ -26,7 +26,6 @@ from .channel import (
     steering_vector,
 )
 from .conditions import (
-    MarginQuery,
     ThresholdResult,
     decay_condition_value,
     gamma_crossover,
@@ -51,7 +50,6 @@ __all__ = [
     "ChannelRealization",
     "CovarianceSet",
     "DimensionError",
-    "MarginQuery",
     "McEstimate",
     "MonteCarloSpec",
     "NoRootError",

@@ -4,43 +4,38 @@ At high SNR, index modulation over M beams beats single-beam steering
 exactly when the geometric mean of the weaker path gains clears a threshold
 proportional to the strongest gain. Under an exponentially decaying gain
 profile w_n = gamma^(n-1) the threshold becomes a scalar condition in gamma
-whose unit crossing is found by bracketed bisection (the function is
-monotone and flat near gamma -> 0, so raw Newton from a blind guess is not
-safe; a guarded Newton polish sharpens the bisection result).
+whose unit crossing is found by bracketed bisection down to float spacing
+(the function is monotone and flat near gamma -> 0, so raw Newton from a
+blind guess is not safe).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoRootError, ParameterError
+from .numerics import require_integer
 
 RELAXED_STEP = 0.01
+# the relaxed grid holds 100 * 2^b_max candidates: 6.6M at the cap
+_B_MAX_CAP = 16
+
+_DOMAINS = {
+    "gamma": (lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
+    "n0": (lambda x: 0 <= x < math.inf, "be finite and >= 0"),
+    "g1": (lambda x: 0 < x < math.inf, "be finite and > 0"),
+}
 
 
-@dataclass(frozen=True)
-class MarginQuery:
-    """Inputs of a margin search over the decaying-gain model."""
-
-    gamma: float
-    n0: float
-    g1: float
-    b_max: int = 6
-    relax_integer: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 <= self.n0 < math.inf:
-            raise ParameterError(f"n0 must be finite and >= 0, got {self.n0}")
-        if not 0 < self.g1 < math.inf:
-            raise ParameterError(f"g1 must be finite and > 0, got {self.g1}")
-        if not 0 <= self.b_max < math.inf:
-            raise ParameterError(f"b_max must be finite and >= 0, got {self.b_max}")
+def _check(**values) -> None:
+    """Raise a ParameterError naming the first of gamma, n0, g1 outside its domain."""
+    for name, value in values.items():
+        inside, domain = _DOMAINS[name]
+        if not inside(value):
+            raise ParameterError(f"{name} must {domain}, got {value}", field=name)
 
 
 class ThresholdResult(NamedTuple):
@@ -65,7 +60,8 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     """Geometric-mean superiority test over M >= 2 ordered path gains.
 
     tau = M^(-M/(M-1)) exp(4 n0 sum_n 1/(w_n g_n)); the condition holds
-    (strictly) when the geometric mean of w_2..w_M exceeds tau * w_1.
+    (strictly) when the geometric mean of w_2..w_M exceeds tau * w_1. A
+    tau beyond the floating-point range is inf, and the condition fails.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
@@ -76,9 +72,12 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
         raise ParameterError("w and g must have equal lengths")
     if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
         raise ParameterError(f"gains w and g must be finite and > 0, got w={w}, g={g}")
-    if not 0 <= n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
-    tau = m ** (-m / (m - 1.0)) * math.exp(4.0 * n0 * float(np.sum(1.0 / (w * g))))
+    _check(n0=n0)
+    try:
+        penalty = math.exp(4.0 * n0 * float(np.sum(1.0 / (w * g))))
+    except OverflowError:
+        penalty = math.inf
+    tau = m ** (-m / (m - 1.0)) * penalty
     prod = float(np.prod(w[1:]))
     if prod > 0:
         geo_mean = prod ** (1.0 / (m - 1.0))
@@ -111,12 +110,7 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     the system compared against itself. Evaluated in logs, so a value below
     the floating-point range is 0.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    if not 0 < g1 < math.inf:
-        raise ParameterError(f"g1 must be finite and > 0, got {g1}")
-    if not 0 <= n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
+    _check(gamma=gamma, n0=n0, g1=g1)
     if not 1 <= m < math.inf:
         raise ParameterError(f"m must be finite and >= 1, got {m}")
     if m == 1:
@@ -124,63 +118,46 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     return float(np.exp(_log_condition(m, gamma, n0, g1)))
 
 
-def spim_margin(query: MarginQuery) -> float:
+def spim_margin(gamma: float, n0: float, g1: float, b_max: int = 6,
+                relax_integer: bool = False) -> float:
     """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
 
     Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
-    over [1, 2^b_max] when the integer requirement is relaxed.
+    over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
+    integer in [0, 16].
     """
-    top = 2.0 ** query.b_max
-    if query.relax_integer:
-        steps = int(round((top - 1.0) / RELAXED_STEP))
+    _check(gamma=gamma, n0=n0, g1=g1)
+    require_integer("b_max", b_max)
+    if not 0 <= b_max <= _B_MAX_CAP:
+        raise ParameterError(f"b_max must lie in [0, {_B_MAX_CAP}], got {b_max}", field="b_max")
+    if relax_integer:
+        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
         candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
     else:
-        candidates = np.array([2.0 ** b for b in range(1, query.b_max + 1)])
-    wins = candidates[_log_condition(candidates, query.gamma, query.n0, query.g1) > 0.0]
+        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
+    wins = candidates[_log_condition(candidates, gamma, n0, g1) > 0.0]
     best = float(wins[-1]) if wins.size else 1.0
-    return best if query.relax_integer else int(best)
+    return best if relax_integer else int(best)
 
 
 def gamma_crossover(m: float, n0: float, g1: float) -> float:
     """Root gamma of decay_condition_value(m, gamma, n0, g1) = 1 inside (0, 1).
 
-    The bracket endpoints are sign-checked on every call; bisection narrows
-    the bracket to 1e-7, then a guarded Newton polish (central-difference
-    slope) sharpens the residual.
+    The bracket (1e-9, 1 - 1e-9) is sign-checked on every call, then halved
+    on the sign of the log condition until its midpoint is one of its ends.
     """
     if not 2 <= m < math.inf:
         raise ParameterError(f"m must be finite and >= 2, got {m}")
-    if not 0 < g1 < math.inf:
-        raise ParameterError(f"g1 must be finite and > 0, got {g1}")
-    if not 0 <= n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and >= 0, got {n0}")
-
-    def f(gamma: float) -> float:
-        # value - 1, from the log-domain value without re-validating on every step
-        return math.expm1(float(_log_condition(m, gamma, n0, g1)))
-
+    _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9
-    if not (f(lo) < 0.0 < f(hi)):
+    if not _log_condition(m, lo, n0, g1) < 0.0 < _log_condition(m, hi, n0, g1):
         raise NoRootError(
             f"no sign change of the decay condition in ({lo}, {hi}) for m={m}, n0={n0}")
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _log_condition(m, mid, n0, g1) > 0.0:
             hi = mid
         else:
             lo = mid
-    root = 0.5 * (lo + hi)
-    step = 1e-7
-    for _ in range(4):
-        value = f(root)
-        slope = (f(min(root + step, hi)) - f(max(root - step, lo))) / (2.0 * step)
-        if slope == 0.0:
-            break
-        candidate = root - value / slope
-        if not lo <= candidate <= hi:
-            break
-        moved = abs(candidate - root)
-        root = candidate
-        if moved < 1e-13:
-            break
-    return float(root)
+        mid = 0.5 * (lo + hi)
+    return mid

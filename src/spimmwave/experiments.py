@@ -32,7 +32,7 @@ from .capacity import (
     spim_rate,
 )
 from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, sample_channel
-from .conditions import MarginQuery, spim_margin
+from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
 from .numerics import make_rng
@@ -194,8 +194,8 @@ def _validate_types(spec: ExperimentSpec) -> None:
                  "noise.n0", "must be a finite number, or a list of them for margin-map")
         _require(spec.noise.snr_db is None or _is_number(spec.noise.snr_db),
                  "noise.snr_db", "must be a finite number")
-    _require(_is_int(spec.margin.b_max) and spec.margin.b_max >= 0,
-             "margin.b_max", "must be an integer >= 0")
+    _require(_is_int(spec.margin.b_max) and 0 <= spec.margin.b_max <= _B_MAX_CAP,
+             "margin.b_max", f"must be an integer in [0, {_B_MAX_CAP}]")
     for name in ("csv", "plot_script"):
         value = getattr(spec.outputs, name)
         _require(value is None or isinstance(value, str), f"outputs.{name}", "must be a path")
@@ -229,6 +229,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
     elif kind == "margin-map":
         _require(spec.noise is not None and spec.noise.n0 is not None,
                  "noise.n0", "margin-map needs one or more noise levels")
+        n0s = _as_list(spec.noise.n0)
+        _require(all(n0 >= 0 for n0 in n0s), "noise.n0", "noise levels must be >= 0")
+        labels = [_n0_label(n0) for n0 in n0s]
+        _require(len(set(labels)) == len(labels), "noise.n0",
+                 f"noise levels must have distinct row labels, got {labels}")
     elif kind == "q-function":
         _require(spec.noise is None, "noise", "q-function uses no noise model")
 
@@ -362,15 +367,19 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
+def _n0_label(n0: float) -> str:
+    """Variant label of a margin-map noise level; validate_spec keeps them distinct."""
+    return f"n0={n0:g}"
+
+
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
     rows = []
     for gamma in spec.grid:
         for n0 in _as_list(spec.noise.n0):
-            query = MarginQuery(gamma=float(gamma), n0=float(n0), g1=float(spec.channel.n_tx),
-                                b_max=spec.margin.b_max,
-                                relax_integer=spec.margin.relax_integer)
-            rows.append(ResultRow(float(gamma), METHOD_MARGIN, f"n0={n0:g}",
-                                  float(spim_margin(query)), None, None, spec.seed, 1))
+            margin = spim_margin(float(gamma), float(n0), float(spec.channel.n_tx),
+                                 spec.margin.b_max, spec.margin.relax_integer)
+            rows.append(ResultRow(float(gamma), METHOD_MARGIN, _n0_label(n0),
+                                  float(margin), None, None, spec.seed, 1))
     return rows
 
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from spimmwave import (
     CovarianceSet,
-    MarginQuery,
     MonteCarloSpec,
     asymptotic_covariances,
     build_abf,
@@ -214,10 +213,10 @@ def test_criterion_9_margin_map_properties():
     monotone = True
     for n0 in (0.05, 0.1, 0.5):
         for relaxed in (False, True):
-            margins = [spim_margin(MarginQuery(gamma=float(g), n0=n0, g1=ARRAY_GAIN,
-                                               relax_integer=relaxed)) for g in grid]
+            margins = [spim_margin(float(g), n0, ARRAY_GAIN, relax_integer=relaxed)
+                       for g in grid]
             monotone &= all(b >= a for a, b in zip(margins, margins[1:]))
-    low = all(spim_margin(MarginQuery(gamma=g, n0=0.1, g1=ARRAY_GAIN)) == 1
+    low = all(spim_margin(gamma=g, n0=0.1, g1=ARRAY_GAIN) == 1
               for g in (0.05, 0.10, 0.15))
     ok = monotone and low
     _verdict("margin-map properties", ok,

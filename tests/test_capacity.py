@@ -11,7 +11,6 @@ from spimmwave import (
     ChannelRealization,
     CovarianceSet,
     DimensionError,
-    MarginQuery,
     MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
@@ -118,8 +117,9 @@ NAN_CALLS = {
     "CovarianceSet-n0": (lambda: CovarianceSet(NAN, np.ones((2, 8, 1))), "n0"),
     "asymptotic_covariances-w": (
         lambda: asymptotic_covariances([NAN], [64.0], [0.0], 8, 0.1), "w"),
-    "MarginQuery-n0": (lambda: spim_margin(MarginQuery(0.5, NAN, 64.0)), "n0"),
-    "MarginQuery-g1": (lambda: spim_margin(MarginQuery(0.5, 0.1, NAN)), "g1"),
+    # the spim_margin cases keep the ids they had when it took a MarginQuery
+    "MarginQuery-n0": (lambda: spim_margin(0.5, NAN, 64.0), "n0"),
+    "MarginQuery-g1": (lambda: spim_margin(0.5, 0.1, NAN), "g1"),
     "decay_condition_value-n0": (lambda: decay_condition_value(4, 0.5, NAN, 64.0), "n0"),
     "geometric_mean_threshold-w": (
         lambda: geometric_mean_threshold([0.6, NAN], [64, 64], 0.1), "w"),
@@ -145,9 +145,9 @@ NAN_CALLS = {
         lambda: asymptotic_covariances([INF], [64.0], [0.0], 8, 0.1), "w"),
     "asymptotic_covariances-n0-inf": (
         lambda: asymptotic_covariances([0.5], [64.0], [0.0], 8, INF), "n0"),
-    "MarginQuery-n0-inf": (lambda: spim_margin(MarginQuery(0.5, INF, 64.0)), "n0"),
-    "MarginQuery-g1-inf": (lambda: spim_margin(MarginQuery(0.5, 0.1, INF)), "g1"),
-    "MarginQuery-b_max-inf": (lambda: spim_margin(MarginQuery(0.5, 0.1, 64.0, INF)), "b_max"),
+    "MarginQuery-n0-inf": (lambda: spim_margin(0.5, INF, 64.0), "n0"),
+    "MarginQuery-g1-inf": (lambda: spim_margin(0.5, 0.1, INF), "g1"),
+    "MarginQuery-b_max-inf": (lambda: spim_margin(0.5, 0.1, 64.0, INF), "b_max"),
     "decay_condition_value-n0-inf": (lambda: decay_condition_value(4, 0.5, INF, 64.0), "n0"),
     "decay_condition_value-g1-inf": (lambda: decay_condition_value(4, 0.5, 0.1, INF), "g1"),
     "decay_condition_value-m-inf": (lambda: decay_condition_value(INF, 0.5, 0.1, 64.0), "m"),

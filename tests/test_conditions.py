@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spimmwave import (
-    MarginQuery,
     NoRootError,
     ParameterError,
     decay_condition_value,
@@ -63,6 +64,14 @@ def test_threshold_validation():
         geometric_mean_threshold([0.9], [64.0], 0.1)
     with pytest.raises(ParameterError):
         geometric_mean_threshold([0.9, 0.0], [64.0, 64.0], 0.1)
+
+
+def test_threshold_beyond_float_range_is_inf_and_fails():
+    # exp(4 * 1 * (1/1 + 1/0.001)) = exp(4004) is beyond the double range
+    res = geometric_mean_threshold([1.0, 0.001], [1.0, 1.0], 1.0)
+    assert res.tau == math.inf
+    assert res.geo_mean == pytest.approx(0.001)
+    assert not res.holds
 
 
 def test_high_snr_check_is_noise_free_threshold():
@@ -139,39 +148,36 @@ def test_decay_value_many_weak_beams_is_zero_not_overflow():
 
 
 def test_margin_small_decay_prefers_single_beam():
-    assert spim_margin(MarginQuery(gamma=0.1, n0=0.1, g1=64.0)) == 1
+    assert spim_margin(gamma=0.1, n0=0.1, g1=64.0) == 1
 
 
 def test_margin_matches_bruteforce_scan():
     for gamma, n0 in ((0.9, 0.01), (0.5, 0.1), (0.3, 0.05), (0.97, 0.2)):
-        query = MarginQuery(gamma=gamma, n0=n0, g1=64.0, b_max=6)
         feasible = [2 ** b for b in range(0, 7)
                     if b == 0 or decay_condition_value(2 ** b, gamma, n0, 64.0) > 1.0]
-        assert spim_margin(query) == max(feasible)
-        assert spim_margin(query) in {2 ** b for b in range(7)}
-        relaxed = MarginQuery(gamma=gamma, n0=n0, g1=64.0, b_max=6, relax_integer=True)
+        assert spim_margin(gamma, n0, 64.0, b_max=6) == max(feasible)
+        assert spim_margin(gamma, n0, 64.0, b_max=6) in {2 ** b for b in range(7)}
         grid = [1.0 + 0.01 * i for i in range(1, 6301)]
         best = max([1.0] + [m for m in grid if decay_condition_value(m, gamma, n0, 64.0) > 1.0])
-        assert spim_margin(relaxed) == pytest.approx(best, abs=1e-9)
+        relaxed = spim_margin(gamma, n0, 64.0, b_max=6, relax_integer=True)
+        assert relaxed == pytest.approx(best, abs=1e-9)
 
 
 def test_margin_with_many_candidate_beams_does_not_overflow():
     # the 0.01-step grid up to 2^10 beams reaches gamma^(1 - m) far beyond the double range
-    query = MarginQuery(0.02, 0.1, 64.0, b_max=10, relax_integer=True)
-    assert spim_margin(query) == 1.0
+    assert spim_margin(0.02, 0.1, 64.0, b_max=10, relax_integer=True) == 1.0
 
 
 def test_margin_monotone_in_gamma():
     for n0 in (0.05, 0.1, 0.5):
-        margins = [spim_margin(MarginQuery(gamma=g, n0=n0, g1=64.0))
+        margins = [spim_margin(gamma=g, n0=n0, g1=64.0)
                    for g in np.arange(0.05, 0.951, 0.05)]
         assert all(b >= a for a, b in zip(margins, margins[1:]))
 
 
 def test_margin_relaxed_grid():
-    query = MarginQuery(gamma=0.6, n0=0.1, g1=64.0, relax_integer=True)
-    relaxed = spim_margin(query)
-    integral = spim_margin(MarginQuery(gamma=0.6, n0=0.1, g1=64.0))
+    relaxed = spim_margin(gamma=0.6, n0=0.1, g1=64.0, relax_integer=True)
+    integral = spim_margin(gamma=0.6, n0=0.1, g1=64.0)
     assert isinstance(relaxed, float)
     assert 1.0 <= relaxed <= 64.0
     assert relaxed >= integral
@@ -181,9 +187,15 @@ def test_margin_relaxed_grid():
 
 def test_margin_validation():
     with pytest.raises(ParameterError):
-        MarginQuery(gamma=0.0, n0=0.1, g1=64.0)
+        spim_margin(gamma=0.0, n0=0.1, g1=64.0)
     with pytest.raises(ParameterError):
-        MarginQuery(gamma=0.5, n0=-0.1, g1=64.0)
+        spim_margin(gamma=0.5, n0=-0.1, g1=64.0)
+    # b_max is an integer in [0, 16]; each bad value is rejected before any grid is built
+    for b_max, relax in ((17, False), (17, True), (40, True), (-1, False), (2.5, False),
+                         (2.5, True), (True, False)):
+        with pytest.raises(ParameterError) as info:
+            spim_margin(0.5, 0.1, 64.0, b_max=b_max, relax_integer=relax)
+        assert info.value.field == "b_max"
 
 
 def test_crossover_reference_points():
@@ -195,7 +207,34 @@ def test_crossover_reference_points():
 def test_crossover_residual_is_tiny():
     for m in (2, 4, 8):
         root = gamma_crossover(m, 0.1, 64.0)
-        assert abs(decay_condition_value(m, root, 0.1, 64.0) - 1.0) <= 1e-4
+        assert abs(decay_condition_value(m, root, 0.1, 64.0) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 2.5, 3, 4, 7.3, 8, 16, 64])
+def test_noise_free_crossover_is_exact(m):
+    # without noise the condition is m^(m/(m-1)) gamma^(m/2) = 1, so gamma = m^(-2/(m-1))
+    assert gamma_crossover(m, 0.0, 64.0) == pytest.approx(m ** (-2 / (m - 1)), rel=1e-15)
+
+
+@given(m=st.floats(2.0, 64.0),
+       n0=st.just(0.0) | st.floats(1e-4, 10.0),
+       g1=st.floats(1.0, 1024.0))
+def test_crossover_root_or_no_root(m, n0, g1):
+    try:
+        root = gamma_crossover(m, n0, g1)
+    except NoRootError:
+        return
+    assert abs(decay_condition_value(m, root, n0, g1) - 1.0) <= 1e-12
+
+
+def test_decay_value_is_the_threshold_test_on_decaying_gains():
+    # for integer m the scalar condition is geo_mean / tau of the gains gamma^(n-1)
+    for m in (2, 3, 4, 8, 16):
+        for gamma in (0.2, 0.5, 0.9):
+            for n0 in (0.0, 0.01, 0.1):
+                res = geometric_mean_threshold(gamma ** np.arange(m), [64.0] * m, n0)
+                value = decay_condition_value(m, gamma, n0, 64.0)
+                assert value == pytest.approx(res.geo_mean / res.tau, rel=1e-12)
 
 
 def test_crossover_no_root_detection():
@@ -216,5 +255,5 @@ def test_crossover_for_many_beams_does_not_overflow():
 def test_margin_transition_matches_crossover():
     # the margin jumps past 1 exactly where the two-beam condition crosses
     root = gamma_crossover(2, 0.1, 64.0)
-    assert spim_margin(MarginQuery(gamma=root - 0.01, n0=0.1, g1=64.0)) == 1
-    assert spim_margin(MarginQuery(gamma=root + 0.01, n0=0.1, g1=64.0)) >= 2
+    assert spim_margin(gamma=root - 0.01, n0=0.1, g1=64.0) == 1
+    assert spim_margin(gamma=root + 0.01, n0=0.1, g1=64.0) >= 2

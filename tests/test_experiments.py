@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spimmwave import (
-    MarginQuery,
     MonteCarloSpec,
     SpecValidationError,
     build_abf,
@@ -189,6 +188,25 @@ def test_null_section_is_rejected(key):
     assert info.value.field == key
 
 
+MARGIN_MAP_RULES = {
+    "b_max-over-cap": ({"margin": {"b_max": 17}}, "margin.b_max"),
+    "b_max-huge": ({"margin": {"b_max": 40}}, "margin.b_max"),
+    "n0-negative": ({"noise": {"n0": [0.1, -0.1]}}, "noise.n0"),
+    "n0-negative-scalar": ({"noise": {"n0": -0.1}}, "noise.n0"),
+    "n0-repeated-label": ({"noise": {"n0": [0.1, 0.1000001]}}, "noise.n0"),
+}
+
+
+@pytest.mark.parametrize("override, field", MARGIN_MAP_RULES.values(),
+                         ids=MARGIN_MAP_RULES.keys())
+def test_margin_map_rules_name_the_field(override, field):
+    data = {"experiment": "margin-map", "grid": [0.5], "noise": {"n0": [0.1, 0.5]}}
+    data.update(override)
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict(data)
+    assert info.value.field == field
+
+
 def test_gamma_sweep_rejects_repeated_beam_counts():
     with pytest.raises(SpecValidationError, match="channel.m"):
         spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2, 4, 2]},
@@ -356,7 +374,7 @@ def test_margin_map_matches_direct_margin_calls():
     rows = run_experiment(spec)
     for row in rows:
         n0 = float(row.variant.split("=")[1])
-        expected = spim_margin(MarginQuery(gamma=row.axis, n0=n0, g1=64.0, relax_integer=False))
+        expected = spim_margin(row.axis, n0, 64.0, relax_integer=False)
         assert row.value == expected
         assert row.method == "margin"
 
@@ -454,6 +472,13 @@ def test_cli_check_conditions_many_paths(capsys):
     assert main(["check-conditions", "--gains", "1.0,0.8,0.6,0.5", "--n0", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "geometric mean" in out
+
+
+def test_cli_check_conditions_threshold_beyond_float_range(capsys):
+    # the noise penalty exp(4 * 1 * (1 + 1000)) is beyond the double range
+    assert main(["check-conditions", "--gains", "1,0.001", "--n0", "1", "--array-gain", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "tau=inf" in out and "does not hold" in out
 
 
 def test_cli_reproduce_preset(tmp_path, capsys):
