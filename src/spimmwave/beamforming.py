@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization, build_channel, steering_vector
 from .errors import ParameterError
+from .numerics import require_integer
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
     the alphabet is deterministic; for n_s = 1 all choices are symmetric
     anyway.
     """
+    require_integer("m", m)
+    require_integer("n_s", n_s)
     if not 1 <= n_s <= m:
         raise ParameterError(f"need 1 <= n_s <= m, got n_s={n_s}, m={m}")
     total = math.comb(m, n_s)

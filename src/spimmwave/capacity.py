@@ -25,7 +25,7 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import hermitian_logdet
+from .numerics import hermitian_logdet, require_integer
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
@@ -118,6 +118,9 @@ def _paths(w, g, theta):
     w, g, theta = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (w, g, theta))
     if not w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths")
+    if not np.isfinite(theta).all():
+        raise ParameterError(f"angles theta must be finite, got {theta[~np.isfinite(theta)][0]}",
+                             field="theta")
     try:
         return np.broadcast_arrays(w, g, theta)
     except ValueError as exc:
@@ -146,16 +149,14 @@ def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
     one Gram product of the stacked factors supplies every block, and one
     batched factorization every (2s x 2s) determinant.
     """
-    *batch, k, n_r, s = covs.factors.shape
+    k, n_r, s = covs.factors.shape[-3:]
     stacked = covs.stacked
-    blocks = (stacked.conj().swapaxes(-1, -2) @ stacked).reshape(*batch, k, s, k, s)
-    blocks = blocks.swapaxes(-3, -2)  # G_n^H G_t
-    own = np.moveaxis(blocks.diagonal(axis1=-4, axis2=-3), -1, -3)  # G_n^H G_n
-    gram = np.empty((*batch, k, k, 2 * s, 2 * s), dtype=np.complex128)  # W_nt^H W_nt
-    gram[..., :s, :s] = own[..., :, None, :, :]
-    gram[..., :s, s:] = blocks
-    gram[..., s:, :s] = blocks.swapaxes(-4, -3)
-    gram[..., s:, s:] = own[..., None, :, :, :]
+    full = stacked.conj().swapaxes(-1, -2) @ stacked  # [G_1 ... G_K]^H [G_1 ... G_K]
+    cols = np.arange(k * s).reshape(k, s)  # columns of G_n in the stacked factors
+    idx = np.concatenate(np.broadcast_arrays(cols[:, None], cols[None, :]), axis=-1)
+    # W_nt^H W_nt, (..., k, k, 2s, 2s); a batched gather lays the index axes out first, and
+    # the row sums below must see one layout for any batch to keep batched calls bit-exact
+    gram = np.ascontiguousarray(full[..., idx[..., :, None], idx[..., None, :]])
     two_n0 = 2.0 * covs.n0
     return n_r * math.log(two_n0) + hermitian_logdet(np.eye(2 * s) + gram / two_n0)
 
@@ -219,8 +220,12 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
     integer, which is exact for integer n and avoids precision loss near
     the periodic points, where the limit is 1.
     """
+    require_integer("n_r", n_r)
     if n_r < 1:
-        raise ParameterError(f"n_r must be >= 1, got {n_r}")
+        raise ParameterError(f"n_r must be >= 1, got {n_r}", field="n_r")
+    if not -math.inf < delta_theta < math.inf:
+        raise ParameterError(f"delta_theta must be finite, got {delta_theta}",
+                             field="delta_theta")
     frac = delta_theta - round(delta_theta)
     if abs(frac) < 1e-9:
         return 1.0

@@ -74,8 +74,11 @@ def steering_vector(angle, n: int) -> np.ndarray:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ParameterError(f"array size n must be an integer >= 1, got {n!r}")
+    angle = np.asarray(angle, dtype=np.float64)
+    if not np.isfinite(angle).all():
+        raise ParameterError("angle must be finite", field="angle")
     offsets = np.arange(n) - (n - 1) / 2.0
-    angle = np.asarray(angle, dtype=np.float64)[..., None]
+    angle = angle[..., None]
     return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
 
 

@@ -4,7 +4,6 @@ and evaluate the beam-superiority conditions for a gain profile."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .conditions import geometric_mean_threshold, two_path_margin
@@ -16,7 +15,6 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .montecarlo import MonteCarloSpec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,14 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    spec = load_spec(args.spec_file)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    if args.trials is not None:
-        spec = dataclasses.replace(spec, trials=args.trials)
-    if args.mc_samples is not None and spec.mc is not None:
-        spec = dataclasses.replace(
-            spec, mc=MonteCarloSpec(args.mc_samples, seed=spec.mc.seed, batch=spec.mc.batch))
+    spec = load_spec(args.spec_file, seed=args.seed, trials=args.trials,
+                     mc_samples=args.mc_samples)
     rows = run_experiment(spec)
     if not spec.outputs.csv:
         write_csv(rows, "/dev/stdout")

@@ -73,17 +73,18 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
         raise ParameterError(f"gains w and g must be finite and > 0, got w={w}, g={g}")
     _check(n0=n0)
-    try:
-        penalty = math.exp(4.0 * n0 * float(np.sum(1.0 / (w * g))))
-    except OverflowError:
-        penalty = math.inf
+    penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
+    if n0 > 0:
+        # a subnormal gain makes 1 / (w g) inf, and so the penalty
+        with np.errstate(over="ignore", divide="ignore"):
+            penalty = float(np.exp(4.0 * n0 * np.sum(1.0 / (w * g))))
     tau = m ** (-m / (m - 1.0)) * penalty
     prod = float(np.prod(w[1:]))
     if prod > 0:
         geo_mean = prod ** (1.0 / (m - 1.0))
     else:  # product underflowed; fall back to the log form
         geo_mean = math.exp(float(np.mean(np.log(w[1:]))))
-    return ThresholdResult(tau=tau, geo_mean=geo_mean, holds=geo_mean > tau * w[0])
+    return ThresholdResult(tau=tau, geo_mean=geo_mean, holds=bool(geo_mean > tau * w[0]))
 
 
 def _log_condition(m, gamma, n0: float, g1: float):

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamforming import build_abf, effective_channel, pattern_alphabet
+from .beamforming import build_abf, effective_channel
 from .capacity import (
     METHOD_CLOSED_FORM_CROSSDET,
     METHOD_CLOSED_FORM_LB,
     METHOD_GENERAL_M,
     METHOD_MONTE_CARLO,
     METHOD_SHANNON,
-    covariances,
+    CovarianceSet,
     dirichlet_gain,
     mmwave_rate,
     spim_rate,
@@ -60,7 +60,6 @@ class ChannelParams:
 @dataclass
 class NoiseParams:
     n0: object = None  # scalar, or a list for margin maps
-    snr_db: float | None = None
 
 
 @dataclass
@@ -114,14 +113,30 @@ def _coerce(cls, data, path: str):
         raise SpecValidationError(f"{path}.{name}" if name else path, str(exc)) from exc
 
 
-def load_spec(path) -> ExperimentSpec:
-    """Parse and validate a JSON experiment file."""
+def load_spec(path, *, seed: int | None = None, trials: int | None = None,
+              mc_samples: int | None = None) -> ExperimentSpec:
+    """Parse a JSON experiment file, apply the overrides that are set, and validate it."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecValidationError(str(path), f"invalid JSON: {exc}") from exc
+    _override(data, seed, trials, mc_samples)
     return spec_from_dict(data)
+
+
+def _override(data, seed: int | None, trials: int | None, mc_samples: int | None) -> None:
+    """Write the overrides that are not None into a spec dict, before it is validated.
+
+    mc_samples applies only to a spec with an mc section.
+    """
+    if not isinstance(data, dict):
+        return  # spec_from_dict rejects it
+    for key, value in (("seed", seed), ("trials", trials)):
+        if value is not None:
+            data[key] = value
+    if mc_samples is not None and isinstance(data.get("mc"), dict):
+        data["mc"]["n_samples"] = mc_samples
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
@@ -192,8 +207,6 @@ def _validate_types(spec: ExperimentSpec) -> None:
         _require(n0 is None or _is_number(n0)
                  or (kind == "margin-map" and _is_list_of(n0, _is_number)),
                  "noise.n0", "must be a finite number, or a list of them for margin-map")
-        _require(spec.noise.snr_db is None or _is_number(spec.noise.snr_db),
-                 "noise.snr_db", "must be a finite number")
     _require(_is_int(spec.margin.b_max) and 0 <= spec.margin.b_max <= _B_MAX_CAP,
              "margin.b_max", f"must be an integer in [0, {_B_MAX_CAP}]")
     for name in ("csv", "plot_script"):
@@ -211,6 +224,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
     _require(all(b > a for a, b in zip(grid, grid[1:])), "grid", "must be strictly increasing")
     if kind in ("gamma-sweep", "margin-map"):
         _require(all(0.0 < g < 1.0 for g in grid), "grid", "decay values must lie in (0, 1)")
+    if kind in ("w1-sweep", "gamma-sweep"):
+        n0 = None if spec.noise is None else spec.noise.n0
+        _require(_is_number(n0) and n0 > 0, "noise.n0", f"{kind} needs one noise level > 0")
     if kind == "snr-sweep":
         _require(spec.noise is None, "noise", "snr-sweep takes its noise axis from the grid")
         _require(all(0 < _noise_from_snr(snr) < math.inf for snr in grid),
@@ -220,12 +236,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
     elif kind == "w1-sweep":
         _require(ch.m == 2, "channel.m", "w1-sweep is a two-beam experiment")
         _require(all(0.5 <= w < 1.0 for w in grid), "grid", "w1 values must lie in [0.5, 1)")
-        _require_scalar_noise(spec)
     elif kind == "gamma-sweep":
         _require(ch.gains is None, "channel.gains", "gamma-sweep derives gains from the axis")
         _require(len(set(_as_list(ch.m))) == len(_as_list(ch.m)), "channel.m",
                  "beam counts must be distinct")
-        _require_scalar_noise(spec)
     elif kind == "margin-map":
         _require(spec.noise is not None and spec.noise.n0 is not None,
                  "noise.n0", "margin-map needs one or more noise levels")
@@ -238,29 +252,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(spec.noise is None, "noise", "q-function uses no noise model")
 
 
-def _require_scalar_noise(spec: ExperimentSpec) -> None:
-    noise = spec.noise
-    _require(noise is not None and (noise.n0 is None) != (noise.snr_db is None),
-             "noise", "set exactly one of n0 or snr_db")
-    _noise_level(spec)
-
-
 def _noise_from_snr(snr_db: float) -> float:
     """Linear noise power 10^(-snr_db/10); inf where that overflows."""
     try:
         return 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         return math.inf
-
-
-def _noise_level(spec: ExperimentSpec) -> float:
-    if spec.noise.n0 is not None:
-        n0 = float(spec.noise.n0)
-    else:
-        n0 = _noise_from_snr(spec.noise.snr_db)
-    if not 0 < n0 < math.inf:
-        raise SpecValidationError("noise", "noise power must be finite and > 0")
-    return n0
 
 
 def _mix_seed(*parts: int) -> int:
@@ -298,7 +295,8 @@ def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0: float, key: tuple,
 
     Entry [i, :, t] is the (estimate, stderr) of switching among the first
     beam_counts[i] steered beams of trial t's channel, whose paths hold the
-    strongest-first gains w; it is sampled on the seed
+    strongest-first gains w; each beam is one equiprobable pattern, the
+    system spim_rate scores. It is sampled on the seed
     _mix_seed(mc.seed, *key, t, i).
     """
     ch = spec.channel
@@ -308,7 +306,7 @@ def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0: float, key: tuple,
         chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
         eff = effective_channel(chan, build_abf(chan, len(w)), mode)
         for i, beams in enumerate(beam_counts):
-            covs = covariances(eff[:, :beams], pattern_alphabet(beams, 1), n0, source=mode)
+            covs = CovarianceSet(n0, eff[:, :beams].T[:, :, None])
             out[i, :, t] = mc_mutual_information(covs, MonteCarloSpec(
                 spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i),
                 batch=spec.mc.batch))
@@ -322,7 +320,7 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     if spec.experiment == "snr-sweep":
         points = [(float(snr), _noise_from_snr(snr), ch.gains) for snr in spec.grid]
     else:
-        n0 = _noise_level(spec)
+        n0 = float(spec.noise.n0)
         points = [(float(w1), n0, [w1, 1.0 - w1]) for w1 in spec.grid]
     # for two patterns the lb and crossdet forms coincide; both rows stay in the CSV schema
     tags = (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET) if m == 2 else (METHOD_GENERAL_M,)
@@ -348,7 +346,7 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
 def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     ch = spec.channel
-    n0 = _noise_level(spec)
+    n0 = float(spec.noise.n0)
     rows = []
     for m in _as_list(ch.m):
         variant = f"m={m}"
@@ -529,12 +527,7 @@ def reproduce(preset: str, out_dir, *, seed: int | None = None, trials: int | No
     data.setdefault("outputs", {})
     data["outputs"]["csv"] = str(out_dir / f"{preset}.csv")
     data["outputs"]["plot_script"] = str(out_dir / f"plot_{preset}.py")
-    if seed is not None:
-        data["seed"] = seed
-    if trials is not None:
-        data["trials"] = trials
-    if mc_samples is not None and "mc" in data:
-        data["mc"]["n_samples"] = mc_samples
+    _override(data, seed, trials, mc_samples)
     if asymptotic:
         data.setdefault("channel", {})["asymptotic"] = True
     spec = spec_from_dict(data)

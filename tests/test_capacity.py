@@ -161,6 +161,11 @@ NAN_CALLS = {
     "two_path_margin-w1-inf": (lambda: two_path_margin(INF, 0.1), "w1"),
     "ChannelRealization-gains-inf": (
         lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=[INF]), "gains"),
+    "dirichlet_gain-delta_theta": (lambda: dirichlet_gain(NAN, 8), "delta_theta"),
+    "dirichlet_gain-delta_theta-inf": (lambda: dirichlet_gain(INF, 8), "delta_theta"),
+    "spim_rate-theta": (lambda: spim_rate([0.5, 0.5], [64, 64], [0.1, NAN], 8, 0.1), "theta"),
+    "spim_rate-single-theta": (lambda: spim_rate([0.5], [64], [NAN], 8, 0.1), "theta"),
+    "steering_vector-angle": (lambda: steering_vector(NAN, 4), "angle"),
 }
 
 
@@ -179,6 +184,8 @@ FLOAT_COUNTS = {
     "MonteCarloSpec-seed": (lambda: MonteCarloSpec(seed=1.5), "seed"),
     "MonteCarloSpec-batch": (lambda: MonteCarloSpec(batch=1000.5), "batch"),
     "MonteCarloSpec-bool": (lambda: MonteCarloSpec(seed=True), "seed"),
+    "dirichlet_gain-n_r": (lambda: dirichlet_gain(0.3, 2.5), "n_r"),
+    "pattern_alphabet-m": (lambda: pattern_alphabet(2.5, 1), "m"),
 }
 
 
@@ -360,6 +367,14 @@ def test_kernel_matches_dense_oracle(covs):
     dense = np.array([np.linalg.slogdet(s)[1] for s in covs.sigmas])
     assert_allclose(covs.logdets(), dense, rtol=0.0, atol=1e-9)
     assert total_rate_approx(covs) == pytest.approx(dense_total_rate(covs), abs=1e-9)
+
+
+@given(factor_sets(), st.floats(1.0, 100.0))
+def test_rate_never_rises_with_noise(covs, factor):
+    # each |I + (G_n G_n^H + G_t G_t^H) / 2N0| falls as N0 grows
+    quiet = total_rate_approx(covs)
+    noisy = total_rate_approx(CovarianceSet(n0=covs.n0 * factor, factors=covs.factors))
+    assert noisy <= quiet + 1e-12 * max(abs(quiet), 1.0)
 
 
 @given(factor_sets(), st.randoms(use_true_random=False))

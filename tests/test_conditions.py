@@ -74,6 +74,17 @@ def test_threshold_beyond_float_range_is_inf_and_fails():
     assert not res.holds
 
 
+def test_threshold_with_subnormal_gain():
+    # 1 / (w g) overflows: no penalty without noise, an infinite one with it
+    quiet = geometric_mean_threshold([1.0, 1e-310], [1.0, 1.0], 0.0)
+    assert quiet.tau == 0.25 and quiet.geo_mean == 1e-310
+    noisy = geometric_mean_threshold([1.0, 1e-310], [1.0, 1.0], 0.1)
+    assert noisy.tau == math.inf
+    for res in (quiet, noisy):
+        assert res.holds is False
+    assert geometric_mean_threshold([0.8, 0.3], [64.0, 64.0], 0.0).holds is True
+
+
 def test_high_snr_check_is_noise_free_threshold():
     rng = np.random.default_rng(2)
     for _ in range(50):

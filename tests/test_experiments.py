@@ -86,20 +86,22 @@ def test_experiment_kind_validated():
 
 def test_noise_field_rules():
     with pytest.raises(SpecValidationError, match="noise"):
-        spec_from_dict({"experiment": "w1-sweep", "grid": [0.6, 0.7]})
-    with pytest.raises(SpecValidationError, match="noise"):
-        spec_from_dict({"experiment": "w1-sweep", "grid": [0.6, 0.7],
-                        "noise": {"n0": 0.1, "snr_db": 10.0}})
-    with pytest.raises(SpecValidationError, match="noise"):
         spec_from_dict({"experiment": "snr-sweep", "grid": [0.0, 10.0],
                         "channel": {"gains": [0.9, 0.1]}, "noise": {"n0": 0.1}})
+    with pytest.raises(SpecValidationError, match="unknown key") as info:
+        spec_from_dict({"experiment": "w1-sweep", "grid": [0.6, 0.7],
+                        "noise": {"snr_db": 10.0}})
+    assert info.value.field == "noise.snr_db"
     # json.load accepts NaN and overflows 1e999 to inf; neither is a noise level
-    for noise in ({"n0": math.nan}, {"snr_db": math.nan}, {"n0": json.loads("1e999")},
-                  {"n0": -math.inf}, {"snr_db": math.inf}, {"snr_db": -math.inf},
-                  {"snr_db": -4000.0}):
-        with pytest.raises(SpecValidationError, match="noise"):
-            run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5, 0.6],
-                                           "noise": noise, "trials": 1}))
+    for kind, grid in (("w1-sweep", [0.6, 0.7]), ("gamma-sweep", [0.5, 0.6])):
+        for noise in ({}, None, {"n0": None}, {"n0": 0}, {"n0": -0.1}, {"n0": [0.1]},
+                      {"n0": math.nan}, {"n0": json.loads("1e999")}, {"n0": -math.inf}):
+            data = {"experiment": kind, "grid": grid}
+            if noise is not None:
+                data["noise"] = noise
+            with pytest.raises(SpecValidationError) as info:
+                spec_from_dict(data)
+            assert info.value.field == "noise.n0"
     with pytest.raises(SpecValidationError, match="grid"):
         spec_from_dict({"experiment": "snr-sweep", "grid": [-4000.0, 0.0],
                         "channel": {"gains": [0.9, 0.1]}})
@@ -164,8 +166,7 @@ SPECS = json_object(
     channel=json_object(ChannelParams, m=COUNTS | NUMBERS, gains=NUMBERS | JSON,
                         n_rx=COUNTS | NUMBERS, aod_range=NUMBERS, normalize=JSON,
                         asymptotic=JSON),
-    noise=json_object(NoiseParams, n0=st.floats(-1, 2) | NUMBERS | JSON,
-                      snr_db=st.floats(-400, 400) | JSON),
+    noise=json_object(NoiseParams, n0=st.floats(-1, 2) | NUMBERS | JSON),
     mc=json_object(MonteCarloSpec, n_samples=st.integers(0, 3000) | JSON),
     margin=json_object(MarginParams, relax_integer=JSON),
     outputs=json_object(OutputParams, csv=st.text(max_size=4) | JSON))
@@ -253,14 +254,6 @@ def test_w1_sweep_grid_validation():
                         "noise": {"n0": 0.1}})
 
 
-def test_w1_sweep_uses_snr_db_alias():
-    spec = spec_from_dict({"experiment": "w1-sweep", "grid": [0.6, 0.8],
-                           "noise": {"snr_db": 10.0}, "trials": 1})
-    rows = run_experiment(spec)
-    spim = {r.axis: r.value for r in rows if r.method == "closed-form-lb"}
-    assert set(spim) == {0.6, 0.8}
-
-
 def test_gamma_sweep_emits_variant_per_beam_count():
     spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.8],
                            "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
@@ -283,6 +276,21 @@ def test_gamma_sweep_with_monte_carlo():
     sampled = {r.variant: r.value for r in rows if r.method == "monte-carlo"}
     for variant in mc_variants:
         assert sampled[variant] == pytest.approx(closed[variant], abs=1.0)
+
+
+def test_monte_carlo_rows_sample_the_beams_the_closed_form_scores():
+    # three beams are three equiprobable patterns in both rows; a power-of-two
+    # alphabet keeps two of them, and its row sat 0.08 and 0.51 bits below
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5, 0.9],
+                           "channel": {"m": [3], "n_rx": 64, "asymptotic": True},
+                           "noise": {"n0": 0.01}, "seed": 3, "trials": 4,
+                           "mc": {"n_samples": 6000}})
+    rows = run_experiment(spec)
+    closed = {r.axis: r.value for r in rows if r.method == "general-m"}
+    sampled = [r for r in rows if r.method == "monte-carlo"]
+    assert len(sampled) == 2
+    for row in sampled:
+        assert abs(row.value - closed[row.axis]) <= 4 * row.mc_stderr + 0.01
 
 
 def test_sweeps_draw_each_channel_once(monkeypatch):
@@ -444,6 +452,25 @@ def test_cli_run_and_reruns_are_identical(tmp_path):
     assert csv_path.read_bytes() != first
 
 
+def test_cli_run_overrides_fail_like_reproduce(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "experiment": "snr-sweep", "grid": [0.0], "channel": {"gains": [0.6, 0.4]},
+        "mc": {"n_samples": 2000}}), encoding="utf-8")
+    assert main(["run", str(spec_path), "--mc-samples", "10"]) == 2
+    run_error = capsys.readouterr().err
+    assert run_error.startswith("error: mc.n_samples: ")
+    assert main(["reproduce", "snr-sweep-balanced", "--out", str(tmp_path),
+                 "--mc-samples", "10"]) == 2
+    assert capsys.readouterr().err == run_error
+    assert main(["run", str(spec_path), "--trials", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: trials: ")
+    # a spec without Monte-Carlo ignores the sample override
+    spec_path.write_text(json.dumps({"experiment": "q-function", "grid": [0.0]}),
+                         encoding="utf-8")
+    assert main(["run", str(spec_path), "--mc-samples", "10"]) == 0
+
+
 def test_cli_rejects_invalid_spec(tmp_path):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text('{"experiment": "snr-sweep"}', encoding="utf-8")
@@ -466,6 +493,13 @@ def test_cli_check_conditions(capsys):
     out = capsys.readouterr().out
     assert "two-path margin" in out and "+1" in out
     assert "noise-free limit" in out and "holds" in out
+
+
+def test_cli_check_conditions_subnormal_gain(capsys):
+    assert main(["check-conditions", "--gains", "1,1e-310", "--n0", "0",
+                 "--array-gain", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("tau=0.25 ") == 2 and "nan" not in out
 
 
 def test_cli_check_conditions_many_paths(capsys):
