@@ -4,10 +4,11 @@ and evaluate the beam-superiority conditions for a gain profile."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .conditions import geometric_mean_threshold, two_path_margin
-from .errors import SpimmwaveError
+from .errors import ParameterError, SpimmwaveError
 from .experiments import (
     PRESET_IDS,
     load_spec,
@@ -66,11 +67,26 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+def _flag_value(flag: str, text, inside=lambda x: 0 < x < math.inf,
+                domain: str = "be finite and > 0") -> float:
+    """The float in text, or a ParameterError naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParameterError(f"{flag}: {text.strip()!r} is not a number", field=flag) from None
+    if not inside(value):
+        raise ParameterError(f"{flag} must {domain}, got {value}", field=flag)
+    return value
+
+
 def _cmd_check_conditions(args) -> int:
-    gains = [float(tok) for tok in args.gains.split(",") if tok.strip()]
+    # every flag is checked before anything is printed
+    gains = [_flag_value("--gains", tok) for tok in args.gains.split(",") if tok.strip()]
     if len(gains) < 2:
         print("need at least two gains", file=sys.stderr)
         return 2
+    _flag_value("--array-gain", args.array_gain)
+    _flag_value("--n0", args.n0, lambda x: 0 <= x < math.inf, "be finite and >= 0")
     gains = sorted(gains, reverse=True)
     g = [args.array_gain] * len(gains)
     print(f"paths (strongest first): {gains}")

@@ -2,10 +2,15 @@
 
 A spec is a flat JSON object mirroring ExperimentSpec; unknown keys are
 rejected with the offending field path. Runs are deterministic given the
-seed: channel draws use one stream per trial, Monte-Carlo runs derive their
-seeds from (seed, grid index, trial, system), or from (seed, grid index,
-beam count, trial, system) in gamma sweeps, and output rows are emitted in a
-fixed (axis, method, variant) order regardless of execution order.
+seed: channel draws use one stream per trial, and output rows are emitted
+in a fixed (axis, method, variant) order regardless of execution order.
+Monte-Carlo points share their draws along the sweep axis (common random
+numbers): one estimator call per trial and system covers every grid point,
+on the seed derived from (mc seed, trial, system), or from (mc seed, beam
+count, trial, 0) in gamma sweeps. Trials keep independent streams, so a
+row's combined stderr still holds; rows along an axis are positively
+correlated, so their differences carry less Monte-Carlo error than their
+stderrs suggest.
 """
 
 from __future__ import annotations
@@ -289,27 +294,33 @@ def _row(spec: ExperimentSpec, axis: float, method: str, variant: str, values,
                      spec.seed, len(values))
 
 
-def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0: float, key: tuple,
+def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
                  beam_counts: tuple) -> np.ndarray:
-    """Per-trial Monte-Carlo rates of one grid point, shape (len(beam_counts), 2, trials).
+    """Per-trial Monte-Carlo rates of every grid point, shape (len(beam_counts), 2, points, trials).
 
-    Entry [i, :, t] is the (estimate, stderr) of switching among the first
-    beam_counts[i] steered beams of trial t's channel, whose paths hold the
-    strongest-first gains w; each beam is one equiprobable pattern, the
-    system spim_rate scores. It is sampled on the seed
-    _mix_seed(mc.seed, *key, t, i).
+    points[p] is (w, aod, aoa, n0): strongest-first gains, (trials, m)
+    angles in the same path order, and the noise floor. Entry [i, :, p, t]
+    is the (estimate, stderr) of switching among the first beam_counts[i]
+    steered beams of trial t's channel at point p; each beam is one
+    equiprobable pattern, the system spim_rate scores. All points of one trial and beam count are estimated in one call,
+    on the draws of the seed _mix_seed(mc.seed, *key, t, i). The sets of one
+    call share a noise floor, so each point's beams are scaled by 1/sqrt(N0)
+    and sampled at n0 = 1: the rate depends only on G G^H / N0.
     """
     ch = spec.channel
     mode = "asymptotic" if ch.asymptotic else "exact"
-    out = np.empty((len(beam_counts), 2, spec.trials))
+    out = np.empty((len(beam_counts), 2, len(points), spec.trials))
     for t in range(spec.trials):
-        chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
-        eff = effective_channel(chan, build_abf(chan, len(w)), mode)
+        steered = []
+        for w, aod, aoa, n0 in points:
+            chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
+            steered.append(effective_channel(chan, build_abf(chan, len(w)), mode) / math.sqrt(n0))
+        beams_first = np.array(steered).swapaxes(1, 2)  # (points, beams, n_r)
         for i, beams in enumerate(beam_counts):
-            covs = CovarianceSet(n0, eff[:, :beams].T[:, :, None])
-            out[i, :, t] = mc_mutual_information(covs, MonteCarloSpec(
+            covs = CovarianceSet(1.0, beams_first[:, :beams, :, None])
+            out[i, :, :, t] = mc_mutual_information(covs, MonteCarloSpec(
                 spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i),
-                batch=spec.mc.batch))
+                batch=spec.mc.batch)).T
     return out
 
 
@@ -326,8 +337,8 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     tags = (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET) if m == 2 else (METHOD_GENERAL_M,)
     g = float(ch.n_tx)
     aod, aoa = _draw_angles(spec, m)
-    rows = []
-    for point, (axis, n0, gains) in enumerate(points):
+    rows, mc_points = [], []
+    for axis, n0, gains in points:
         w = np.asarray(gains, dtype=np.float64)
         w = w / float(np.sum(w)) if ch.normalize else w
         # paths strongest-first, the stable order a channel drawn with these gains holds
@@ -337,10 +348,12 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         rows.append(_row(spec, axis, METHOD_SHANNON, "mmwave",
                          np.full(spec.trials, mmwave_rate(w[0], g, n0))))
         rows += [_row(spec, axis, tag, "spim", rate) for tag in tags]
-        if spec.mc is not None:
-            spim, mm = _monte_carlo(spec, w, point_aod, point_aoa, n0, (point,), (m, 1))
-            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "spim", *spim))
-            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "mmwave", *mm))
+        mc_points.append((w, point_aod, point_aoa, n0))
+    if spec.mc is not None:
+        spim, mm = _monte_carlo(spec, mc_points, (), (m, 1))
+        for p, (axis, _, _) in enumerate(points):
+            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "spim", *spim[:, p]))
+            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "mmwave", *mm[:, p]))
     return rows
 
 
@@ -352,16 +365,19 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         variant = f"m={m}"
         g = np.full(m, float(ch.n_tx))
         aod, aoa = _draw_angles(spec, m)
-        for point, gamma in enumerate(spec.grid):
+        mc_points = []
+        for gamma in spec.grid:
             gamma = float(gamma)
             # gamma ** arange(m) never rises for gamma in (0, 1): drawn order is strongest-first
             w = gamma ** np.arange(m)
             w = w / float(np.sum(w)) if ch.normalize else w
             rows.append(_row(spec, gamma, METHOD_GENERAL_M, variant,
                              spim_rate(w, g, aoa, ch.n_rx, n0)))
-            if spec.mc is not None:
-                (mc,) = _monte_carlo(spec, w, aod, aoa, n0, (point, m), (m,))
-                rows.append(_row(spec, gamma, METHOD_MONTE_CARLO, variant, *mc))
+            mc_points.append((w, aod, aoa, n0))
+        if spec.mc is not None:
+            (mc,) = _monte_carlo(spec, mc_points, (m,), (m,))
+            for p, gamma in enumerate(spec.grid):
+                rows.append(_row(spec, float(gamma), METHOD_MONTE_CARLO, variant, *mc[:, p]))
     return rows
 
 

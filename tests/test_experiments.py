@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spimmwave import (
+    CovarianceSet,
     MonteCarloSpec,
     SpecValidationError,
     build_abf,
     dirichlet_gain,
     effective_channel,
     make_rng,
+    mc_mutual_information,
     mmwave_rate,
     sample_channel,
     spim_margin,
@@ -293,6 +295,43 @@ def test_monte_carlo_rows_sample_the_beams_the_closed_form_scores():
         assert abs(row.value - closed[row.axis]) <= 4 * row.mc_stderr + 0.01
 
 
+@pytest.mark.parametrize("data", [
+    {"experiment": "snr-sweep", "grid": [-5.0, 5.0, 15.0], "channel": {"gains": [0.6, 0.4]}},
+    {"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9], "noise": {"n0": 0.1},
+     "channel": {"asymptotic": True}},
+    {"experiment": "gamma-sweep", "grid": [0.2, 0.6, 0.9], "channel": {"m": [1, 3]},
+     "noise": {"n0": 0.1}},
+])
+def test_monte_carlo_rows_equal_per_point_calls(data):
+    # one batched call per (trial, beam count) over all grid points, on the seed
+    # _mix_seed(mc.seed, t, i), or _mix_seed(mc.seed, m, t, 0) in gamma sweeps; each row
+    # equals the estimator called point by point on those seeds, with beams scaled to n0 = 1
+    spec = spec_from_dict(dict(data, trials=2, seed=3, mc={"n_samples": 2000, "seed": 9,
+                                                           "batch": 700}))
+    rows = [r for r in run_experiment(spec) if r.method == "monte-carlo"]
+    mode = "asymptotic" if spec.channel.asymptotic else "exact"
+    assert len(rows) == 2 * len(spec.grid)
+    for row in rows:
+        if spec.experiment == "gamma-sweep":
+            m = beams = int(row.variant[2:])
+            gains, n0 = row.axis ** np.arange(m), 0.1
+        else:
+            m, beams = 2, 2 if row.variant == "spim" else 1
+            gains = [0.6, 0.4] if spec.experiment == "snr-sweep" else [row.axis, 1 - row.axis]
+            n0 = 10.0 ** (-row.axis / 10.0) if spec.experiment == "snr-sweep" else 0.1
+        estimates = []
+        for t in range(spec.trials):
+            chan = sample_channel(make_rng(3, t), 64, 8, m, gains=gains)
+            eff = effective_channel(chan, build_abf(chan, m), mode) / math.sqrt(n0)
+            key = (m, t, 0) if spec.experiment == "gamma-sweep" else (t, 2 - beams)
+            covs = CovarianceSet(1.0, eff[:, :beams].T[:, :, None])
+            estimates.append(mc_mutual_information(covs, MonteCarloSpec(
+                2000, seed=experiments._mix_seed(9, *key), batch=700)))
+        values, stderrs = np.array(estimates).T
+        assert row.value == float(np.mean(values)), row
+        assert row.mc_stderr == float(np.sqrt(np.sum(stderrs ** 2)) / spec.trials), row
+
+
 def test_sweeps_draw_each_channel_once(monkeypatch):
     draws, rates = [], []
 
@@ -513,6 +552,25 @@ def test_cli_check_conditions_threshold_beyond_float_range(capsys):
     assert main(["check-conditions", "--gains", "1,0.001", "--n0", "1", "--array-gain", "1"]) == 0
     out = capsys.readouterr().out
     assert "tau=inf" in out and "does not hold" in out
+
+
+def test_cli_check_conditions_bad_gain_token_names_the_flag(capsys):
+    assert main(["check-conditions", "--gains", "1,abc", "--n0", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --gains") and "'abc'" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--array-gain", "nan"), ("--array-gain", "inf"),
+                                         ("--array-gain", "0"), ("--array-gain", "-1"),
+                                         ("--n0", "nan"), ("--n0", "-0.1")])
+def test_cli_check_conditions_bad_flag_prints_nothing_first(flag, value, capsys):
+    args = {"--gains": "1,0.5", "--n0": "0.1", flag: value}
+    assert main(["check-conditions", *[x for item in args.items() for x in item]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {flag} ")
 
 
 def test_cli_reproduce_preset(tmp_path, capsys):

@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from spimmwave import (
     CovarianceSet,
-    DimensionError,
     MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
@@ -25,9 +24,10 @@ from spimmwave import (
     pattern_alphabet,
     pattern_rate_bound,
     sample_channel,
+    steering_vector,
     total_rate_approx,
 )
-from spimmwave.montecarlo import _information, _mixture_logpdf_draws
+from spimmwave.montecarlo import _information, _span_means
 
 
 def mc_spatial_information(covs, spec):
@@ -37,8 +37,8 @@ def mc_spatial_information(covs, spec):
     the mixture entropy carries Monte-Carlo noise; in the span they are
     r + ln|C_k| nats.
     """
-    draws = _mixture_logpdf_draws(covs, spec)
-    return _information(draws.logp, draws.rank + float(np.mean(draws.logdets)))
+    (span,) = _span_means(covs, spec)
+    return _information(span, span.rank + float(np.mean(span.logdets)))
 
 
 def dense_mutual_information(covs, spec):
@@ -105,10 +105,88 @@ def test_projected_stderr_not_above_dense(oracle_grid):
         assert projected.stderr <= dense[1], key
 
 
-def test_estimator_rejects_a_batch_of_sets():
-    covs = asymptotic_covariances([0.6, 0.4], [64, 64], np.zeros((3, 2)), 8, 0.1)
-    with pytest.raises(DimensionError):
-        mc_mutual_information(covs, MonteCarloSpec(1_000))
+@st.composite
+def batched_sets(draw):
+    """A batch of random factor sets over one or two axes, K 1-8, and a spec of several chunks.
+
+    Sets may be zero (r = 0) or ragged, so ranks differ within a batch.
+    """
+    k = draw(st.integers(1, 8))
+    n_r = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 2))
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = (rng.standard_normal((*batch, k, n_r, s))
+               + 1j * rng.standard_normal((*batch, k, n_r, s))) * draw(st.floats(0.05, 8.0))
+    keep = rng.uniform(size=(*batch, k, 1, s)) < draw(st.sampled_from([1.0, 0.8]))
+    factors *= keep * (rng.uniform(size=(*batch, 1, 1, 1)) < 0.85)
+    n_samples = draw(st.integers(1_000, 2_500))
+    per_component = math.ceil(n_samples / k)
+    chunk = draw(st.integers(max(1, per_component // 4), per_component - 1))
+    spec = MonteCarloSpec(n_samples, seed=draw(st.integers(0, 2 ** 16)), batch=chunk)
+    return CovarianceSet(n0=10.0 ** draw(st.floats(-2.0, 1.0)), factors=factors), spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(batched_sets())
+def test_batched_call_equals_per_set_calls(case):
+    # the contract: a set of the batch's largest rank, K = 1 or r = 0 gets its own answer
+    covs, spec = case
+    batched = mc_mutual_information(covs, spec)
+    assert batched.shape == (*covs.factors.shape[:-3], 2)
+    ranks = np.linalg.matrix_rank(covs.stacked)
+    for index in np.ndindex(*covs.factors.shape[:-3]):
+        if covs.k == 1 or ranks[index] in (0, ranks.max()):
+            alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
+            assert tuple(batched[index]) == alone, index
+
+
+def test_lower_rank_set_pads_null_directions_that_cancel():
+    # set 0 is rank 1 (two powers of one beam), set 1 rank 2, so set 0 is sampled in
+    # two span dimensions; its second one is null, with the same energy under both
+    # components, so set 0's answer is the rank-1 formula on the first coordinate of
+    # the very same normals
+    beam = steering_vector(0.1, 8)
+    low = np.stack([2.0 * beam, 5.0 * beam])[..., None]
+    high = asymptotic_covariances([0.6, 0.4], [64, 64], [-0.2, 0.2], 8, 0.1).factors
+    n0 = 0.1
+    spec = MonteCarloSpec(3_000, seed=4, batch=600)
+    batched = mc_mutual_information(CovarianceSet(n0, np.stack([low, high])), spec)
+    power = n0 + np.array([4.0, 25.0])  # C_k on the span of beam
+    values = []
+    for comp in range(2):
+        for chunk, count in enumerate((600, 600, 300)):
+            rng = make_rng(spec.seed, stream=comp * (1 << 32) + chunk)
+            z2 = (np.square(rng.standard_normal((count, 2))[:, 0])
+                  + np.square(rng.standard_normal((count, 2))[:, 0])) / 2.0
+            other = 1 - comp
+            # own energy replaced by its mean r = 1: exp(-ln C_c) + exp(e_c - e_j - ln C_j)
+            gap = z2 * (1.0 - power[comp] / power[other]) - np.log(power[other])
+            values.append(np.logaddexp(-np.log(power[comp]), gap) - np.log(2.0) - 1.0)
+    values = np.concatenate(values)
+    estimate = -(np.mean(values) + 1.0 + np.log(n0)) / np.log(2.0)
+    stderr = np.std(values, ddof=1) / np.sqrt(values.size) / np.log(2.0)
+    assert batched[0, 0] == pytest.approx(estimate, rel=1e-12)
+    assert batched[0, 1] == pytest.approx(stderr, rel=1e-9)
+    # the full-rank set keeps its own answer
+    assert tuple(batched[1]) == mc_mutual_information(CovarianceSet(n0, high), spec)
+
+
+def test_batch_memory_does_not_grow_with_set_count():
+    # each chunk's (2 k r, count) block is formed for one set at a time
+    rng = np.random.default_rng(1)
+    covs = asymptotic_covariances(rng.uniform(0.1, 1.0, (12, 4)), np.full(4, 64.0),
+                                  rng.uniform(-0.5, 0.5, (12, 4)), 64, 0.1)
+    spec = MonteCarloSpec(20_000, seed=1)
+    peaks = []
+    for sets in (covs.factors[0], covs.factors):
+        tracemalloc.start()
+        try:
+            mc_mutual_information(CovarianceSet(0.1, sets), spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 ** 18  # about 2 MiB for one set; 256 KiB of slack
 
 
 def test_spec_rejects_small_sample_counts():
@@ -141,7 +219,7 @@ def test_zero_channel_rate_is_zero():
     # no signal span (r = 0): nothing is sampled and the answer is exact
     for k in (1, 2):
         covs = covariances(np.zeros((8, k)), pattern_alphabet(k, 1), 0.5)
-        assert _mixture_logpdf_draws(covs, MonteCarloSpec(1_000)).rank == 0
+        assert _span_means(covs, MonteCarloSpec(1_000))[0].rank == 0
         assert mc_mutual_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
         assert mc_spatial_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
 
@@ -184,7 +262,7 @@ def test_spatial_information_identical_patterns_is_zero():
     beam = asymptotic_covariances([0.5], [32.0], [0.1], 8, 0.2).factors[0]
     covs = CovarianceSet(n0=0.2, factors=np.stack([beam, beam]))
     # two patterns, one shared span dimension
-    assert _mixture_logpdf_draws(covs, MonteCarloSpec(1_000)).rank == 1
+    assert _span_means(covs, MonteCarloSpec(1_000))[0].rank == 1
     est = mc_spatial_information(covs, MonteCarloSpec(20_000, seed=4))
     assert abs(est.estimate) <= 1e-12
     assert est.stderr <= 1e-12
