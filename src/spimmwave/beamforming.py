@@ -59,8 +59,9 @@ def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
     Columns are sqrt(n_tx) * a_tx(phi_j), which keeps every entry at unit
     modulus; the coherent array gain per beam is n_tx.
     """
+    require_integer("m", m)
     if not 1 <= m <= channel.n_paths:
-        raise ParameterError(f"m must be in [1, {channel.n_paths}], got {m}")
+        raise ParameterError(f"m must be in [1, {channel.n_paths}], got {m}", field="m")
     return np.sqrt(channel.n_tx) * steering_vector(channel.aod[:m], channel.n_tx).T
 
 

@@ -52,9 +52,10 @@ class CovarianceSet:
     Holds the noise floor and the beam factors G_k, stacked as (k, n_r, s);
     a pattern with fewer than s columns is zero-padded. Leading axes before
     (k, n_r, s) hold a batch of sets sharing n0, and every closed form
-    below returns one value per set, a float for an unbatched one. The dense
-    covariances are built only on first use and cached; the object is
-    immutable otherwise and safe to share across threads.
+    below returns one value per set, a float for an unbatched one. The Gram
+    matrix of the factors and the dense covariances are built only on first
+    use and cached; the object is immutable otherwise and safe to share
+    across threads.
     """
 
     n0: float
@@ -77,11 +78,21 @@ class CovarianceSet:
     def n_r(self) -> int:
         return self.factors.shape[-2]
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """The beam factors side by side, [G_1 ... G_K], shape (..., n_r, k s)."""
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram matrix W^H W of the stacked factors W = [G_1 ... G_K], shape (..., k s, k s).
+
+        Every determinant and the Monte-Carlo oracle read the factors only
+        through this product, so it is where non-finite factors are rejected.
+        """
         *batch, k, n_r, s = self.factors.shape
-        return self.factors.swapaxes(-3, -2).reshape(*batch, n_r, k * s)
+        stacked = self.factors.swapaxes(-3, -2).reshape(*batch, n_r, k * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = stacked.conj().swapaxes(-1, -2) @ stacked
+        if not np.isfinite(gram).all():
+            raise ParameterError("beam factors must be finite, and their Gram matrix W^H W "
+                                 "must not overflow", field="factors")
+        return gram
 
     @cached_property
     def sigmas(self) -> np.ndarray:
@@ -146,12 +157,11 @@ def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
     """(..., k, k) matrices of ln|S_n + S_t|, symmetric to rounding; diagonals are ln|2 S_n|.
 
     ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t]:
-    one Gram product of the stacked factors supplies every block, and one
+    the Gram matrix of the stacked factors supplies every block, and one
     batched factorization every (2s x 2s) determinant.
     """
     k, n_r, s = covs.factors.shape[-3:]
-    stacked = covs.stacked
-    full = stacked.conj().swapaxes(-1, -2) @ stacked  # [G_1 ... G_K]^H [G_1 ... G_K]
+    full = covs.gram
     cols = np.arange(k * s).reshape(k, s)  # columns of G_n in the stacked factors
     idx = np.concatenate(np.broadcast_arrays(cols[:, None], cols[None, :]), axis=-1)
     # W_nt^H W_nt, (..., k, k, 2s, 2s); a batched gather lays the index axes out first, and

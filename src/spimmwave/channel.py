@@ -115,8 +115,9 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     reaches min_angle_separation so near-coincident paths cannot occur at
     finite array sizes.
     """
+    require_integer("n_paths", n_paths)
     if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
+        raise ParameterError("n_paths must be >= 1", field="n_paths")
     gains = np.asarray(gains, dtype=np.float64)
     if len(gains) != n_paths:
         raise ParameterError(f"expected {n_paths} gains, got {len(gains)}")

@@ -1,38 +1,28 @@
 """Monte-Carlo estimator of the exact mixture mutual information.
 
-The received signal is a K-component zero-mean complex Gaussian mixture
-whose differential entropy has no closed form. Every component is the noise
-floor plus a signal term, S_k = N0 I + G_k G_k^H, and all signal terms live
-in one span of rank r <= K n_s: the column space of the stacked beam
-factors [G_1 ... G_K], whose orthonormal basis Q comes from one thin SVD of
-that n_r x K n_s matrix, so no n_r x n_r matrix is ever formed. A received
-vector splits into its span coordinates u and the orthogonal remainder v.
-The density of v is CN(0, N0 I) under every pattern, so the estimator never
-samples it: its energy term |v|^2 / N0 is replaced by its exact mean n_r - r
-(Rao-Blackwellization), and ln|S_k| becomes (n_r - r) ln N0 + ln|C_k| with
-the r x r span covariance C_k = N0 I + P_k P_k^H = L_k L_k^H, P_k = Q^H G_k.
+The received signal is a K-component zero-mean complex Gaussian mixture,
+S_k = N0 I + G_k G_k^H, whose entropy has no closed form. By Woodbury, a
+draw y enters the log-density differences between components only through
+q = W^H y / N0, W = [G_1 ... G_K], so the estimator needs only the
+k s x k s Gram matrix A = W^H W / N0. With E_j = q_j^H (I + A_jj)^-1 q_j and
+ld_j = ln|I + A_jj|, a draw of component c contributes
+ln sum_j exp(E_j - E_c - ld_j) - ln K, and the rate in nats is minus the
+mean. Its own term is exactly exp(-ld_c): E_c and |y|^2 / N0 - n_r have the
+same exact mean tr A_cc, so both are integrated out.
 
-Only u is sampled, exactly ceil(N/K) draws from every component
-(stratification is unbiased because patterns are equiprobable and cuts
-variance). A draw u = L_c z / sqrt(2) of component c has the whitened
-energies e_j = u^H C_j^-1 u; its own one, e_c = |z|^2 / 2, has the exact
-mean r, so it is integrated as well: each draw contributes
-ln sum_j exp(e_c - e_j - ln|C_j|) - ln K - r, whose own term is exactly
-exp(-ln|C_c|). The energies are strongly correlated across components, so
-the differences e_c - e_j carry far less variance than the energies alone.
-With one pattern, or with no span (r = 0), nothing random is left: the
-answer is exact, no normals are drawn and the stderr is zero.
+Under component c, q is CN(0, B_c) with B_c = A + A_c A_c^H, A_c the s
+columns of block c. B_c may be singular (a zero channel, identical beams,
+K s > n_r), so its root comes from its eigenvalues clipped at zero. Every
+set draws K s complex normals, ceil(N/K) draws per component, and reports
+the stratified stderr sqrt(sum_c var_c / n_c) / K. One pattern (K = 1)
+leaves nothing random: the answer is ld_1, with no draws and stderr 0.
 
-A batch of sets (leading axes of the factors, one noise floor) is
-estimated on common random numbers. Draw streams are keyed by (component,
-chunk), so results are reproducible under any execution schedule; each
-stream is drawn once per call and mapped through every set's whitening
-blocks, one set at a time, so memory does not grow with the batch. The
-draws fill the batch's largest span rank. A set of lower rank pads its
-span with null directions, where C_k is N0 under every component: their
-energy is the same in every e_j and cancels from e_c - e_j. A set of the
-largest rank therefore gets the same answer as its own unbatched call,
-and the estimates of one batch are positively correlated.
+A batch of sets (leading axes of the factors, one noise floor) shares
+common random numbers. Draw streams are keyed by (component, chunk), so
+results do not depend on the schedule; each stream is drawn once per call
+and mapped through every set's whitening blocks, one set at a time, so
+memory does not grow with the batch. Every set gets the same answer as its
+own unbatched call.
 """
 
 from __future__ import annotations
@@ -76,128 +66,77 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-class _SpanMean(NamedTuple):
-    mean: float  # estimate of E ln p(u), without -r ln(pi); exact when stderr is 0
-    stderr: float  # its standard error; 0 for an exact value
-    rank: int  # r, the dimension of the span the draws fill
-    logdets: np.ndarray  # ln|C_k| of the span covariances
+def _draw_values(mix: np.ndarray, normals: np.ndarray, comp: int,
+                 logdets: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(E_j - E_c - ld_j) - ln K for each draw of component c = comp.
 
-
-def _span_cholesky(factors: np.ndarray, basis: np.ndarray, n0: float, own_rank: int):
-    """Cholesky factors L_k of C_k = N0 I + P_k P_k^H, P_k = Q^H G_k, and their ln|C_k|.
-
-    Q is `basis`; its columns past own_rank are null directions of this set,
-    zeroed so that C_k is exactly N0 there under every component.
-    """
-    proj = basis.conj().T @ factors
-    proj[:, own_rank:] = 0.0
-    chol = np.linalg.cholesky(n0 * np.eye(basis.shape[1]) + proj @ proj.conj().swapaxes(1, 2))
-    return chol, 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
-
-
-def _draw_values(mix: np.ndarray, normals: np.ndarray, comp: int, logdets: np.ndarray,
-                 offset: float) -> np.ndarray:
-    """ln sum_j exp(e_c - e_j - ln|C_j|) - ln K - r for each draw of component c = comp.
-
-    mix (2 k r, 2 r) holds the real blocks L_j^-1 L_c / sqrt(2); the own term is exp(-ln|C_c|).
+    mix (2 k s, 2 k s) holds the real blocks of L_j^-1 (R_c)_j / sqrt(2), with
+    I + A_jj = L_j L_j^H and R_c a root of B_c; the own term is exp(-ld_c).
     """
     k, count = len(logdets), normals.shape[1]
-    x = mix @ normals  # (2 k r, count), component-major rows
+    x = mix @ normals  # (2 k s, count), component-major rows
     energy = np.square(x, out=x).reshape(k, -1, count).sum(axis=1)
-    terms = energy[comp] - energy
+    terms = energy - energy[comp]
     terms -= logdets[:, None]
     terms[comp] = -logdets[comp]
     peak = terms.max(axis=0)
     terms -= peak
     total = np.exp(terms, out=terms).sum(axis=0)
-    return np.log(total, out=total) + peak - offset
-
-
-def _pooled(chunks: list) -> tuple[float, float]:
-    """Mean and its stderr from per-chunk (count, mean, sum of squared deviations)."""
-    counts, means, squares = np.array(chunks).T
-    n = counts.sum()
-    mean = counts @ means / n
-    spread = squares.sum() + counts @ np.square(means - mean)
-    return float(mean), math.sqrt(spread / (n - 1)) / math.sqrt(n)
-
-
-def _span_means(covs: CovarianceSet, spec: MonteCarloSpec) -> list[_SpanMean]:
-    """The span mixture's mean log-density, one estimate per set of the flattened batch.
-
-    A set with K = 1 or r = 0 gets one exact value. The others share their
-    draws: ceil(N/K) stratified draws per component, each (component,
-    chunk) stream drawn once in the span of the batch's largest rank and
-    mapped through every set's whitening blocks in turn.
-    """
-    k = covs.k
-    # one contiguous layout per set, so a batched product rounds as an unbatched one
-    factors = np.ascontiguousarray(covs.factors.reshape(-1, *covs.factors.shape[-3:]))
-    stacked = covs.stacked
-    stacked = stacked.reshape(-1, *stacked.shape[-2:])
-    basis, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    # numpy's matrix_rank rule; a zero channel keeps no direction (r = 0)
-    tol = sv.max(axis=-1, initial=0.0) * max(stacked.shape[-2:]) * np.finfo(np.float64).eps
-    ranks = [int(r) for r in np.count_nonzero(sv > tol[:, None], axis=-1)]
-    width = max(ranks) if k > 1 else 0
-    out = [None] * len(ranks)
-    mixes, logdets = {}, {}
-    for p, rank in enumerate(ranks):
-        if k == 1 or rank == 0:
-            _, ld = _span_cholesky(factors[p], basis[p, :, :rank], covs.n0, rank)
-            # every draw equals -ln|C_1| - r (with r = 0 every ln|C_k| is 0)
-            out[p] = _SpanMean(float(-ld[0] - rank), 0.0, rank, ld)
-            continue
-        # a lower-rank set is padded with null directions up to the width
-        chol, logdets[p] = _span_cholesky(factors[p], basis[p, :, :width], covs.n0, rank)
-        # mixes[c] block j maps unit normals to the draws of c whitened by C_j, L_j^-1 L_c / sqrt(2),
-        # as the real rows [[Re, -Im], [Im, Re]] acting on the stacked (re, im) normals
-        mix = np.linalg.solve(chol, chol[:, None]) / np.sqrt(2.0)
-        mixes[p] = np.block([[mix.real, -mix.imag],
-                             [mix.imag, mix.real]]).reshape(k, 2 * k * width, 2 * width)
-    if not mixes:
-        return out
-    per_component = math.ceil(spec.n_samples / k)
-    offset = math.log(k) + width
-    chunks = {p: [] for p in mixes}
-    for comp in range(k):
-        drawn = 0
-        chunk = 0
-        while drawn < per_component:
-            count = min(spec.batch, per_component - drawn)
-            rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
-            normals = np.empty((2 * width, count))  # rows: real parts, then imaginary parts
-            normals[:width] = rng.standard_normal((count, width)).T
-            normals[width:] = rng.standard_normal((count, width)).T
-            for p in mixes:  # one set's (2 k r, count) block at a time
-                values = _draw_values(mixes[p][comp], normals, comp, logdets[p], offset)
-                mean = values.mean()
-                values -= mean
-                chunks[p].append((count, mean, values @ values))
-            drawn += count
-            chunk += 1
-    for p in mixes:
-        out[p] = _SpanMean(*_pooled(chunks[p]), width, logdets[p])
-    return out
-
-
-def _information(span: _SpanMean, conditional: float) -> McEstimate:
-    """Entropy gap -mean - conditional, from natural log to bits, with stderr."""
-    return McEstimate(-(span.mean + conditional) / LN2, span.stderr / LN2)
+    return np.log(total, out=total) + peak - math.log(k)
 
 
 def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate | np.ndarray:
     """Estimate of the total rate h(y) - N_r log2(pi e N0) in bits, with stderr.
 
-    Off the span both entropies hold the same noise term, so only the span's
-    noise entropy, r (1 + ln N0) nats, is subtracted. An unbatched set gives
-    an McEstimate of floats. Leading axes before (k, n_r, s) give a
-    (..., 2) array of (estimate, stderr) pairs, every set estimated on the
-    same draws; a set's pair equals its own unbatched call when it has the
-    batch's largest rank, or K = 1, or r = 0.
+    An unbatched set gives an McEstimate of floats. Leading axes before
+    (k, n_r, s) give a (..., 2) array of (estimate, stderr) pairs, every set
+    estimated on the same draws; a set's pair equals its own unbatched call.
     """
-    noise = 1.0 + math.log(covs.n0)
-    out = [_information(span, span.rank * noise) for span in _span_means(covs, spec)]
-    if covs.factors.ndim == 3:
-        return out[0]
-    return np.array(out).reshape(*covs.factors.shape[:-3], 2)
+    *batch, k, _, s = covs.factors.shape
+    ks = k * s
+    gram = covs.gram.reshape(-1, ks, ks)
+    sets = len(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = gram / covs.n0
+        cols = a.reshape(sets, ks, k, s).swapaxes(1, 2)  # A_c, (sets, k, k s, s)
+        cov = a[:, None] + cols @ cols.conj().swapaxes(-1, -2)  # B_c, (sets, k, k s, k s)
+    if not np.isfinite(cov).all():
+        raise ParameterError(f"n0 = {covs.n0!r} is too small for these beam factors: the "
+                             "covariance of their projections overflows", field="n0")
+    own = np.moveaxis(a.reshape(sets, k, s, k, s).diagonal(axis1=1, axis2=3), -1, 1)
+    chol = np.linalg.cholesky(np.eye(s) + own)  # (sets, k, s, s)
+    logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    if k == 1:
+        out = np.stack([logdets[:, 0] / LN2, np.zeros(sets)], axis=-1)
+    else:
+        lam, vec = np.linalg.eigh(cov)
+        root = vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]  # B_c = R_c R_c^H
+        # mix[p, c] block j maps unit normals to the draws of c whitened by I + A_jj,
+        # L_j^-1 (R_c)_j / sqrt(2), as the real rows [[Re, -Im], [Im, Re]] acting on
+        # the stacked (re, im) normals
+        mix = np.linalg.solve(chol[:, None], root.reshape(sets, k, k, s, ks)) / np.sqrt(2.0)
+        mix = np.block([[mix.real, -mix.imag],
+                        [mix.imag, mix.real]]).reshape(sets, k, 2 * ks, 2 * ks)
+        per_component = math.ceil(spec.n_samples / k)
+        counts = np.diff([*range(0, per_component, spec.batch), per_component])
+        means = np.empty((sets, k, len(counts)))
+        squares = np.empty_like(means)
+        for comp in range(k):
+            for chunk, count in enumerate(counts):
+                rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
+                normals = np.empty((2 * ks, count))  # rows: real parts, then imaginary parts
+                normals[:ks] = rng.standard_normal((count, ks)).T
+                normals[ks:] = rng.standard_normal((count, ks)).T
+                for p in range(sets):  # one set's (2 k s, count) block at a time
+                    values = _draw_values(mix[p, comp], normals, comp, logdets[p])
+                    means[p, comp, chunk] = mean = values.mean()
+                    values -= mean
+                    squares[p, comp, chunk] = values @ values
+        # per component: pooled mean and sample variance of its chunks
+        mean = (means * counts).sum(axis=-1) / per_component
+        spread = squares.sum(axis=-1) + (np.square(means - mean[..., None]) * counts).sum(axis=-1)
+        stderr = np.sqrt((spread / (per_component - 1)).sum(axis=-1) / per_component) / k
+        out = np.stack([-mean.mean(axis=-1), stderr], axis=-1) / LN2
+    if not batch:
+        return McEstimate(float(out[0, 0]), float(out[0, 1]))
+    return out.reshape(*batch, 2)

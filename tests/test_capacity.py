@@ -23,6 +23,7 @@ from spimmwave import (
     gamma_crossover,
     geometric_mean_threshold,
     make_rng,
+    mc_mutual_information,
     mmwave_rate,
     pattern_alphabet,
     pattern_rate_bound,
@@ -166,6 +167,19 @@ NAN_CALLS = {
     "spim_rate-theta": (lambda: spim_rate([0.5, 0.5], [64, 64], [0.1, NAN], 8, 0.1), "theta"),
     "spim_rate-single-theta": (lambda: spim_rate([0.5], [64], [NAN], 8, 0.1), "theta"),
     "steering_vector-angle": (lambda: steering_vector(NAN, 4), "angle"),
+    # the Gram matrix of the factors is where both the closed forms and the oracle check them
+    "total_rate_approx-factors": (
+        lambda: total_rate_approx(CovarianceSet(0.1, np.full((2, 8, 1), NAN))), "factors"),
+    "mc_mutual_information-factors-inf": (  # one infinite entry per pattern
+        lambda: mc_mutual_information(
+            CovarianceSet(0.1, np.where(np.eye(2, 8)[..., None], INF, 1.0)), MonteCarloSpec()),
+        "factors"),
+    "mc_mutual_information-factors-overflow": (
+        lambda: mc_mutual_information(CovarianceSet(0.1, np.full((2, 8, 1), 1e200)),
+                                      MonteCarloSpec()), "factors"),
+    "mc_mutual_information-n0-tiny": (
+        lambda: mc_mutual_information(CovarianceSet(1e-160, np.ones((2, 8, 1))),
+                                      MonteCarloSpec()), "n0"),
 }
 
 
@@ -186,6 +200,11 @@ FLOAT_COUNTS = {
     "MonteCarloSpec-bool": (lambda: MonteCarloSpec(seed=True), "seed"),
     "dirichlet_gain-n_r": (lambda: dirichlet_gain(0.3, 2.5), "n_r"),
     "pattern_alphabet-m": (lambda: pattern_alphabet(2.5, 1), "m"),
+    "sample_channel-n_paths": (
+        lambda: sample_channel(make_rng(0), 64, 8, 2.0, gains=[1, 1]), "n_paths"),
+    "sample_channel-bool": (lambda: sample_channel(make_rng(0), 64, 8, True, gains=[1]), "n_paths"),
+    "build_abf-m": (
+        lambda: build_abf(sample_channel(make_rng(0), 64, 8, 2, gains=[1, 1]), 1.5), "m"),
 }
 
 

@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 
 from spimmwave import (
     CovarianceSet,
+    McEstimate,
     MonteCarloSpec,
     ParameterError,
     asymptotic_covariances,
@@ -24,28 +25,27 @@ from spimmwave import (
     pattern_alphabet,
     pattern_rate_bound,
     sample_channel,
-    steering_vector,
     total_rate_approx,
 )
-from spimmwave.montecarlo import _information, _span_means
 
 
 def mc_spatial_information(covs, spec):
     """Estimate of the pattern-index rate h(y) - (1/K) sum_k h(y | pattern k).
 
     Per-component entropies are analytic, log2((pi e)^N_r |S_k|), so only
-    the mixture entropy carries Monte-Carlo noise; in the span they are
-    r + ln|C_k| nats.
+    the mixture entropy carries Monte-Carlo noise: this is the total-rate
+    estimate minus conditional_symbol_rate, with the same stderr.
     """
-    (span,) = _span_means(covs, spec)
-    return _information(span, span.rank + float(np.mean(span.logdets)))
+    est = mc_mutual_information(covs, spec)
+    return McEstimate(est.estimate - conditional_symbol_rate(covs), est.stderr)
 
 
 def dense_mutual_information(covs, spec):
     """Oracle: the full n_r-dimensional estimator, whitening every draw densely.
 
     It samples all receive dimensions, orthogonal noise included, from the
-    same (component, chunk) Philox keys as the package estimator.
+    same (component, chunk) Philox keys as the package estimator, and
+    reports the same stratified stderr, sqrt(sum_c var_c / n_c) / K.
     """
     k, n_r = covs.k, covs.n_r
     chol = np.linalg.cholesky(covs.sigmas)
@@ -53,7 +53,7 @@ def dense_mutual_information(covs, spec):
     whiten = np.stack([solve_triangular(chol[j], eye, lower=True) for j in range(k)])
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
     per_component = math.ceil(spec.n_samples / k)
-    logp = []
+    logp = [[] for _ in range(k)]
     for comp in range(k):
         drawn = chunk = 0
         while drawn < per_component:
@@ -65,16 +65,17 @@ def dense_mutual_information(covs, spec):
             comp_logpdf = np.stack([
                 -np.sum(np.abs(whiten[j] @ y) ** 2, axis=0) - n_r * np.log(np.pi) - logdets[j]
                 for j in range(k)])
-            logp.append(logsumexp(comp_logpdf, axis=0) - np.log(k))
+            logp[comp].append(logsumexp(comp_logpdf, axis=0) - np.log(k))
             drawn += count
             chunk += 1
-    logp = np.concatenate(logp)
+    logp = np.array([np.concatenate(draws) for draws in logp])  # (k, per_component)
     estimate = -np.mean(logp) / np.log(2) - n_r * np.log2(np.pi * np.e * covs.n0)
-    return estimate, np.std(logp, ddof=1) / np.sqrt(logp.size) / np.log(2)
+    variance = np.sum(np.var(logp, axis=1, ddof=1) / per_component)
+    return estimate, np.sqrt(variance) / k / np.log(2)
 
 
 ORACLE_K = (1, 2, 4, 8)
-ORACLE_NR = (8, 64)
+ORACLE_NR = (4, 8, 64)  # n_r = 4 < K s = 8 leaves B_c singular
 ORACLE_N0 = (0.01, 0.1, 1.0)
 
 
@@ -109,7 +110,7 @@ def test_projected_stderr_not_above_dense(oracle_grid):
 def batched_sets(draw):
     """A batch of random factor sets over one or two axes, K 1-8, and a spec of several chunks.
 
-    Sets may be zero (r = 0) or ragged, so ranks differ within a batch.
+    Sets may be zero or ragged, so ranks differ within a batch.
     """
     k = draw(st.integers(1, 8))
     n_r = draw(st.integers(1, 12))
@@ -130,50 +131,16 @@ def batched_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(batched_sets())
 def test_batched_call_equals_per_set_calls(case):
-    # the contract: a set of the batch's largest rank, K = 1 or r = 0 gets its own answer
     covs, spec = case
     batched = mc_mutual_information(covs, spec)
     assert batched.shape == (*covs.factors.shape[:-3], 2)
-    ranks = np.linalg.matrix_rank(covs.stacked)
     for index in np.ndindex(*covs.factors.shape[:-3]):
-        if covs.k == 1 or ranks[index] in (0, ranks.max()):
-            alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
-            assert tuple(batched[index]) == alone, index
-
-
-def test_lower_rank_set_pads_null_directions_that_cancel():
-    # set 0 is rank 1 (two powers of one beam), set 1 rank 2, so set 0 is sampled in
-    # two span dimensions; its second one is null, with the same energy under both
-    # components, so set 0's answer is the rank-1 formula on the first coordinate of
-    # the very same normals
-    beam = steering_vector(0.1, 8)
-    low = np.stack([2.0 * beam, 5.0 * beam])[..., None]
-    high = asymptotic_covariances([0.6, 0.4], [64, 64], [-0.2, 0.2], 8, 0.1).factors
-    n0 = 0.1
-    spec = MonteCarloSpec(3_000, seed=4, batch=600)
-    batched = mc_mutual_information(CovarianceSet(n0, np.stack([low, high])), spec)
-    power = n0 + np.array([4.0, 25.0])  # C_k on the span of beam
-    values = []
-    for comp in range(2):
-        for chunk, count in enumerate((600, 600, 300)):
-            rng = make_rng(spec.seed, stream=comp * (1 << 32) + chunk)
-            z2 = (np.square(rng.standard_normal((count, 2))[:, 0])
-                  + np.square(rng.standard_normal((count, 2))[:, 0])) / 2.0
-            other = 1 - comp
-            # own energy replaced by its mean r = 1: exp(-ln C_c) + exp(e_c - e_j - ln C_j)
-            gap = z2 * (1.0 - power[comp] / power[other]) - np.log(power[other])
-            values.append(np.logaddexp(-np.log(power[comp]), gap) - np.log(2.0) - 1.0)
-    values = np.concatenate(values)
-    estimate = -(np.mean(values) + 1.0 + np.log(n0)) / np.log(2.0)
-    stderr = np.std(values, ddof=1) / np.sqrt(values.size) / np.log(2.0)
-    assert batched[0, 0] == pytest.approx(estimate, rel=1e-12)
-    assert batched[0, 1] == pytest.approx(stderr, rel=1e-9)
-    # the full-rank set keeps its own answer
-    assert tuple(batched[1]) == mc_mutual_information(CovarianceSet(n0, high), spec)
+        alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
+        assert tuple(batched[index]) == alone, index
 
 
 def test_batch_memory_does_not_grow_with_set_count():
-    # each chunk's (2 k r, count) block is formed for one set at a time
+    # each chunk's (2 k s, count) block is formed for one set at a time
     rng = np.random.default_rng(1)
     covs = asymptotic_covariances(rng.uniform(0.1, 1.0, (12, 4)), np.full(4, 64.0),
                                   rng.uniform(-0.5, 0.5, (12, 4)), 64, 0.1)
@@ -216,10 +183,9 @@ def test_runs_on_large_arrays(n_rx):
 
 
 def test_zero_channel_rate_is_zero():
-    # no signal span (r = 0): nothing is sampled and the answer is exact
+    # every draw projects to q = 0, so every value is exactly 0
     for k in (1, 2):
         covs = covariances(np.zeros((8, k)), pattern_alphabet(k, 1), 0.5)
-        assert _span_means(covs, MonteCarloSpec(1_000))[0].rank == 0
         assert mc_mutual_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
         assert mc_spatial_information(covs, MonteCarloSpec(20_000, seed=1)) == (0.0, 0.0)
 
@@ -261,8 +227,7 @@ def test_spatial_information_single_pattern_is_zero():
 def test_spatial_information_identical_patterns_is_zero():
     beam = asymptotic_covariances([0.5], [32.0], [0.1], 8, 0.2).factors[0]
     covs = CovarianceSet(n0=0.2, factors=np.stack([beam, beam]))
-    # two patterns, one shared span dimension
-    assert _span_means(covs, MonteCarloSpec(1_000))[0].rank == 1
+    # B_c has rank one of two
     est = mc_spatial_information(covs, MonteCarloSpec(20_000, seed=4))
     assert abs(est.estimate) <= 1e-12
     assert est.stderr <= 1e-12
@@ -294,7 +259,7 @@ def mixtures(draw):
 
 @given(mixtures(), st.integers(0, 2 ** 16))
 def test_spatial_information_between_bound_and_alphabet_size(covs, seed):
-    # 1e-12 absorbs the rounding of the exact K = 1 and r = 0 answers
+    # 1e-12 absorbs the rounding of the exact K = 1 and zero-channel answers
     est = mc_spatial_information(covs, MonteCarloSpec(2_000, seed=seed))
     slack = 3 * est.stderr + 1e-12
     assert pattern_rate_bound(covs) - slack <= est.estimate <= math.log2(covs.k) + slack
@@ -329,6 +294,20 @@ def test_total_rate_sandwich():
         assert est.estimate <= symbol + 1.0 + 3 * est.stderr
 
 
+@pytest.mark.parametrize("k, mode, n_r, n0", [
+    (2, "exact", 8, 0.1), (8, "exact", 8, 0.1),
+    (2, "asymptotic", 64, 0.1), (8, "asymptotic", 64, 0.01)])
+def test_stderr_matches_seed_to_seed_spread(k, mode, n_r, n0):
+    # the reported stderr is calibrated: too large or too small a formula both fail
+    chan = sample_channel(make_rng(k, n_r), 64, n_r, k, gains=list(0.7 ** np.arange(k)))
+    eff = effective_channel(chan, build_abf(chan, k), mode)
+    covs = covariances(eff, pattern_alphabet(k, 1), n0)
+    runs = np.array([mc_mutual_information(covs, MonteCarloSpec(2_000, seed=seed))
+                     for seed in range(200)])
+    ratio = np.std(runs[:, 0], ddof=1) / np.mean(runs[:, 1])
+    assert 0.8 <= ratio <= 1.25
+
+
 def test_stderr_scales_with_sample_count():
     covs = asymptotic_covariances([0.9, 0.1], [64, 64], [-0.15, 0.2], 8, 0.1)
     ratios = []
@@ -340,9 +319,10 @@ def test_stderr_scales_with_sample_count():
 
 
 def test_agreement_with_closed_form_on_separated_draws():
-    # balanced gains, beams outside each other's main lobe, snr >= 2 dB
+    # balanced gains, beams outside each other's main lobe, snr >= 2 dB; at n0 = 1e-8 the
+    # components separate and both sides tend to log2 K + conditional_symbol_rate
     rng = np.random.default_rng(10)
-    for snr_db in (2.0, 10.0):
+    for snr_db, tol in ((2.0, 0.15), (10.0, 0.15), (80.0, 1e-6)):
         n0 = 10 ** (-snr_db / 10)
         for _ in range(5):
             theta = rng.uniform(-0.25, 0.25, 2)
@@ -350,4 +330,4 @@ def test_agreement_with_closed_form_on_separated_draws():
                 theta = rng.uniform(-0.25, 0.25, 2)
             covs = asymptotic_covariances([0.6, 0.4], [64, 64], theta, 8, n0)
             est = mc_mutual_information(covs, MonteCarloSpec(50_000, seed=int(snr_db)))
-            assert abs(est.estimate - total_rate_approx(covs)) <= 0.15
+            assert abs(est.estimate - total_rate_approx(covs)) <= tol
