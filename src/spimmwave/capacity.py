@@ -11,8 +11,13 @@ gives the closed-form approximation implemented here.
 Every determinant comes from one identity on the small Gram matrix of the
 beam factors, ln|c N0 I + W W^H| = n_r ln(c N0) + ln|I + W^H W / (c N0)|,
 so the cost does not grow with the receive array beyond one Gram product.
-All log-determinant work happens in natural logs and converts to bits at
-the boundary.
+A CovarianceSet factors each pattern's block I + G_k^H G_k / N0 once; its
+determinants, the diagonal of the pair kernel and the Monte-Carlo
+whitening all read that factorization, and the pair kernel factors only
+the K(K-1)/2 distinct pairs. The Gram matrix is also where n0 is checked
+against the factors, so the closed forms and the oracle fail alike, by
+name, when W^H W / N0 leaves the float range. All log-determinant work
+happens in natural logs and converts to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import hermitian_logdet, require_integer
+from .numerics import cholesky_logdet, require_integer
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
@@ -83,16 +88,34 @@ class CovarianceSet:
         """Gram matrix W^H W of the stacked factors W = [G_1 ... G_K], shape (..., k s, k s).
 
         Every determinant and the Monte-Carlo oracle read the factors only
-        through this product, so it is where non-finite factors are rejected.
+        through this product, so it is where non-finite factors are rejected,
+        and where n0 is checked against them: the oracle squares W^H W / N0,
+        so k s (max |W^H W| / N0)^2 must stay finite.
         """
         *batch, k, n_r, s = self.factors.shape
         stacked = self.factors.swapaxes(-3, -2).reshape(*batch, n_r, k * s)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = stacked.conj().swapaxes(-1, -2) @ stacked
+            square = k * s * (np.abs(gram).max(initial=0.0) / self.n0) ** 2
         if not np.isfinite(gram).all():
             raise ParameterError("beam factors must be finite, and their Gram matrix W^H W "
                                  "must not overflow", field="factors")
+        if not square < math.inf:
+            raise ParameterError(f"n0 = {self.n0} is too small for these beam factors: "
+                                 "the square of W^H W / n0 overflows", field="n0")
         return gram
+
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one per-pattern factorization: (L, ld) with I + G_k^H G_k / N0 = L_k L_k^H.
+
+        L is (..., k, s, s), taken from the Gram matrix's diagonal blocks, and
+        ld (..., k) holds ln|I + G_k^H G_k / N0|. logdets, the pair kernel's
+        diagonal and the Monte-Carlo whitening all read it.
+        """
+        k, s = self.k, self.factors.shape[-1]
+        blocks = self.gram.reshape(*self.gram.shape[:-2], k, s, k, s).diagonal(axis1=-4, axis2=-2)
+        return cholesky_logdet(np.eye(s) + np.moveaxis(blocks, -1, -3) / self.n0)
 
     @cached_property
     def sigmas(self) -> np.ndarray:
@@ -101,11 +124,8 @@ class CovarianceSet:
         return self.n0 * np.eye(self.n_r) + fac @ fac.conj().swapaxes(-1, -2)
 
     def logdets(self) -> np.ndarray:
-        """Natural-log determinants ln|S_k| = n_r ln N0 + ln|I + G_k^H G_k / N0|.
-
-        Read off the diagonal ln|2 S_k| of the pair kernel.
-        """
-        return np.diagonal(_pair_logdets(self), axis1=-2, axis2=-1) - self.n_r * LN2
+        """Natural-log determinants ln|S_k| = n_r ln N0 + ln|I + G_k^H G_k / N0|."""
+        return self.n_r * math.log(self.n0) + self.cholesky[1]
 
 
 def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
@@ -154,21 +174,26 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
 
 
 def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
-    """(..., k, k) matrices of ln|S_n + S_t|, symmetric to rounding; diagonals are ln|2 S_n|.
+    """(..., k, k) symmetric matrices of ln|S_n + S_t|; diagonals are ln|2 S_n|.
 
     ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t]:
     the Gram matrix of the stacked factors supplies every block, and one
-    batched factorization every (2s x 2s) determinant.
+    batched factorization the (2s x 2s) determinant of each distinct pair
+    n < t, written to both halves. A self pair [G_n, G_n] is singular to
+    rounding at small N0, so the diagonal n_r ln 2N0 + ln|I + G_n^H G_n / N0|
+    comes from the per-pattern factorization instead.
     """
     k, n_r, s = covs.factors.shape[-3:]
-    full = covs.gram
+    n, t = np.nonzero(np.less.outer(range(k), range(k)))  # the distinct pairs n < t
     cols = np.arange(k * s).reshape(k, s)  # columns of G_n in the stacked factors
-    idx = np.concatenate(np.broadcast_arrays(cols[:, None], cols[None, :]), axis=-1)
-    # W_nt^H W_nt, (..., k, k, 2s, 2s); a batched gather lays the index axes out first, and
+    idx = np.concatenate([cols[n], cols[t]], axis=-1)
+    # W_nt^H W_nt, (..., pairs, 2s, 2s); a batched gather lays the index axes out first, and
     # the row sums below must see one layout for any batch to keep batched calls bit-exact
-    gram = np.ascontiguousarray(full[..., idx[..., :, None], idx[..., None, :]])
+    gram = np.ascontiguousarray(covs.gram[..., idx[:, :, None], idx[:, None, :]])
     two_n0 = 2.0 * covs.n0
-    return n_r * math.log(two_n0) + hermitian_logdet(np.eye(2 * s) + gram / two_n0)
+    ld = covs.cholesky[1][..., None] * np.eye(k)  # ln|I + G_n^H G_n / N0| on the diagonal
+    ld[..., n, t] = ld[..., t, n] = cholesky_logdet(np.eye(2 * s) + gram / two_n0)[1]
+    return n_r * math.log(two_n0) + ld
 
 
 def _mean_logsumexp(x: np.ndarray) -> np.ndarray:
@@ -184,8 +209,7 @@ def _bits(x):
 
 def conditional_symbol_rate(covs: CovarianceSet) -> float:
     """Mean per-pattern Shannon rate (1/K) sum_k log2 |S_k / N0|, in bits."""
-    ld = covs.logdets()
-    return _bits(np.mean(ld - covs.n_r * np.log(covs.n0), axis=-1) / LN2)
+    return _bits(np.mean(covs.cholesky[1], axis=-1) / LN2)
 
 
 def pattern_rate_bound(covs: CovarianceSet) -> float:
@@ -194,9 +218,7 @@ def pattern_rate_bound(covs: CovarianceSet) -> float:
     log2 K - N_r log2 e - (1/K) sum_n log2 sum_t |S_n| / |S_n + S_t|.
     This is a bound, not a rate: it goes negative when patterns overlap.
     """
-    pair = _pair_logdets(covs)
-    ld = np.diagonal(pair, axis1=-2, axis2=-1) - covs.n_r * LN2
-    inner = _mean_logsumexp(ld[..., :, None] - pair)
+    inner = _mean_logsumexp(covs.logdets()[..., :, None] - _pair_logdets(covs))
     return _bits(np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2)
 
 
@@ -220,7 +242,11 @@ def mmwave_rate(w1, g1, n0: float) -> float:
     w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
     if not ((0 <= w1) & (w1 < np.inf) & (0 <= g1) & (g1 < np.inf)).all():
         raise ParameterError(f"gains w1 and g1 must be finite and >= 0, got {w1}, {g1}")
-    return _bits(np.log1p(w1 * g1 / n0) / LN2)
+    with np.errstate(over="ignore"):
+        snr = w1 * g1 / n0
+    if not (snr < np.inf).all():
+        raise ParameterError(f"n0 = {n0} is too small: w1 g1 / n0 overflows", field="n0")
+    return _bits(np.log1p(snr) / LN2)
 
 
 def dirichlet_gain(delta_theta: float, n_r: int) -> float:

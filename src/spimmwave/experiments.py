@@ -302,10 +302,11 @@ def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
     angles in the same path order, and the noise floor. Entry [i, :, p, t]
     is the (estimate, stderr) of switching among the first beam_counts[i]
     steered beams of trial t's channel at point p; each beam is one
-    equiprobable pattern, the system spim_rate scores. All points of one trial and beam count are estimated in one call,
-    on the draws of the seed _mix_seed(mc.seed, *key, t, i). The sets of one
-    call share a noise floor, so each point's beams are scaled by 1/sqrt(N0)
-    and sampled at n0 = 1: the rate depends only on G G^H / N0.
+    equiprobable pattern, the system spim_rate scores. All points of one
+    trial and beam count are estimated in one call, on the draws of the
+    seed _mix_seed(mc.seed, *key, t, i). The sets of one call share a noise
+    floor, so each point's beams are scaled by 1/sqrt(N0) and sampled at
+    n0 = 1: the rate depends only on G G^H / N0.
     """
     ch = spec.channel
     mode = "asymptotic" if ch.asymptotic else "exact"

@@ -5,7 +5,8 @@ S_k = N0 I + G_k G_k^H, whose entropy has no closed form. By Woodbury, a
 draw y enters the log-density differences between components only through
 q = W^H y / N0, W = [G_1 ... G_K], so the estimator needs only the
 k s x k s Gram matrix A = W^H W / N0. With E_j = q_j^H (I + A_jj)^-1 q_j and
-ld_j = ln|I + A_jj|, a draw of component c contributes
+ld_j = ln|I + A_jj|, both read off the set's own per-pattern Cholesky
+factors I + A_jj = L_j L_j^H, a draw of component c contributes
 ln sum_j exp(E_j - E_c - ld_j) - ln K, and the rate in nats is minus the
 mean. Its own term is exactly exp(-ld_c): E_c and |y|^2 / N0 - n_r have the
 same exact mean tr A_cc, so both are integrated out.
@@ -91,24 +92,17 @@ def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstima
     An unbatched set gives an McEstimate of floats. Leading axes before
     (k, n_r, s) give a (..., 2) array of (estimate, stderr) pairs, every set
     estimated on the same draws; a set's pair equals its own unbatched call.
+    An n0 too small for the factors fails in covs.gram, as for the closed forms.
     """
     *batch, k, _, s = covs.factors.shape
-    ks = k * s
-    gram = covs.gram.reshape(-1, ks, ks)
-    sets = len(gram)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = gram / covs.n0
-        cols = a.reshape(sets, ks, k, s).swapaxes(1, 2)  # A_c, (sets, k, k s, s)
-        cov = a[:, None] + cols @ cols.conj().swapaxes(-1, -2)  # B_c, (sets, k, k s, k s)
-    if not np.isfinite(cov).all():
-        raise ParameterError(f"n0 = {covs.n0!r} is too small for these beam factors: the "
-                             "covariance of their projections overflows", field="n0")
-    own = np.moveaxis(a.reshape(sets, k, s, k, s).diagonal(axis1=1, axis2=3), -1, 1)
-    chol = np.linalg.cholesky(np.eye(s) + own)  # (sets, k, s, s)
-    logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    ks, sets = k * s, math.prod(batch)
+    chol, logdets = covs.cholesky[0].reshape(sets, k, s, s), covs.cholesky[1].reshape(sets, k)
     if k == 1:
         out = np.stack([logdets[:, 0] / LN2, np.zeros(sets)], axis=-1)
     else:
+        a = covs.gram.reshape(sets, ks, ks) / covs.n0
+        cols = a.reshape(sets, ks, k, s).swapaxes(1, 2)  # A_c, (sets, k, k s, s)
+        cov = a[:, None] + cols @ cols.conj().swapaxes(-1, -2)  # B_c, (sets, k, k s, k s)
         lam, vec = np.linalg.eigh(cov)
         root = vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]  # B_c = R_c R_c^H
         # mix[p, c] block j maps unit normals to the draws of c whitened by I + A_jj,

@@ -1,12 +1,15 @@
 """Log-determinant kernel and reproducible random sampling.
 
 Every determinant taken in this package is of a Hermitian positive-definite
-matrix, so factorization goes through Cholesky: it is numerically stable
-and rejects non-PD input for free. Determinants are only ever returned as
-logs, which neither underflow nor overflow at large array sizes. Randomness
-is built on counter-based Philox streams keyed by (seed, stream); identical
-pairs reproduce identical sequences under any parallel schedule, distinct
-stream ids are independent.
+matrix I + W^H W / c, W the beams of one pattern or of two distinct ones.
+No self pair [G, G] is ever factored, so these matrices are positive
+definite in floating point too, not only in exact arithmetic, as long as
+no two beams coincide. Factorization goes through Cholesky: it is
+numerically stable and rejects non-PD input for free. Determinants are
+only ever returned as logs, which neither underflow nor overflow at large
+array sizes. Randomness is built on counter-based Philox streams keyed by
+(seed, stream); identical pairs reproduce identical sequences under any
+parallel schedule, distinct stream ids are independent.
 """
 
 from __future__ import annotations
@@ -45,9 +48,19 @@ def hermitian_logdet(m: np.ndarray):
     tol = 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol:
         raise ParameterError("matrix is not Hermitian")
+    out = cholesky_logdet(m)[1]
+    return float(out) if m.ndim == 2 else out
+
+
+def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors L of Hermitian positive-definite matrices, and their log-determinants.
+
+    A stack over leading axes gives a stack of factors and an array of logs.
+    Only the lower triangles are read; raises if any matrix is not positive
+    definite.
+    """
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-    out = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
-    return float(out) if m.ndim == 2 else out
+    return chol, 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)

@@ -180,6 +180,12 @@ NAN_CALLS = {
     "mc_mutual_information-n0-tiny": (
         lambda: mc_mutual_information(CovarianceSet(1e-160, np.ones((2, 8, 1))),
                                       MonteCarloSpec()), "n0"),
+    # the same range check on W^H W / n0 guards the closed forms
+    "total_rate_approx-n0-tiny": (
+        lambda: total_rate_approx(CovarianceSet(1e-160, np.ones((2, 8, 1)))), "n0"),
+    # w1 g1 / n0 overflows at a subnormal noise floor
+    "mmwave_rate-n0-subnormal": (lambda: mmwave_rate(0.6, 64, 1e-320), "n0"),
+    "spim_rate-single-n0-subnormal": (lambda: spim_rate([0.6], [64], [0.1], 8, 1e-320), "n0"),
 }
 
 
@@ -356,14 +362,29 @@ def test_pair_determinant_doubling_identity():
 
 
 def test_pair_determinant_orthogonal_beams():
-    # receive-orthogonal beams factor into the product form
-    n_r, n0 = 8, 0.25
-    w = (0.7, 0.2)
-    g = (64.0, 64.0)
-    covs = asymptotic_covariances(w, g, [0.0, 2 / n_r], n_r, n0)
-    product_form = n_r * np.log(2 * n0) + np.log1p(w[0] * g[0] / (2 * n0)) \
-        + np.log1p(w[1] * g[1] / (2 * n0))
-    assert abs(np.expm1(_pair_logdets(covs)[0, 1] - product_form)) <= 1e-12
+    # receive-orthogonal beams factor into the product form; the diagonal is ln|2 S_n|,
+    # also where w g / N0 > 2^53 would make a self pair [G_n, G_n] singular to rounding
+    n_r = 8
+    w = np.array([0.7, 0.2])
+    g = np.array([64.0, 64.0])
+    for n0 in (0.25, 1e-8, 1e-14, 1e-20):
+        pair = _pair_logdets(asymptotic_covariances(w, g, [0.0, 2 / n_r], n_r, n0))
+        own = np.log1p(w * g / n0)
+        cross = np.sum(np.log1p(w * g / (2 * n0)))
+        expected = n_r * np.log(2 * n0) + np.array([[own[0], cross], [cross, own[1]]])
+        assert np.abs(np.expm1(pair - expected)).max() <= 1e-12, n0
+        assert np.array_equal(pair, pair.T)
+
+
+def test_symbol_rate_exact_channel_at_tiny_noise():
+    # ln|S_k / N0| of a rank-one pattern is log1p(|h_k|^2 / N0) down to n0 = 1e-14,
+    # where reading it off the self pair was 0.085 bits off
+    chan = sample_channel(make_rng(4), 64, 8, 2, gains=[0.6, 0.4])
+    eff = effective_channel(chan, build_abf(chan, 2), "exact")
+    n0 = 1e-14
+    covs = covariances(eff, pattern_alphabet(2, 1), n0)
+    expected = np.mean(np.log2(1 + np.sum(np.abs(eff) ** 2, axis=0) / n0))
+    assert abs(conditional_symbol_rate(covs) - expected) <= 1e-12
 
 
 def test_pair_determinant_matches_brute_force():
@@ -488,6 +509,20 @@ def test_general_rate_two_beams_matches_pair_form():
         core = np.outer(1.0 + half, 1.0 + half) - np.outer(half, half) * q
         pair = 1.0 - 0.5 * np.sum(np.log2(np.sum(1.0 / core, axis=1)))
         assert_allclose(spim_rate(w, [64.0, 64.0], theta, 8, n0), pair, rtol=1e-9)
+
+
+def test_general_rate_two_beams_at_tiny_noise():
+    # the pair form without cancellation, P_nn = log1p(2 a_n) and
+    # P_nt = ln(a_n a_t (1 - q) + a_n + a_t + 1) with a = w g / 2N0, is within 5e-15 bits
+    # of a 60-digit evaluation at these n0; the self-pair diagonal was 0.16 bits off at 1e-14
+    w, g = np.array([0.6, 0.4]), np.array([64.0, 64.0])
+    q = dirichlet_gain(0.4, 8)
+    for n0 in (1e-4, 1e-8, 1e-10, 1e-14, 1e-20):
+        a = w * g / (2.0 * n0)
+        p = np.log(np.outer(a, a) * (1.0 - q) + a[:, None] + a[None, :] + 1.0)
+        np.fill_diagonal(p, np.log1p(2.0 * a))
+        form = 1.0 - np.mean(logsumexp(-p, axis=1)) / np.log(2.0)
+        assert abs(spim_rate(w, g, [-0.2, 0.2], 8, n0) - form) <= 1e-12, n0
 
 
 def test_general_rate_permutation_symmetry():

@@ -510,6 +510,26 @@ def test_cli_run_overrides_fail_like_reproduce(tmp_path, capsys):
     assert main(["run", str(spec_path), "--mc-samples", "10"]) == 0
 
 
+def test_snr_sweep_at_extreme_snr_gives_finite_rows():
+    # at 160 dB, w g / N0 > 2^53: the closed forms used to factor a singular self pair
+    rows = run_experiment(tiny_snr_spec(grid=[20.0, 160.0], channel={"gains": [0.6, 0.4]}))
+    assert len(rows) == 10
+    assert all(math.isfinite(row.value) and math.isfinite(row.value_std) for row in rows)
+
+
+def test_cli_run_subnormal_noise_fails_in_one_line_naming_n0(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    csv_path = tmp_path / "out.csv"
+    spec_path.write_text(json.dumps({
+        "experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [1]},
+        "noise": {"n0": 1e-320}, "trials": 2, "outputs": {"csv": str(csv_path)},
+    }), encoding="utf-8")
+    assert main(["run", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n0 ") and err.count("\n") == 1
+    assert not csv_path.exists()
+
+
 def test_cli_rejects_invalid_spec(tmp_path):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text('{"experiment": "snr-sweep"}', encoding="utf-8")
