@@ -11,6 +11,7 @@ blind guess is not safe).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -87,20 +88,26 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     return ThresholdResult(tau=tau, geo_mean=geo_mean, holds=bool(geo_mean > tau * w[0]))
 
 
-def _log_condition(m, gamma, n0: float, g1: float):
+def _beam_term(m):
+    """The gamma-free term M/(M-1) ln M of the log decay condition, elementwise over m."""
+    return m / (m - 1.0) * np.log(m)
+
+
+def _log_condition(m, beam_term, gamma, n0: float, g1: float):
     """Natural log of the decay-condition value for m > 1, elementwise over m and gamma.
 
-    gamma^(1-M) is evaluated as exp((1-M) ln gamma): where it overflows the
-    penalty is infinite and the log is -inf (a value of 0) instead of an
-    OverflowError; with n0 = 0 there is no penalty at all, never 0 * inf.
+    beam_term is _beam_term(m), which a caller evaluating many gammas computes
+    once. gamma^(1-M) is evaluated as exp((1-M) ln gamma): where it overflows,
+    the penalty is infinite and the log is -inf (a value of 0) instead of an
+    OverflowError. The caller enters np.errstate(over="ignore") once around
+    all its evaluations. With n0 = 0 there is no penalty at all, never 0 * inf.
     """
     log_gamma = np.log(gamma)
-    lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
+    lead = beam_term + m / 2.0 * log_gamma
     if n0 == 0:
         return lead
-    with np.errstate(over="ignore"):
-        inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
-        return lead - 4.0 * n0 * inverse_gain_sum / g1
+    inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
+    return lead - 4.0 * n0 * inverse_gain_sum / g1
 
 
 def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float:
@@ -116,7 +123,25 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         raise ParameterError(f"m must be finite and >= 1, got {m}")
     if m == 1:
         return 1.0
-    return float(np.exp(_log_condition(m, gamma, n0, g1)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
+
+
+@functools.lru_cache(maxsize=2)
+def _margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """spim_margin's candidate beam counts and their gamma-free terms, both read-only.
+
+    A margin map asks every point for the same grid, so the last two grids
+    are kept; at the b_max cap the relaxed grid alone holds 6.6M candidates.
+    """
+    if relax_integer:
+        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
+        candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
+    else:
+        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
+    beam_term = _beam_term(candidates)
+    candidates.flags.writeable = beam_term.flags.writeable = False
+    return candidates, beam_term
 
 
 def spim_margin(gamma: float, n0: float, g1: float, b_max: int = 6,
@@ -131,12 +156,9 @@ def spim_margin(gamma: float, n0: float, g1: float, b_max: int = 6,
     require_integer("b_max", b_max)
     if not 0 <= b_max <= _B_MAX_CAP:
         raise ParameterError(f"b_max must lie in [0, {_B_MAX_CAP}], got {b_max}", field="b_max")
-    if relax_integer:
-        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
-        candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
-    else:
-        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
-    wins = candidates[_log_condition(candidates, gamma, n0, g1) > 0.0]
+    candidates, beam_term = _margin_grid(b_max, relax_integer)
+    with np.errstate(over="ignore"):
+        wins = candidates[_log_condition(candidates, beam_term, gamma, n0, g1) > 0.0]
     best = float(wins[-1]) if wins.size else 1.0
     return best if relax_integer else int(best)
 
@@ -151,14 +173,17 @@ def gamma_crossover(m: float, n0: float, g1: float) -> float:
         raise ParameterError(f"m must be finite and >= 2, got {m}")
     _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9
-    if not _log_condition(m, lo, n0, g1) < 0.0 < _log_condition(m, hi, n0, g1):
-        raise NoRootError(
-            f"no sign change of the decay condition in ({lo}, {hi}) for m={m}, n0={n0}")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if _log_condition(m, mid, n0, g1) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    beam_term = _beam_term(m)
+    with np.errstate(over="ignore"):
+        if not (_log_condition(m, beam_term, lo, n0, g1) < 0.0
+                < _log_condition(m, beam_term, hi, n0, g1)):
+            raise NoRootError(
+                f"no sign change of the decay condition in ({lo}, {hi}) for m={m}, n0={n0}")
         mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _log_condition(m, beam_term, mid, n0, g1) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
     return mid

@@ -4,13 +4,15 @@ A spec is a flat JSON object mirroring ExperimentSpec; unknown keys are
 rejected with the offending field path. Runs are deterministic given the
 seed: channel draws use one stream per trial, and output rows are emitted
 in a fixed (axis, method, variant) order regardless of execution order.
-Monte-Carlo points share their draws along the sweep axis (common random
-numbers): one estimator call per trial and system covers every grid point,
-on the seed derived from (mc seed, trial, system), or from (mc seed, beam
-count, trial, 0) in gamma sweeps. Trials keep independent streams, so a
-row's combined stderr still holds; rows along an axis are positively
-correlated, so their differences carry less Monte-Carlo error than their
-stderrs suggest.
+Closed forms run as array programs: an snr or w1 sweep point makes one
+spim_rate call over its trials, and a gamma sweep one call per beam count
+over every (grid point, trial) pair. Monte-Carlo points share their draws
+along the sweep axis (common random numbers): one estimator call per trial
+and system covers every grid point, on the seed derived from (mc seed,
+trial, system), or from (mc seed, beam count, trial, 0) in gamma sweeps.
+Trials keep independent streams, so a row's combined stderr still holds;
+rows along an axis are positively correlated, so their differences carry
+less Monte-Carlo error than their stderrs suggest.
 """
 
 from __future__ import annotations
@@ -359,26 +361,24 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
+    """One closed-form call per beam count scores every (grid point, trial) pair."""
     ch = spec.channel
     n0 = float(spec.noise.n0)
+    gammas = [float(gamma) for gamma in spec.grid]
     rows = []
     for m in _as_list(ch.m):
         variant = f"m={m}"
-        g = np.full(m, float(ch.n_tx))
         aod, aoa = _draw_angles(spec, m)
-        mc_points = []
-        for gamma in spec.grid:
-            gamma = float(gamma)
-            # gamma ** arange(m) never rises for gamma in (0, 1): drawn order is strongest-first
-            w = gamma ** np.arange(m)
-            w = w / float(np.sum(w)) if ch.normalize else w
-            rows.append(_row(spec, gamma, METHOD_GENERAL_M, variant,
-                             spim_rate(w, g, aoa, ch.n_rx, n0)))
-            mc_points.append((w, aod, aoa, n0))
+        # gamma ** arange(m) never rises for gamma in (0, 1): drawn order is strongest-first
+        w = np.array([gamma ** np.arange(m) for gamma in gammas])  # (grid, m)
+        w = w / w.sum(axis=-1, keepdims=True) if ch.normalize else w
+        rates = spim_rate(w[:, None, :], np.full(m, float(ch.n_tx)), aoa, ch.n_rx, n0)
+        rows += [_row(spec, gamma, METHOD_GENERAL_M, variant, rate)
+                 for gamma, rate in zip(gammas, rates)]
         if spec.mc is not None:
-            (mc,) = _monte_carlo(spec, mc_points, (m,), (m,))
-            for p, gamma in enumerate(spec.grid):
-                rows.append(_row(spec, float(gamma), METHOD_MONTE_CARLO, variant, *mc[:, p]))
+            (mc,) = _monte_carlo(spec, [(gains, aod, aoa, n0) for gains in w], (m,), (m,))
+            rows += [_row(spec, gamma, METHOD_MONTE_CARLO, variant, *mc[:, p])
+                     for p, gamma in enumerate(gammas)]
     return rows
 
 

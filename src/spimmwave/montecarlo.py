@@ -22,8 +22,9 @@ A batch of sets (leading axes of the factors, one noise floor) shares
 common random numbers. Draw streams are keyed by (component, chunk), so
 results do not depend on the schedule; each stream is drawn once per call
 and mapped through every set's whitening blocks, one set at a time, so
-memory does not grow with the batch. Every set gets the same answer as its
-own unbatched call.
+memory does not grow with the batch. The work buffers are allocated once
+per call, for the largest chunk, so the hot loop allocates no arrays.
+Every set gets the same answer as its own unbatched call.
 """
 
 from __future__ import annotations
@@ -67,23 +68,37 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _draw_values(mix: np.ndarray, normals: np.ndarray, comp: int,
-                 logdets: np.ndarray) -> np.ndarray:
+def _shaped(buffer: np.ndarray, rows: int, count: int) -> np.ndarray:
+    """The first rows * count entries of a flat work buffer as a contiguous (rows, count) array."""
+    return buffer[:rows * count].reshape(rows, count)
+
+
+def _draw_values(mix: np.ndarray, normals: np.ndarray, comp: int, logdets: np.ndarray,
+                 work: tuple) -> np.ndarray:
     """ln sum_j exp(E_j - E_c - ld_j) - ln K for each draw of component c = comp.
 
     mix (2 k s, 2 k s) holds the real blocks of L_j^-1 (R_c)_j / sqrt(2), with
     I + A_jj = L_j L_j^H and R_c a root of B_c; the own term is exp(-ld_c).
+    work holds the flat buffers of x, the energies, the terms, their peak
+    and the values, which are returned as a view valid until the next call.
     """
     k, count = len(logdets), normals.shape[1]
-    x = mix @ normals  # (2 k s, count), component-major rows
-    energy = np.square(x, out=x).reshape(k, -1, count).sum(axis=1)
-    terms = energy - energy[comp]
+    x_buf, energy_buf, terms_buf, peak_buf, values_buf = work
+    x = _shaped(x_buf, len(mix), count)  # (2 k s, count), component-major rows
+    energy, terms = _shaped(energy_buf, k, count), _shaped(terms_buf, k, count)
+    peak, values = peak_buf[:count], values_buf[:count]
+    np.matmul(mix, normals, out=x)
+    np.sum(np.square(x, out=x).reshape(k, -1, count), axis=1, out=energy)
+    np.subtract(energy, energy[comp], out=terms)
     terms -= logdets[:, None]
     terms[comp] = -logdets[comp]
-    peak = terms.max(axis=0)
+    np.max(terms, axis=0, out=peak)
     terms -= peak
-    total = np.exp(terms, out=terms).sum(axis=0)
-    return np.log(total, out=total) + peak - math.log(k)
+    np.sum(np.exp(terms, out=terms), axis=0, out=values)
+    np.log(values, out=values)
+    values += peak
+    values -= math.log(k)
+    return values
 
 
 def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate | np.ndarray:
@@ -115,14 +130,21 @@ def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstima
         counts = np.diff([*range(0, per_component, spec.batch), per_component])
         means = np.empty((sets, k, len(counts)))
         squares = np.empty_like(means)
+        # flat work buffers sized for the largest chunk, the first; every chunk,
+        # component and set reuses them
+        size = counts[0]
+        all_normals = np.empty(2 * ks * size)
+        work = (np.empty(2 * ks * size), np.empty(k * size), np.empty(k * size),
+                np.empty(size), np.empty(size))
         for comp in range(k):
             for chunk, count in enumerate(counts):
                 rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
-                normals = np.empty((2 * ks, count))  # rows: real parts, then imaginary parts
-                normals[:ks] = rng.standard_normal((count, ks)).T
-                normals[ks:] = rng.standard_normal((count, ks)).T
+                draw = _shaped(work[0], count, ks)  # x's buffer is free until _draw_values
+                normals = _shaped(all_normals, 2 * ks, count)  # real parts, then imaginary
+                for half in (slice(None, ks), slice(ks, None)):
+                    normals[half] = rng.standard_normal(out=draw).T
                 for p in range(sets):  # one set's (2 k s, count) block at a time
-                    values = _draw_values(mix[p, comp], normals, comp, logdets[p])
+                    values = _draw_values(mix[p, comp], normals, comp, logdets[p], work)
                     means[p, comp, chunk] = mean = values.mean()
                     values -= mean
                     squares[p, comp, chunk] = values @ values

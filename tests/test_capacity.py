@@ -1,5 +1,7 @@
 """Closed-form rate formulas against determinant and sampling oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,38 @@ def test_batched_rates_equal_per_row_calls(m):
     assert np.array_equal(total_rate_approx(covs), [
         total_rate_approx(asymptotic_covariances(w, g, row, 16, 0.3)) for row in theta])
     assert isinstance(spim_rate(w, g, theta[0], 8, 0.1), float)
+
+
+def _decay_grid(m):
+    """(19, 1, m) decaying gains of the paper's gamma grid and (30, m) angles."""
+    w = np.array([gamma ** np.arange(m) for gamma in np.linspace(0.05, 0.95, 19)])
+    return w[:, None, :], make_rng(5, m).uniform(-0.5, 0.5, (30, m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_blocked_grid_rates_equal_per_point_calls(m):
+    # 570 sets are scored in blocks, the last one short; each grid point is its own call
+    w, theta = _decay_grid(m)
+    g = np.full(m, 64.0)
+    batched = spim_rate(w, g, theta, 8, 0.1)
+    assert batched.shape == (19, 30)
+    assert np.array_equal(batched, [spim_rate(row[0], g, theta, 8, 0.1) for row in w])
+
+
+@pytest.mark.parametrize("n_r", [8, 64])
+@pytest.mark.parametrize("m", [2, 8])
+def test_blocked_grid_memory_stays_that_of_one_point(m, n_r):
+    w, theta = _decay_grid(m)
+    g = np.full(m, 64.0)
+    peaks = []
+    for gains in (w[0, 0], w):  # one point's (30, m) sets, then all (19, 30, m)
+        tracemalloc.start()
+        try:
+            spim_rate(gains, g, theta, n_r, 0.1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_symbol_rate_zero_channel():

@@ -16,6 +16,7 @@ from spimmwave import (
     spim_margin,
     two_path_margin,
 )
+from spimmwave.conditions import _margin_grid
 
 
 def high_snr_superiority(w) -> bool:
@@ -261,6 +262,43 @@ def test_crossover_for_many_beams_does_not_overflow():
     root = gamma_crossover(64, 0.1, 64.0)
     assert 0.0 < root < 1.0
     assert math.isclose(decay_condition_value(64, root, 0.1, 64.0), 1.0, abs_tol=1e-4)
+
+
+def test_margin_grid_cache_is_read_only():
+    # every spim_margin call with these arguments reads the same two arrays
+    for relax in (False, True):
+        candidates, beam_term = _margin_grid(6, relax)
+        assert _margin_grid(6, relax)[0] is candidates
+        for cached in (candidates, beam_term):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+
+
+def _reference_crossover(m, n0, g1):
+    """The bisection with each step's log condition written out and evaluated afresh."""
+    def log_condition(gamma):
+        with np.errstate(over="ignore"):
+            log_gamma = np.log(gamma)
+            lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
+            inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
+            return lead - 4.0 * n0 * inverse_gain_sum / g1
+
+    lo, hi = 1e-9, 1.0 - 1e-9
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if log_condition(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16])
+def test_crossover_equals_stepwise_reference(m):
+    # the beam term and the overflow guard are set up once per call, to the same bits
+    for n0 in (0.05, 0.1, 0.5, 1.0):
+        assert gamma_crossover(m, n0, 64.0) == _reference_crossover(m, n0, 64.0)
 
 
 def test_margin_transition_matches_crossover():

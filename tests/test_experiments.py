@@ -347,7 +347,7 @@ def test_sweeps_draw_each_channel_once(monkeypatch):
                                    "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
                                    "trials": 3}))
     assert len(draws) == 3 * 3  # trials x beam counts, not x grid points
-    assert len(rates) == 3 * 3  # grid points x beam counts, not x trials
+    assert len(rates) == 3  # one per beam count, over every grid point and trial
     draws.clear()
     rates.clear()
     run_experiment(spec_from_dict({"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9],
