@@ -41,9 +41,6 @@ METHOD_GENERAL_M = "general-m"
 METHOD_MONTE_CARLO = "monte-carlo"
 METHOD_SHANNON = "shannon"
 
-# sets per block of a batched spim_rate call; a block's arrays set its peak memory
-_BLOCK_SETS = 32
-
 METHOD_TAGS = (
     METHOD_CLOSED_FORM_LB,
     METHOD_CLOSED_FORM_CROSSDET,
@@ -281,8 +278,9 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     M = 1 collapses exactly to the conventional single-beam rate. Paths run
     along the last axis; leading axes broadcast into a batch, so a (trials, M)
     theta gives one rate per trial, each equal to its own unbatched call. A
-    batch of more than _BLOCK_SETS sets is scored in blocks of that many, so
-    peak memory does not grow with the batch.
+    batch of two or more batch axes is validated once, then scored one
+    (sets, M) slice along its last batch axis at a time, so a (grid, trials, M)
+    call holds the memory of one (trials, M) call.
     """
     w, g, theta = _paths(w, g, theta)
     ok = (w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)
@@ -291,13 +289,9 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
                              f"g={g[~ok][0]}")
     if w.shape[-1] == 1:
         return mmwave_rate(w[..., 0], g[..., 0], n0)
-    batch = w.shape[:-1]
-    sets = math.prod(batch)
-    if sets <= _BLOCK_SETS:
+    if w.ndim <= 2:
         return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))
-    rates = np.empty(sets)
-    for start in range(0, sets, _BLOCK_SETS):
-        rows = np.unravel_index(np.arange(start, min(start + _BLOCK_SETS, sets)), batch)
-        rates[start:start + _BLOCK_SETS] = total_rate_approx(
-            asymptotic_covariances(w[rows], g[rows], theta[rows], n_r, n0))
-    return rates.reshape(batch)
+    rates = np.empty(w.shape[:-1])
+    for row in np.ndindex(w.shape[:-2]):
+        rates[row] = total_rate_approx(asymptotic_covariances(w[row], g[row], theta[row], n_r, n0))
+    return rates

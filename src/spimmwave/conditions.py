@@ -23,6 +23,7 @@ from .numerics import require_integer
 RELAXED_STEP = 0.01
 # the relaxed grid holds 100 * 2^b_max candidates: 6.6M at the cap
 _B_MAX_CAP = 16
+_CACHED_B_MAX = 10  # largest b_max whose relaxed margin grid is kept between calls
 
 _DOMAINS = {
     "gamma": (lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
@@ -127,13 +128,8 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
 
 
-@functools.lru_cache(maxsize=2)
-def _margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """spim_margin's candidate beam counts and their gamma-free terms, both read-only.
-
-    A margin map asks every point for the same grid, so the last two grids
-    are kept; at the b_max cap the relaxed grid alone holds 6.6M candidates.
-    """
+def _build_margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """spim_margin's candidate beam counts and their gamma-free terms, both read-only."""
     if relax_integer:
         steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
         candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
@@ -142,6 +138,22 @@ def _margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarra
     beam_term = _beam_term(candidates)
     candidates.flags.writeable = beam_term.flags.writeable = False
     return candidates, beam_term
+
+
+_cached_margin_grid = functools.lru_cache(maxsize=2)(_build_margin_grid)
+
+
+def _margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate grid of spim_margin, the same arrays for every point of a margin map.
+
+    The last two grids are kept, up to the relaxed grid of b_max = _CACHED_B_MAX
+    (102 300 candidates, 1.6 MB). A larger relaxed grid, up to 6.6M candidates
+    at the b_max cap, is built per call and freed with it: scoring it costs far
+    more than building it.
+    """
+    if relax_integer and b_max > _CACHED_B_MAX:
+        return _build_margin_grid(b_max, relax_integer)
+    return _cached_margin_grid(b_max, relax_integer)
 
 
 def spim_margin(gamma: float, n0: float, g1: float, b_max: int = 6,

@@ -255,8 +255,8 @@ def _decay_grid(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_blocked_grid_rates_equal_per_point_calls(m):
-    # 570 sets are scored in blocks, the last one short; each grid point is its own call
+def test_grid_rates_equal_per_point_calls(m):
+    # a (19, 30, m) batch is scored slice by slice; each grid point is its own call
     w, theta = _decay_grid(m)
     g = np.full(m, 64.0)
     batched = spim_rate(w, g, theta, 8, 0.1)
@@ -266,7 +266,7 @@ def test_blocked_grid_rates_equal_per_point_calls(m):
 
 @pytest.mark.parametrize("n_r", [8, 64])
 @pytest.mark.parametrize("m", [2, 8])
-def test_blocked_grid_memory_stays_that_of_one_point(m, n_r):
+def test_grid_memory_stays_that_of_one_point(m, n_r):
     w, theta = _decay_grid(m)
     g = np.full(m, 64.0)
     peaks = []

@@ -16,7 +16,7 @@ from spimmwave import (
     spim_margin,
     two_path_margin,
 )
-from spimmwave.conditions import _margin_grid
+from spimmwave.conditions import _CACHED_B_MAX, _cached_margin_grid, _margin_grid
 
 
 def high_snr_superiority(w) -> bool:
@@ -272,6 +272,15 @@ def test_margin_grid_cache_is_read_only():
         for cached in (candidates, beam_term):
             with pytest.raises(ValueError):
                 cached[0] = 1.0
+
+
+def test_large_margin_grid_is_not_kept():
+    # a relaxed grid past _CACHED_B_MAX is freed with its call, not held by the cache
+    _cached_margin_grid.cache_clear()
+    assert spim_margin(0.5, 0.1, 64.0, b_max=_CACHED_B_MAX + 1, relax_integer=True) > 1.0
+    assert _cached_margin_grid.cache_info().currsize == 0
+    spim_margin(0.5, 0.1, 64.0, b_max=_CACHED_B_MAX, relax_integer=True)
+    assert _cached_margin_grid.cache_info().currsize == 1
 
 
 def _reference_crossover(m, n0, g1):
