@@ -57,10 +57,11 @@ class CovarianceSet:
     Holds the noise floor and the beam factors G_k, stacked as (k, n_r, s);
     a pattern with fewer than s columns is zero-padded. Leading axes before
     (k, n_r, s) hold a batch of sets sharing n0, and every closed form
-    below returns one value per set, a float for an unbatched one. The Gram
-    matrix of the factors and the dense covariances are built only on first
-    use and cached; the object is immutable otherwise and safe to share
-    across threads.
+    below returns one value per set, a float for an unbatched one. The
+    factors are stored C-contiguous, so a set's bits do not depend on the
+    memory layout the caller passed. The Gram matrix of the factors and the
+    dense covariances are built only on first use and cached; the object is
+    immutable otherwise and safe to share across threads.
     """
 
     n0: float
@@ -70,7 +71,7 @@ class CovarianceSet:
     def __post_init__(self):
         if not 0 < self.n0 < math.inf:
             raise ParameterError(f"n0 must be finite and > 0, got {self.n0}")
-        fac = np.asarray(self.factors, dtype=np.complex128)
+        fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:
             raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
         object.__setattr__(self, "factors", fac)

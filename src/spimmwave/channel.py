@@ -18,8 +18,6 @@ from .numerics import require_integer
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
 
-_MAX_RESAMPLE = 10_000
-
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -90,20 +88,26 @@ def build_channel(real: ChannelRealization) -> np.ndarray:
 
 
 def min_angle_separation(n_tx: int, n_rx: int) -> float:
-    """Resampling floor on pairwise angle distance, 1/(4 max(n_tx, n_rx))."""
+    """Separation floor on pairwise angle distance, 1/(4 max(n_tx, n_rx))."""
     return 1.0 / (4.0 * max(n_tx, n_rx))
 
 
 def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
                     floor: float) -> np.ndarray:
-    if n == 1:
-        return rng.uniform(lo, hi, size=1)
-    for _ in range(_MAX_RESAMPLE):
-        draw = np.sort(rng.uniform(lo, hi, size=n))
-        if np.min(np.diff(draw)) >= floor:
-            return rng.permutation(draw)
-    raise ParameterError(
-        f"could not draw {n} angles in [{lo}, {hi}] with separation {floor}")
+    """n angles uniform over the points of [lo, hi]^n whose sorted gaps all reach floor.
+
+    Sorted uniforms on [lo, hi - (n-1) floor], the i-th shifted by i floor,
+    map volume-preservingly onto the sorted points of that set, so one draw
+    is enough; the permutation puts the angles in random order. One angle is exactly
+    uniform(lo, hi, 1), and its permutation draws nothing.
+    """
+    span = (n - 1) * floor
+    if span > hi - lo:
+        raise ParameterError(
+            f"{n} angles at separation {floor} need a span of {span}, more than "
+            f"[{lo}, {hi}] holds", field="n_paths")
+    draw = np.sort(rng.uniform(lo, hi - span, size=n)) + floor * np.arange(n)
+    return rng.permutation(draw)
 
 
 def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int, *,
@@ -111,9 +115,11 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
                    aoa_range=DEFAULT_AOA_RANGE) -> ChannelRealization:
     """Draw a channel with uniform angles and the given per-path powers.
 
-    Angle draws are rejected until every pairwise distance, per side,
-    reaches min_angle_separation so near-coincident paths cannot occur at
-    finite array sizes.
+    The angles on each side are uniform over the set whose pairwise
+    distances all reach min_angle_separation, so near-coincident paths cannot
+    occur at finite array sizes. They are drawn directly, departures then
+    arrivals, and a separation that does not fit in a range fails at once
+    with a ParameterError naming n_paths.
     """
     require_integer("n_paths", n_paths)
     if n_paths < 1:

@@ -11,7 +11,6 @@ blind guess is not safe).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -23,7 +22,6 @@ from .numerics import require_integer
 RELAXED_STEP = 0.01
 # the relaxed grid holds 100 * 2^b_max candidates: 6.6M at the cap
 _B_MAX_CAP = 16
-_CACHED_B_MAX = 10  # largest b_max whose relaxed margin grid is kept between calls
 
 _DOMAINS = {
     "gamma": (lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
@@ -128,51 +126,36 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
 
 
-def _build_margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """spim_margin's candidate beam counts and their gamma-free terms, both read-only."""
+def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool = False):
+    """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
+
+    Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
+    over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
+    integer in [0, 16]. gamma may be a sequence: the candidate grid is then
+    built once and scored one gamma at a time, and the margins come back as
+    a list, each equal to its scalar call.
+    """
+    scalar = np.ndim(gamma) == 0
+    gammas = [gamma] if scalar else list(gamma)
+    for value in gammas:
+        _check(gamma=value)
+    _check(n0=n0, g1=g1)
+    require_integer("b_max", b_max)
+    if not 0 <= b_max <= _B_MAX_CAP:
+        raise ParameterError(f"b_max must lie in [0, {_B_MAX_CAP}], got {b_max}", field="b_max")
     if relax_integer:
         steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
         candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
     else:
         candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
     beam_term = _beam_term(candidates)
-    candidates.flags.writeable = beam_term.flags.writeable = False
-    return candidates, beam_term
-
-
-_cached_margin_grid = functools.lru_cache(maxsize=2)(_build_margin_grid)
-
-
-def _margin_grid(b_max: int, relax_integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate grid of spim_margin, the same arrays for every point of a margin map.
-
-    The last two grids are kept, up to the relaxed grid of b_max = _CACHED_B_MAX
-    (102 300 candidates, 1.6 MB). A larger relaxed grid, up to 6.6M candidates
-    at the b_max cap, is built per call and freed with it: scoring it costs far
-    more than building it.
-    """
-    if relax_integer and b_max > _CACHED_B_MAX:
-        return _build_margin_grid(b_max, relax_integer)
-    return _cached_margin_grid(b_max, relax_integer)
-
-
-def spim_margin(gamma: float, n0: float, g1: float, b_max: int = 6,
-                relax_integer: bool = False) -> float:
-    """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
-
-    Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
-    over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
-    integer in [0, 16].
-    """
-    _check(gamma=gamma, n0=n0, g1=g1)
-    require_integer("b_max", b_max)
-    if not 0 <= b_max <= _B_MAX_CAP:
-        raise ParameterError(f"b_max must lie in [0, {_B_MAX_CAP}], got {b_max}", field="b_max")
-    candidates, beam_term = _margin_grid(b_max, relax_integer)
+    margins = []
     with np.errstate(over="ignore"):
-        wins = candidates[_log_condition(candidates, beam_term, gamma, n0, g1) > 0.0]
-    best = float(wins[-1]) if wins.size else 1.0
-    return best if relax_integer else int(best)
+        for value in gammas:
+            wins = candidates[_log_condition(candidates, beam_term, value, n0, g1) > 0.0]
+            best = float(wins[-1]) if wins.size else 1.0
+            margins.append(best if relax_integer else int(best))
+    return margins[0] if scalar else margins
 
 
 def gamma_crossover(m: float, n0: float, g1: float) -> float:

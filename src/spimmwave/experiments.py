@@ -388,13 +388,14 @@ def _n0_label(n0: float) -> str:
 
 
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
+    """One spim_margin call per noise level scores the whole decay grid."""
+    gammas = [float(gamma) for gamma in spec.grid]
     rows = []
-    for gamma in spec.grid:
-        for n0 in _as_list(spec.noise.n0):
-            margin = spim_margin(float(gamma), float(n0), float(spec.channel.n_tx),
-                                 spec.margin.b_max, spec.margin.relax_integer)
-            rows.append(ResultRow(float(gamma), METHOD_MARGIN, _n0_label(n0),
-                                  float(margin), None, None, spec.seed, 1))
+    for n0 in _as_list(spec.noise.n0):
+        margins = spim_margin(gammas, float(n0), float(spec.channel.n_tx),
+                              spec.margin.b_max, spec.margin.relax_integer)
+        rows += [ResultRow(gamma, METHOD_MARGIN, _n0_label(n0), float(margin), None, None,
+                           spec.seed, 1) for gamma, margin in zip(gammas, margins)]
     return rows
 
 

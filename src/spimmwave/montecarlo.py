@@ -24,7 +24,9 @@ results do not depend on the schedule; each stream is drawn once per call
 and mapped through every set's whitening blocks, one set at a time, so
 memory does not grow with the batch. The work buffers are allocated once
 per call, for the largest chunk, so the hot loop allocates no arrays.
-Every set gets the same answer as its own unbatched call.
+Every set gets the same answer as its own unbatched call, bit for bit,
+whatever the memory layout the caller's factors had: a CovarianceSet
+stores them C-contiguous.
 """
 
 from __future__ import annotations

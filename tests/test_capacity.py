@@ -1,5 +1,6 @@
 """Closed-form rate formulas against determinant and sampling oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from spimmwave import (
     steering_vector,
     total_rate_approx,
 )
+from spimmwave.beamforming import large_array_beams
 from spimmwave.capacity import LOG2E, _pair_logdets
 
 RATE_GAP = LOG2E - 1.0  # per receive antenna, closes the bound's constant offset
@@ -101,6 +103,21 @@ def test_covariance_determinant_closed_form():
         covs = asymptotic_covariances([w], [g], [theta], n_r, n0)
         expected = n0 ** n_r * (1.0 + w * g / n0)
         assert_allclose(np.exp(covs.logdets()[0]), expected, rtol=1e-10)
+
+
+def test_covariance_set_bits_do_not_depend_on_layout():
+    # beams laid out as the Monte-Carlo runner stacks them, (points, beams, n_r, 1) with
+    # strides (256, 16, 32, 0); in that layout beam 0's Gram entry was one ulp off its
+    # contiguous copy's, and so was the K=1 estimate
+    theta = np.array([0.021812495732711434, 0.2175362118938841])
+    beams = large_array_beams(np.array([0.9, 0.1]), 64.0, theta, 8) / math.sqrt(0.1)
+    stacked = np.array([beams.T]).swapaxes(1, 2)
+    spec = MonteCarloSpec(2000, seed=3)
+    for strided in (stacked[:, :1, :, None], stacked[:, :, :, None]):
+        a, b = CovarianceSet(1.0, strided), CovarianceSet(1.0, np.ascontiguousarray(strided))
+        assert np.array_equal(a.gram, b.gram)
+        assert np.array_equal(total_rate_approx(a), total_rate_approx(b))
+        assert np.array_equal(mc_mutual_information(a, spec), mc_mutual_information(b, spec))
 
 
 def test_covariances_rejects_bad_noise():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import ks_2samp
 
 from spimmwave import (
     ChannelRealization,
@@ -14,6 +15,7 @@ from spimmwave import (
     sample_channel,
     steering_vector,
 )
+from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_separated
 
 
 def test_normalized_angle_conversion():
@@ -129,6 +131,57 @@ def test_sample_channel_angle_separation():
             diffs = np.abs(np.subtract.outer(angles, angles))
             np.fill_diagonal(diffs, np.inf)
             assert diffs.min() >= floor
+
+
+def test_many_paths_draw_separated():
+    # 40 paths need 39/256 = 0.152 of the 0.5-wide arrival range
+    ch = sample_channel(make_rng(0), 64, 8, 40, gains=np.ones(40))
+    for angles, (lo, hi) in ((ch.aod, DEFAULT_AOD_RANGE), (ch.aoa, DEFAULT_AOA_RANGE)):
+        assert np.all((angles >= lo) & (angles <= hi))
+        assert np.diff(np.sort(angles)).min() >= 1 / 256
+
+
+def test_infeasible_separation_fails_at_once():
+    # 130 paths need 129/256 > 0.5 of the arrival range
+    with pytest.raises(ParameterError) as info:
+        sample_channel(make_rng(0), 64, 8, 130, gains=np.ones(130))
+    assert info.value.field == "n_paths"
+
+
+def test_single_path_is_one_uniform_draw():
+    # no separation to keep: aod then aoa, each one uniform value on the same stream
+    ch = sample_channel(make_rng(7), 64, 8, 1, gains=[1.0])
+    rng = make_rng(7)
+    assert ch.aod[0] == rng.uniform(*DEFAULT_AOD_RANGE, size=1)[0]
+    assert ch.aoa[0] == rng.uniform(*DEFAULT_AOA_RANGE, size=1)[0]
+
+
+def _rejection_draws(rng, draws, n, lo, hi, floor):
+    """Oracle: uniform draws on [lo, hi]^n kept when every sorted gap reaches floor."""
+    kept = []
+    while sum(len(k) for k in kept) < draws:
+        batch = rng.uniform(lo, hi, size=(4 * draws, n))
+        kept.append(batch[np.diff(np.sort(batch, axis=1), axis=1).min(axis=1) >= floor])
+    return np.concatenate(kept)[:draws]
+
+
+@pytest.mark.parametrize("n, floor", [(2, 0.25), (3, 0.09), (8, 0.012)])
+def test_direct_draw_matches_rejection_sampler(n, floor):
+    # floors that reject about 3 in 4 uniform draws, so the constraint shapes the law
+    lo, hi, draws = -0.25, 0.25, 20_000
+    rng = make_rng(21, n)
+    direct = np.array([_draw_separated(rng, n, lo, hi, floor) for _ in range(draws)])
+    oracle = _rejection_draws(make_rng(22, n), draws, n, lo, hi, floor)
+    direct_sorted, oracle_sorted = np.sort(direct, axis=1), np.sort(oracle, axis=1)
+
+    def smallest_gap(angles):
+        return np.diff(angles, axis=1).min(axis=1, keepdims=True)
+
+    # sorted values, the first drawn angle (the order is random) and the smallest gap
+    for a, b in ((direct_sorted, oracle_sorted), (direct[:, :1], oracle[:, :1]),
+                 (smallest_gap(direct_sorted), smallest_gap(oracle_sorted))):
+        for column in range(a.shape[1]):
+            assert ks_2samp(a[:, column], b[:, column]).pvalue > 0.01
 
 
 def test_sample_channel_parameter_errors():

@@ -16,7 +16,6 @@ from spimmwave import (
     spim_margin,
     two_path_margin,
 )
-from spimmwave.conditions import _CACHED_B_MAX, _cached_margin_grid, _margin_grid
 
 
 def high_snr_superiority(w) -> bool:
@@ -264,23 +263,21 @@ def test_crossover_for_many_beams_does_not_overflow():
     assert math.isclose(decay_condition_value(64, root, 0.1, 64.0), 1.0, abs_tol=1e-4)
 
 
-def test_margin_grid_cache_is_read_only():
-    # every spim_margin call with these arguments reads the same two arrays
-    for relax in (False, True):
-        candidates, beam_term = _margin_grid(6, relax)
-        assert _margin_grid(6, relax)[0] is candidates
-        for cached in (candidates, beam_term):
-            with pytest.raises(ValueError):
-                cached[0] = 1.0
-
-
-def test_large_margin_grid_is_not_kept():
-    # a relaxed grid past _CACHED_B_MAX is freed with its call, not held by the cache
-    _cached_margin_grid.cache_clear()
-    assert spim_margin(0.5, 0.1, 64.0, b_max=_CACHED_B_MAX + 1, relax_integer=True) > 1.0
-    assert _cached_margin_grid.cache_info().currsize == 0
-    spim_margin(0.5, 0.1, 64.0, b_max=_CACHED_B_MAX, relax_integer=True)
-    assert _cached_margin_grid.cache_info().currsize == 1
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("b_max", [0, 6, 11])
+def test_batched_margins_equal_scalar_calls(b_max, relax):
+    # one call builds the candidate grid once and scores every gamma on it
+    gammas = [0.02, 0.3, 0.55, 0.8, 0.97]
+    for n0 in (0.0, 0.1, 0.5):
+        expected = [spim_margin(g, n0, 64.0, b_max, relax) for g in gammas]
+        for batch in (gammas, np.array(gammas)):
+            margins = spim_margin(batch, n0, 64.0, b_max, relax)
+            assert margins == expected
+            assert [type(m) for m in margins] == [type(m) for m in expected]
+    assert spim_margin([], 0.1, 64.0, b_max, relax) == []
+    with pytest.raises(ParameterError) as info:
+        spim_margin([0.5, 1.0], 0.1, 64.0, b_max, relax)
+    assert info.value.field == "gamma"
 
 
 def _reference_crossover(m, n0, g1):
