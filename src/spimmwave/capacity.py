@@ -35,20 +35,6 @@ from .numerics import cholesky_logdet, require_integer
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
 
-METHOD_CLOSED_FORM_LB = "closed-form-lb"
-METHOD_CLOSED_FORM_CROSSDET = "closed-form-crossdet"
-METHOD_GENERAL_M = "general-m"
-METHOD_MONTE_CARLO = "monte-carlo"
-METHOD_SHANNON = "shannon"
-
-METHOD_TAGS = (
-    METHOD_CLOSED_FORM_LB,
-    METHOD_CLOSED_FORM_CROSSDET,
-    METHOD_GENERAL_M,
-    METHOD_MONTE_CARLO,
-    METHOD_SHANNON,
-)
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
@@ -277,11 +263,10 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     log2 M - (1/M) sum_n log2 sum_t [(1 + w_n g_n/2N0)(1 + w_t g_t/2N0) - Q_nt]^{-1}
     with the Dirichlet cross term Q_nt = (w_n w_t g_n g_t / 4 N0^2) dirichlet_gain.
     M = 1 collapses exactly to the conventional single-beam rate. Paths run
-    along the last axis; leading axes broadcast into a batch, so a (trials, M)
-    theta gives one rate per trial, each equal to its own unbatched call. A
-    batch of two or more batch axes is validated once, then scored one
-    (sets, M) slice along its last batch axis at a time, so a (grid, trials, M)
-    call holds the memory of one (trials, M) call.
+    along the last axis; leading axes broadcast into a batch, validated once
+    and scored one (sets, M) slice along the last batch axis at a time, so a
+    (grid, trials, M) theta gives one rate per (grid point, trial), each equal
+    to its own unbatched call, in the memory of one (trials, M) call.
     """
     w, g, theta = _paths(w, g, theta)
     ok = (w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)
@@ -290,9 +275,7 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
                              f"g={g[~ok][0]}")
     if w.shape[-1] == 1:
         return mmwave_rate(w[..., 0], g[..., 0], n0)
-    if w.ndim <= 2:
-        return total_rate_approx(asymptotic_covariances(w, g, theta, n_r, n0))
     rates = np.empty(w.shape[:-1])
     for row in np.ndindex(w.shape[:-2]):
         rates[row] = total_rate_approx(asymptotic_covariances(w[row], g[row], theta[row], n_r, n0))
-    return rates
+    return _bits(rates)

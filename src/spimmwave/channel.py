@@ -98,8 +98,10 @@ def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
 
     Sorted uniforms on [lo, hi - (n-1) floor], the i-th shifted by i floor,
     map volume-preservingly onto the sorted points of that set, so one draw
-    is enough; the permutation puts the angles in random order. One angle is exactly
-    uniform(lo, hi, 1), and its permutation draws nothing.
+    is enough; the permutation puts the angles in random order. The gaps
+    reach floor to rounding: lo + i floor is rounded, so at or near a tight
+    fit, (n-1) floor = hi - lo, a gap may fall short by a few ulps. One angle
+    is exactly uniform(lo, hi, 1), and its permutation draws nothing.
     """
     span = (n - 1) * floor
     if span > hi - lo:
@@ -116,8 +118,8 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     """Draw a channel with uniform angles and the given per-path powers.
 
     The angles on each side are uniform over the set whose pairwise
-    distances all reach min_angle_separation, so near-coincident paths cannot
-    occur at finite array sizes. They are drawn directly, departures then
+    distances all reach min_angle_separation, to rounding, so near-coincident
+    paths cannot occur at finite array sizes. They are drawn directly, departures then
     arrivals, and a separation that does not fit in a range fails at once
     with a ParameterError naming n_paths.
     """

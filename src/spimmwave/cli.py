@@ -83,8 +83,8 @@ def _cmd_check_conditions(args) -> int:
     # every flag is checked before anything is printed
     gains = [_flag_value("--gains", tok) for tok in args.gains.split(",") if tok.strip()]
     if len(gains) < 2:
-        print("need at least two gains", file=sys.stderr)
-        return 2
+        raise ParameterError(f"--gains needs at least two gains, got {len(gains)}",
+                             field="--gains")
     _flag_value("--array-gain", args.array_gain)
     _flag_value("--n0", args.n0, lambda x: 0 <= x < math.inf, "be finite and >= 0")
     gains = sorted(gains, reverse=True)

@@ -27,25 +27,21 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import build_abf, effective_channel
-from .capacity import (
-    METHOD_CLOSED_FORM_CROSSDET,
-    METHOD_CLOSED_FORM_LB,
-    METHOD_GENERAL_M,
-    METHOD_MONTE_CARLO,
-    METHOD_SHANNON,
-    CovarianceSet,
-    dirichlet_gain,
-    mmwave_rate,
-    spim_rate,
-)
+from .capacity import CovarianceSet, dirichlet_gain, mmwave_rate, spim_rate
 from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, sample_channel
 from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
 from .numerics import make_rng
 
+METHOD_SHANNON = "shannon"
+METHOD_GENERAL_M = "general-m"
+METHOD_MONTE_CARLO = "monte-carlo"
 METHOD_MARGIN = "margin"
 METHOD_Q_FUNCTION = "q-function"
+
+METHOD_TAGS = (METHOD_SHANNON, METHOD_GENERAL_M, METHOD_MONTE_CARLO, METHOD_MARGIN,
+               METHOD_Q_FUNCTION)
 
 CSV_COLUMNS = ("axis", "method", "variant", "value", "value_std", "mc_stderr", "seed", "trials")
 
@@ -322,8 +318,7 @@ def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
         for i, beams in enumerate(beam_counts):
             covs = CovarianceSet(1.0, beams_first[:, :beams, :, None])
             out[i, :, :, t] = mc_mutual_information(covs, MonteCarloSpec(
-                spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i),
-                batch=spec.mc.batch)).T
+                spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i))).T
     return out
 
 
@@ -336,8 +331,6 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     else:
         n0 = float(spec.noise.n0)
         points = [(float(w1), n0, [w1, 1.0 - w1]) for w1 in spec.grid]
-    # for two patterns the lb and crossdet forms coincide; both rows stay in the CSV schema
-    tags = (METHOD_CLOSED_FORM_LB, METHOD_CLOSED_FORM_CROSSDET) if m == 2 else (METHOD_GENERAL_M,)
     g = float(ch.n_tx)
     aod, aoa = _draw_angles(spec, m)
     rows, mc_points = [], []
@@ -350,7 +343,7 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         rate = spim_rate(w, np.full(m, g), point_aoa, ch.n_rx, n0)
         rows.append(_row(spec, axis, METHOD_SHANNON, "mmwave",
                          np.full(spec.trials, mmwave_rate(w[0], g, n0))))
-        rows += [_row(spec, axis, tag, "spim", rate) for tag in tags]
+        rows.append(_row(spec, axis, METHOD_GENERAL_M, "spim", rate))
         mc_points.append((w, point_aod, point_aoa, n0))
     if spec.mc is not None:
         spim, mm = _monte_carlo(spec, mc_points, (), (m, 1))

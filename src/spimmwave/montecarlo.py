@@ -18,12 +18,13 @@ set draws K s complex normals, ceil(N/K) draws per component, and reports
 the stratified stderr sqrt(sum_c var_c / n_c) / K. One pattern (K = 1)
 leaves nothing random: the answer is ld_1, with no draws and stderr 0.
 
-A batch of sets (leading axes of the factors, one noise floor) shares
-common random numbers. Draw streams are keyed by (component, chunk), so
-results do not depend on the schedule; each stream is drawn once per call
-and mapped through every set's whitening blocks, one set at a time, so
-memory does not grow with the batch. The work buffers are allocated once
-per call, for the largest chunk, so the hot loop allocates no arrays.
+A component's draws come in fixed chunks of _CHUNK = 16384, each on its
+own stream keyed by (component, chunk), so results do not depend on the
+schedule; the chunk bounds the work buffers, allocated once per call so
+the hot loop allocates no arrays. A batch of sets (leading axes of the
+factors, one noise floor) shares these common random numbers: each stream
+is drawn once per call and mapped through every set's whitening blocks,
+one set at a time, so memory does not grow with the batch.
 Every set gets the same answer as its own unbatched call, bit for bit,
 whatever the memory layout the caller's factors had: a CovarianceSet
 stores them C-contiguous.
@@ -43,26 +44,24 @@ from .numerics import make_rng, require_integer
 
 MIN_SAMPLES = 1_000
 
+_CHUNK = 16_384
 _STREAM_SPAN = 1 << 32
 
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
-    """Sample budget, seed and chunk size of one estimator run."""
+    """Sample budget and seed of one estimator run."""
 
     n_samples: int = 100_000
     seed: int = 0
-    batch: int = 16_384
 
     def __post_init__(self):
-        for name in ("n_samples", "seed", "batch"):
+        for name in ("n_samples", "seed"):
             require_integer(name, getattr(self, name))
         if self.n_samples < MIN_SAMPLES:
             raise ParameterError(
                 f"n_samples must be >= {MIN_SAMPLES} to keep estimator variance usable",
                 field="n_samples")
-        if self.batch < 1:
-            raise ParameterError("batch must be >= 1", field="batch")
 
 
 class McEstimate(NamedTuple):
@@ -129,7 +128,7 @@ def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstima
         mix = np.block([[mix.real, -mix.imag],
                         [mix.imag, mix.real]]).reshape(sets, k, 2 * ks, 2 * ks)
         per_component = math.ceil(spec.n_samples / k)
-        counts = np.diff([*range(0, per_component, spec.batch), per_component])
+        counts = np.diff([*range(0, per_component, _CHUNK), per_component])
         means = np.empty((sets, k, len(counts)))
         squares = np.empty_like(means)
         # flat work buffers sized for the largest chunk, the first; every chunk,

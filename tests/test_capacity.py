@@ -221,7 +221,6 @@ FLOAT_COUNTS = {
         lambda: ChannelRealization(64, 8.0, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_rx"),
     "MonteCarloSpec-n_samples": (lambda: MonteCarloSpec(n_samples=2000.5), "n_samples"),
     "MonteCarloSpec-seed": (lambda: MonteCarloSpec(seed=1.5), "seed"),
-    "MonteCarloSpec-batch": (lambda: MonteCarloSpec(batch=1000.5), "batch"),
     "MonteCarloSpec-bool": (lambda: MonteCarloSpec(seed=True), "seed"),
     "dirichlet_gain-n_r": (lambda: dirichlet_gain(0.3, 2.5), "n_r"),
     "pattern_alphabet-m": (lambda: pattern_alphabet(2.5, 1), "m"),

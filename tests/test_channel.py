@@ -141,6 +141,21 @@ def test_many_paths_draw_separated():
         assert np.diff(np.sort(angles)).min() >= 1 / 256
 
 
+@pytest.mark.parametrize("n", [2, 9, 15, 59])
+@pytest.mark.parametrize("lo, hi", [DEFAULT_AOD_RANGE, DEFAULT_AOA_RANGE], ids=["aod", "aoa"])
+def test_tight_fit_keeps_separation_to_rounding(n, lo, hi):
+    # lo + i floor is rounded, so at and just inside (n - 1) floor = hi - lo a gap
+    # may fall short of floor by a few ulps, never by more
+    tight = (hi - lo) / (n - 1)
+    eps = np.finfo(float).eps
+    for floor in (tight, tight * (1 - 1e-12)):
+        for seed in range(20):
+            angles = np.sort(_draw_separated(make_rng(seed, n), n, lo, hi, floor))
+            assert np.diff(angles).min() >= floor * (1 - 64 * eps)
+            if floor == tight:
+                assert np.abs(angles - (lo + np.arange(n) * floor)).max() <= 1e-15
+
+
 def test_infeasible_separation_fails_at_once():
     # 130 paths need 129/256 > 0.5 of the arrival range
     with pytest.raises(ParameterError) as info:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -27,14 +28,12 @@ from spimmwave import (
     spim_margin,
     spim_rate,
 )
-from spimmwave import experiments
-from spimmwave.capacity import METHOD_TAGS
+from spimmwave import experiments, montecarlo
 from spimmwave.cli import main
 from spimmwave.experiments import (
     CSV_COLUMNS,
     EXPERIMENT_KINDS,
-    METHOD_MARGIN,
-    METHOD_Q_FUNCTION,
+    METHOD_TAGS,
     PRESET_IDS,
     ChannelParams,
     ExperimentSpec,
@@ -48,7 +47,7 @@ from spimmwave.experiments import (
     write_csv,
 )
 
-ALL_TAGS = set(METHOD_TAGS) | {METHOD_MARGIN, METHOD_Q_FUNCTION}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_snr_spec(**overrides):
@@ -70,6 +69,11 @@ def test_unknown_keys_rejected_with_field_path():
                         "channel": {"bandwidth": 3}})
     with pytest.raises(SpecValidationError, match="frequency"):
         spec_from_dict({"experiment": "q-function", "grid": [0.0, 0.1], "frequency": 60})
+    # the Monte-Carlo chunk size is fixed, not a spec option
+    with pytest.raises(SpecValidationError, match="unknown key") as info:
+        spec_from_dict({"experiment": "snr-sweep", "grid": [0.0], "channel": {"gains": [0.6, 0.4]},
+                        "mc": {"batch": 16384}})
+    assert info.value.field == "mc.batch"
 
 
 def test_grid_must_increase():
@@ -219,11 +223,12 @@ def test_gamma_sweep_rejects_repeated_beam_counts():
 def test_snr_sweep_rows_and_tags():
     spec = tiny_snr_spec()
     rows = run_experiment(spec)
-    assert all(row.method in ALL_TAGS for row in rows)
     keys = [(row.axis, row.method, row.variant) for row in rows]
     assert keys == sorted(keys)
-    by_method = {row.method for row in rows}
-    assert {"shannon", "closed-form-lb", "closed-form-crossdet", "monte-carlo"} <= by_method
+    assert {row.method for row in rows} == {"shannon", "general-m", "monte-carlo"}
+    # two beams get the one closed form every beam count gets, one row per point
+    closed = [row for row in rows if row.method == "general-m"]
+    assert [(row.axis, row.variant) for row in closed] == [(0.0, "spim"), (10.0, "spim")]
     spim_mc = [row for row in rows if row.method == "monte-carlo" and row.variant == "spim"]
     assert len(spim_mc) == 2
     assert all(row.mc_stderr is not None and row.mc_stderr > 0 for row in spim_mc)
@@ -239,7 +244,6 @@ def test_snr_sweep_rows_and_tags():
         exact = np.mean([np.log2(1 + np.vdot(b, b).real / n0) for b in beams])
         assert row.mc_stderr == 0
         assert abs(row.value - exact) <= 1e-12
-    closed = [row for row in rows if row.method == "closed-form-lb"]
     assert all(row.mc_stderr is None for row in closed)
     assert all(row.trials == 2 for row in rows)
 
@@ -302,12 +306,13 @@ def test_monte_carlo_rows_sample_the_beams_the_closed_form_scores():
     {"experiment": "gamma-sweep", "grid": [0.2, 0.6, 0.9], "channel": {"m": [1, 3]},
      "noise": {"n0": 0.1}},
 ])
-def test_monte_carlo_rows_equal_per_point_calls(data):
+def test_monte_carlo_rows_equal_per_point_calls(data, monkeypatch):
     # one batched call per (trial, beam count) over all grid points, on the seed
     # _mix_seed(mc.seed, t, i), or _mix_seed(mc.seed, m, t, 0) in gamma sweeps; each row
-    # equals the estimator called point by point on those seeds, with beams scaled to n0 = 1
-    spec = spec_from_dict(dict(data, trials=2, seed=3, mc={"n_samples": 2000, "seed": 9,
-                                                           "batch": 700}))
+    # equals the estimator called point by point on those seeds, with beams scaled to n0 = 1;
+    # a 700-draw chunk makes every call pool several chunks
+    monkeypatch.setattr(montecarlo, "_CHUNK", 700)
+    spec = spec_from_dict(dict(data, trials=2, seed=3, mc={"n_samples": 2000, "seed": 9}))
     rows = [r for r in run_experiment(spec) if r.method == "monte-carlo"]
     mode = "asymptotic" if spec.channel.asymptotic else "exact"
     assert len(rows) == 2 * len(spec.grid)
@@ -326,7 +331,7 @@ def test_monte_carlo_rows_equal_per_point_calls(data):
             key = (m, t, 0) if spec.experiment == "gamma-sweep" else (t, 2 - beams)
             covs = CovarianceSet(1.0, eff[:, :beams].T[:, :, None])
             estimates.append(mc_mutual_information(covs, MonteCarloSpec(
-                2000, seed=experiments._mix_seed(9, *key), batch=700)))
+                2000, seed=experiments._mix_seed(9, *key))))
         values, stderrs = np.array(estimates).T
         assert row.value == float(np.mean(values)), row
         assert row.mc_stderr == float(np.sqrt(np.sum(stderrs ** 2)) / spec.trials), row
@@ -405,13 +410,13 @@ def test_gamma_sweep_runs_on_large_array_with_monte_carlo():
     assert all(math.isfinite(r.value) for r in rows)
 
 
-def test_snr_sweep_with_four_beams_uses_general_form():
+@pytest.mark.parametrize("gains", [[0.6, 0.4], [0.5, 0.25, 0.15, 0.1]], ids=["m=2", "m=4"])
+def test_snr_sweep_with_four_beams_uses_general_form(gains):
     spec = spec_from_dict({"experiment": "snr-sweep", "grid": [10.0],
-                           "channel": {"m": 4, "gains": [0.5, 0.25, 0.15, 0.1]},
-                           "trials": 1})
+                           "channel": {"m": len(gains), "gains": gains}, "trials": 1})
     rows = run_experiment(spec)
-    methods = {row.method for row in rows}
-    assert methods == {"general-m", "shannon"}
+    assert [(row.method, row.variant) for row in rows] == [("general-m", "spim"),
+                                                           ("shannon", "mmwave")]
 
 
 def test_margin_map_matches_direct_margin_calls():
@@ -513,7 +518,7 @@ def test_cli_run_overrides_fail_like_reproduce(tmp_path, capsys):
 def test_snr_sweep_at_extreme_snr_gives_finite_rows():
     # at 160 dB, w g / N0 > 2^53: the closed forms used to factor a singular self pair
     rows = run_experiment(tiny_snr_spec(grid=[20.0, 160.0], channel={"gains": [0.6, 0.4]}))
-    assert len(rows) == 10
+    assert len(rows) == 8  # shannon, general-m and two monte-carlo rows per point
     assert all(math.isfinite(row.value) and math.isfinite(row.value_std) for row in rows)
 
 
@@ -584,7 +589,8 @@ def test_cli_check_conditions_bad_gain_token_names_the_flag(capsys):
 
 @pytest.mark.parametrize("flag, value", [("--array-gain", "nan"), ("--array-gain", "inf"),
                                          ("--array-gain", "0"), ("--array-gain", "-1"),
-                                         ("--n0", "nan"), ("--n0", "-0.1")])
+                                         ("--n0", "nan"), ("--n0", "-0.1"),
+                                         ("--gains", "0.6")])
 def test_cli_check_conditions_bad_flag_prints_nothing_first(flag, value, capsys):
     args = {"--gains": "1,0.5", "--n0": "0.1", flag: value}
     assert main(["check-conditions", *[x for item in args.items() for x in item]]) == 2
@@ -616,6 +622,22 @@ def test_preset_ids_are_documented():
     assert set(PRESET_IDS) == {
         "gamma-sweep", "margin-map", "q-function", "snr-sweep-balanced",
         "snr-sweep-imbalanced", "w1-sweep-high-noise", "w1-sweep-low-noise"}
+
+
+def test_method_tags_are_documented():
+    # README's CSV schema lists every method tag, in the order METHOD_TAGS holds them
+    text = README.read_text(encoding="utf-8")
+    sentence = text[text.index("`method` is one of"):].split(". `variant`")[0]
+    listed = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", sentence))
+    assert tuple(listed[1:]) == METHOD_TAGS
+
+
+@pytest.mark.parametrize("preset", PRESET_IDS)
+def test_presets_emit_each_row_once_under_documented_tags(preset, tmp_path):
+    rows = reproduce(preset, tmp_path, trials=2, mc_samples=1000)
+    assert {row.method for row in rows} <= set(METHOD_TAGS)
+    keys = [(row.axis, row.method, row.variant) for row in rows]
+    assert len(set(keys)) == len(keys)
 
 
 def test_load_spec_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spimmwave import (
     sample_channel,
     total_rate_approx,
 )
+from spimmwave import montecarlo
 
 
 def mc_spatial_information(covs, spec):
@@ -57,7 +59,7 @@ def dense_mutual_information(covs, spec):
     for comp in range(k):
         drawn = chunk = 0
         while drawn < per_component:
-            count = min(spec.batch, per_component - drawn)
+            count = min(montecarlo._CHUNK, per_component - drawn)
             rng = make_rng(spec.seed, stream=comp * (1 << 32) + chunk)
             z = (rng.standard_normal((count, n_r))
                  + 1j * rng.standard_normal((count, n_r))) / np.sqrt(2.0)
@@ -108,9 +110,10 @@ def test_projected_stderr_not_above_dense(oracle_grid):
 
 @st.composite
 def batched_sets(draw):
-    """A batch of random factor sets over one or two axes, K 1-8, and a spec of several chunks.
+    """A batch of random factor sets over one or two axes, K 1-8, a spec and a chunk size.
 
-    Sets may be zero or ragged, so ranks differ within a batch.
+    The chunk size splits each component's draws into several chunks. Sets
+    may be zero or ragged, so ranks differ within a batch.
     """
     k = draw(st.integers(1, 8))
     n_r = draw(st.integers(1, 12))
@@ -124,19 +127,20 @@ def batched_sets(draw):
     n_samples = draw(st.integers(1_000, 2_500))
     per_component = math.ceil(n_samples / k)
     chunk = draw(st.integers(max(1, per_component // 4), per_component - 1))
-    spec = MonteCarloSpec(n_samples, seed=draw(st.integers(0, 2 ** 16)), batch=chunk)
-    return CovarianceSet(n0=10.0 ** draw(st.floats(-2.0, 1.0)), factors=factors), spec
+    spec = MonteCarloSpec(n_samples, seed=draw(st.integers(0, 2 ** 16)))
+    return CovarianceSet(n0=10.0 ** draw(st.floats(-2.0, 1.0)), factors=factors), spec, chunk
 
 
 @settings(max_examples=40, deadline=None)
 @given(batched_sets())
 def test_batched_call_equals_per_set_calls(case):
-    covs, spec = case
-    batched = mc_mutual_information(covs, spec)
-    assert batched.shape == (*covs.factors.shape[:-3], 2)
-    for index in np.ndindex(*covs.factors.shape[:-3]):
-        alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
-        assert tuple(batched[index]) == alone, index
+    covs, spec, chunk = case
+    with mock.patch.object(montecarlo, "_CHUNK", chunk):
+        batched = mc_mutual_information(covs, spec)
+        assert batched.shape == (*covs.factors.shape[:-3], 2)
+        for index in np.ndindex(*covs.factors.shape[:-3]):
+            alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
+            assert tuple(batched[index]) == alone, index
 
 
 def test_batch_memory_does_not_grow_with_set_count():
@@ -159,8 +163,6 @@ def test_batch_memory_does_not_grow_with_set_count():
 def test_spec_rejects_small_sample_counts():
     with pytest.raises(ParameterError):
         MonteCarloSpec(n_samples=999)
-    with pytest.raises(ParameterError):
-        MonteCarloSpec(batch=0)
 
 
 @pytest.mark.parametrize("n_rx", [128, 512, 2048])
