@@ -34,6 +34,7 @@ from .numerics import cholesky_logdet, require_integer
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
+_ROUNDS_TO_ONE = math.sqrt(3.0 * 2.0 ** -54) / math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +242,8 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
 
     Both sines are evaluated at the fractional distance from the nearest
     integer, which is exact for integer n and avoids precision loss near
-    the periodic points, where the limit is 1.
+    the periodic points, where the limit is 1. It is returned as 1.0 only
+    where the true value rounds to 1.
     """
     require_integer("n_r", n_r)
     if n_r < 1:
@@ -250,7 +252,9 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
         raise ParameterError(f"delta_theta must be finite, got {delta_theta}",
                              field="delta_theta")
     frac = delta_theta - round(delta_theta)
-    if abs(frac) < 1e-9:
+    # 1 - q = pi^2 frac^2 (n^2 - 1) / 3 - O(frac^4) is below half an ulp of 1 under this cut,
+    # so q rounds to 1 there; above it, both sines are far from subnormal
+    if abs(frac) * math.sqrt(n_r * n_r - 1) < _ROUNDS_TO_ONE:
         return 1.0
     s = np.sin(np.pi * n_r * frac) / np.sin(np.pi * frac)
     return float(s * s) / float(n_r) ** 2

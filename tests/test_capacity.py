@@ -386,6 +386,16 @@ def test_dirichlet_gain_values():
         dirichlet_gain(0.1, 0)
 
 
+@pytest.mark.parametrize("n_r", [2, 8, 64])
+def test_dirichlet_gain_near_its_peak_follows_its_series(n_r):
+    # q = 1 - pi^2 d^2 (n^2 - 1) / 3 + pi^4 d^4 (n^2 - 1)(2 n^2 - 3) / 45 - O(d^6); a fixed
+    # cut that returned 1.0 below |d| = 1e-9 was 1.09e-14 off at n = 64, d = 9e-10
+    for d in (1e-12, 1e-10, 9e-10, -9e-10, 3e-9, 1e-8, 1e-7, -1e-6, 1e-6):
+        x2, n2 = (math.pi * d) ** 2, n_r * n_r
+        series = 1.0 - x2 * (n2 - 1) / 3.0 + x2 * x2 * (n2 - 1) * (2 * n2 - 3) / 45.0
+        assert abs(dirichlet_gain(d, n_r) - series) <= 1e-15, d
+
+
 def test_dirichlet_gain_in_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(500):

@@ -231,7 +231,8 @@ def test_snr_sweep_rows_and_tags():
     assert [(row.axis, row.variant) for row in closed] == [(0.0, "spim"), (10.0, "spim")]
     spim_mc = [row for row in rows if row.method == "monte-carlo" and row.variant == "spim"]
     assert len(spim_mc) == 2
-    assert all(row.mc_stderr is not None and row.mc_stderr > 0 for row in spim_mc)
+    # two rank-one patterns are answered exactly: no draws, stderr 0
+    assert all(row.mc_stderr == 0 for row in spim_mc)
     # one beam is one Gaussian: its MC row is the exact Shannon rate of the steered beam
     mm_mc = [row for row in rows if row.method == "monte-carlo" and row.variant == "mmwave"]
     assert len(mm_mc) == 2
@@ -383,13 +384,14 @@ def test_snr_sweep_out_of_order_gains_equal_fresh_channels(normalize):
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_gamma_sweep_closed_form_equals_fresh_channels(normalize):
-    # the closed form reads the unit-gain draws without rebuilding them; each row
-    # must equal spim_rate averaged over channels drawn afresh with the gains
+    # the closed form reads the unit-gain draws without rebuilding them; each row's value
+    # and value_std must be np.mean and np.std(ddof=1) of spim_rate over channels drawn
+    # afresh with the gains (at 3 trials a ddof-0 spread reads sqrt(2/3) of that)
     grid = [0.05, 0.5, 0.9999999999999999]
     spec = spec_from_dict({"experiment": "gamma-sweep", "grid": grid, "trials": 3,
                            "channel": {"m": [1, 3, 8], "normalize": normalize},
                            "noise": {"n0": 0.1}, "seed": 4})
-    rows = {(r.axis, r.variant): r.value for r in run_experiment(spec)}
+    rows = {(r.axis, r.variant): r for r in run_experiment(spec)}
     for m in (1, 3, 8):
         for gamma in grid:
             gains = gamma ** np.arange(m)
@@ -397,7 +399,9 @@ def test_gamma_sweep_closed_form_equals_fresh_channels(normalize):
                 gains = gains / np.sum(gains)
             fresh = [sample_channel(make_rng(4, t), 64, 8, m, gains=gains) for t in range(3)]
             rates = [spim_rate(c.gains, np.full(m, 64.0), c.aoa, 8, 0.1) for c in fresh]
-            assert rows[(gamma, f"m={m}")] == float(np.mean(rates))
+            row = rows[(gamma, f"m={m}")]
+            assert row.value == float(np.mean(rates))
+            assert row.value_std == float(np.std(rates, ddof=1))
 
 
 def test_gamma_sweep_runs_on_large_array_with_monte_carlo():

@@ -108,6 +108,56 @@ def test_projected_stderr_not_above_dense(oracle_grid):
         assert projected.stderr <= dense[1], key
 
 
+def rebuilt_draws(covs, spec):
+    """Oracle: every per-draw value of the sampler, (K, ceil(N/K)), with no chunk pooling.
+
+    Component c's chunk j of montecarlo._CHUNK draws comes from the stream
+    make_rng(seed, c 2^32 + j), real parts then imaginary parts. All draws of
+    a component are mapped at once through the eigenvalue root of B_c and
+    whitened block by block, and each value is
+    ln sum_j exp(E_j - E_c - ld_j) - ln K with own term -ld_c.
+    """
+    k, s = covs.k, covs.factors.shape[-1]
+    a = covs.gram / covs.n0
+    chol, ld = covs.cholesky
+    per_component = math.ceil(spec.n_samples / k)
+    values = np.empty((k, per_component))
+    for c in range(k):
+        a_c = a[:, c * s:(c + 1) * s]
+        lam, vec = np.linalg.eigh(a + a_c @ a_c.conj().T)
+        root = vec * np.sqrt(np.maximum(lam, 0.0))
+        z = []
+        for chunk, start in enumerate(range(0, per_component, montecarlo._CHUNK)):
+            count = min(montecarlo._CHUNK, per_component - start)
+            rng = make_rng(spec.seed, stream=c * (1 << 32) + chunk)
+            z.append(rng.standard_normal((count, k * s)) + 1j * rng.standard_normal((count, k * s)))
+        q = root @ np.concatenate(z).T / np.sqrt(2.0)  # (k s, per_component) ~ CN(0, B_c)
+        energy = np.stack([
+            np.sum(np.abs(solve_triangular(chol[j], q[j * s:(j + 1) * s], lower=True)) ** 2,
+                   axis=0) for j in range(k)])
+        terms = energy - energy[c] - ld[:, None]
+        terms[c] = -ld[c]
+        values[c] = logsumexp(terms, axis=0) - np.log(k)
+    return values
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pooled_chunks_equal_plain_moments_of_every_draw(k, monkeypatch):
+    # chunks of 300 split ceil(2000 / k) draws into full chunks and a short last one; the
+    # pooled mean is the plain mean of every draw, and the stderr the stratified one with
+    # ddof 1, sqrt(sum_c var_c / n_c) / K
+    monkeypatch.setattr(montecarlo, "_CHUNK", 300)
+    covs = asymptotic_covariances([0.7, 0.5, 0.3][:k], [64.0] * k, [-0.1, 0.05, 0.2][:k], 8, 0.3)
+    spec = MonteCarloSpec(2_000, seed=5)
+    draws = rebuilt_draws(covs, spec)
+    per_component = draws.shape[1]
+    assert per_component == math.ceil(2_000 / k) and per_component % 300 != 0
+    est = montecarlo._sampled(covs, spec)
+    assert abs(est.estimate + np.mean(draws) / np.log(2)) <= 1e-12
+    stderr = np.sqrt(np.sum(np.var(draws, axis=1, ddof=1)) / per_component) / k / np.log(2)
+    assert abs(est.stderr - stderr) <= 1e-12
+
+
 @st.composite
 def batched_sets(draw):
     """A batch of random factor sets over one or two axes, K 1-8, a spec and a chunk size.
@@ -214,8 +264,11 @@ def test_single_pattern_is_exact_under_any_seed():
 def test_estimator_is_deterministic():
     covs = asymptotic_covariances([0.9, 0.1], [64, 64], [-0.2, 0.2], 8, 0.1)
     spec = MonteCarloSpec(10_000, seed=7)
-    assert mc_mutual_information(covs, spec) == mc_mutual_information(covs, spec)
-    assert mc_mutual_information(covs, MonteCarloSpec(10_000, seed=8)) != \
+    assert montecarlo._sampled(covs, spec) == montecarlo._sampled(covs, spec)
+    assert montecarlo._sampled(covs, MonteCarloSpec(10_000, seed=8)) != \
+        montecarlo._sampled(covs, spec)
+    # two rank-one patterns are answered exactly, whatever the seed
+    assert mc_mutual_information(covs, MonteCarloSpec(10_000, seed=8)) == \
         mc_mutual_information(covs, spec)
 
 
@@ -304,7 +357,7 @@ def test_stderr_matches_seed_to_seed_spread(k, mode, n_r, n0):
     chan = sample_channel(make_rng(k, n_r), 64, n_r, k, gains=list(0.7 ** np.arange(k)))
     eff = effective_channel(chan, build_abf(chan, k), mode)
     covs = covariances(eff, pattern_alphabet(k, 1), n0)
-    runs = np.array([mc_mutual_information(covs, MonteCarloSpec(2_000, seed=seed))
+    runs = np.array([montecarlo._sampled(covs, MonteCarloSpec(2_000, seed=seed))
                      for seed in range(200)])
     ratio = np.std(runs[:, 0], ddof=1) / np.mean(runs[:, 1])
     assert 0.8 <= ratio <= 1.25
@@ -314,8 +367,8 @@ def test_stderr_scales_with_sample_count():
     covs = asymptotic_covariances([0.9, 0.1], [64, 64], [-0.15, 0.2], 8, 0.1)
     ratios = []
     for seed in range(6):
-        small = mc_mutual_information(covs, MonteCarloSpec(20_000, seed=seed))
-        large = mc_mutual_information(covs, MonteCarloSpec(40_000, seed=seed + 100))
+        small = montecarlo._sampled(covs, MonteCarloSpec(20_000, seed=seed))
+        large = montecarlo._sampled(covs, MonteCarloSpec(40_000, seed=seed + 100))
         ratios.append(small.stderr / large.stderr)
     assert np.mean(ratios) == pytest.approx(np.sqrt(2.0), rel=0.2)
 
@@ -333,3 +386,129 @@ def test_agreement_with_closed_form_on_separated_draws():
             covs = asymptotic_covariances([0.6, 0.4], [64, 64], theta, 8, n0)
             est = mc_mutual_information(covs, MonteCarloSpec(50_000, seed=int(snr_db)))
             assert abs(est.estimate - total_rate_approx(covs)) <= tol
+
+
+# (x_1, x_2, delta, rate in bits) of the exact two-pattern form, each rate a 40-digit
+# evaluation of 1 + sum_c log2(1 + x_c) / 2 - sum_c E softplus(Z_c + b_c) / (2 ln 2)
+# from the same float inputs, truncated to 25 digits
+TWO_PATTERN_REFERENCES = [
+    (3.7, 1.2, 2.2, "1.932594286408725462225566"),  # partly overlapping beams
+    (1e6, 1e6, 0.3, "19.93157012022049726351628"),  # equal gains, 1 - rho = 3e-13
+    (40175117.54424437, 27387986.448285602, 221607844767492.22,
+     "25.98341895806963200161388"),  # the high-SNR set below, as its inputs
+    (1e-3, 2e-3, 1e-9, "0.002162421510709209005152691"),  # low SNR
+    (1e4, 1e-2, 50.0, "7.647176765351063774555208"),  # strongly imbalanced, orthogonal
+    (1e12, 3e11, 2.9e23, "39.9946543415626213042141"),  # very high SNR, nearly orthogonal
+    (20.0, 5.0, 1e-8, "3.702246294072938590634102"),  # nearly parallel, unequal gains
+    (0.5, 0.5, 0.25, "0.6406929966322598407177465"),  # orthogonal, equal gains
+]
+
+
+@pytest.mark.parametrize("x1, x2, delta, reference", TWO_PATTERN_REFERENCES)
+def test_two_pattern_rate_matches_40_digit_references(x1, x2, delta, reference):
+    rate = montecarlo._two_pattern_rate(np.array([x1, x2]), np.array(delta))
+    assert abs(rate - float(reference)) <= 1e-12
+
+
+def _quad_two_pattern_rate(covs):
+    """Oracle: the rate of two rank-one patterns from the density of Z, by scipy quad.
+
+    Under component c, Z = E_o - E_c = q^H D q with q ~ CN(0, B_c), D =
+    diag(-1 / (1 + x_c), 1 / (1 + x_o)); its lams are the eigenvalues of D B_c,
+    and Z has density exp(-z / lam_+) / r above 0 and exp(z / |lam_-|) / r below.
+    """
+    from scipy.integrate import quad
+
+    a = covs.gram / covs.n0
+    x = a.diagonal().real
+    penalty = 0.0
+    for c in (0, 1):
+        o = 1 - c
+        b = np.log1p(x[c]) - np.log1p(x[o])
+        d = np.diag(np.where(np.arange(2) == c, -1.0, 1.0) / (1.0 + x))
+        b_c = a + np.outer(a[:, c], a[:, c].conj())
+        lo, hi = np.sort(np.linalg.eigvals(d @ b_c).real)
+        up = quad(lambda z: np.logaddexp(0.0, z + b) * np.exp(-z / hi), 0, np.inf,
+                  epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        down = quad(lambda z: np.logaddexp(0.0, b - z) * np.exp(z / lo), 0, np.inf,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        penalty += (up + down) / (hi - lo) / 2
+    return 1.0 + np.mean(np.log2(1.0 + x)) - penalty / np.log(2)
+
+
+def test_two_pattern_rate_matches_scipy_quad():
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        n_r = int(rng.integers(2, 9))
+        factors = rng.standard_normal((2, n_r, 1)) + 1j * rng.standard_normal((2, n_r, 1))
+        factors *= rng.uniform(0.2, 2.0, (2, 1, 1))
+        covs = CovarianceSet(10.0 ** rng.uniform(-1.0, 1.0), factors)
+        est = mc_mutual_information(covs, MonteCarloSpec())
+        assert est.stderr == 0.0
+        assert abs(est.estimate - _quad_two_pattern_rate(covs)) <= 1e-12
+
+
+def test_sampler_agrees_with_exact_two_pattern_rate():
+    # 120 moderate-SNR sets: steered beams at n_r = 8 and random factors at n_r = 4, each
+    # scaled to its own noise floor in [0.01, 10] and sampled at n0 = 1 on one set of draws
+    rng = np.random.default_rng(14)
+    n0 = 10.0 ** rng.uniform(-2.0, 1.0, (2, 60))
+    steered = asymptotic_covariances(rng.uniform(0.1, 1.0, (60, 2)), np.full(2, 64.0),
+                                     rng.uniform(-0.5, 0.5, (60, 2)), 8, 1.0).factors
+    random = (rng.standard_normal((60, 2, 4, 1))
+              + 1j * rng.standard_normal((60, 2, 4, 1))) * rng.uniform(0.3, 3.0, (60, 2, 1, 1))
+    spec = MonteCarloSpec(4_000, seed=15)
+    z = []
+    for factors, floor in zip((steered, random), n0):
+        covs = CovarianceSet(1.0, factors / np.sqrt(floor)[:, None, None, None])
+        exact = mc_mutual_information(covs, spec)
+        sampled = montecarlo._sampled(covs, spec)
+        assert np.all(exact[:, 1] == 0.0)
+        z.append((sampled[:, 0] - exact[:, 0]) / sampled[:, 1])
+    z = np.concatenate(z)
+    assert len(z) >= 100
+    assert np.all(np.abs(z) <= 4.0)
+
+
+def test_identical_beams_with_equal_gains_carry_no_index_information():
+    for n0 in (1e-8, 0.1, 10.0):
+        beam = asymptotic_covariances([0.6], [64.0], [0.15], 8, n0).factors[0]
+        covs = CovarianceSet(n0, np.stack([beam, beam]))
+        est = mc_mutual_information(covs, MonteCarloSpec())
+        assert est.stderr == 0.0
+        assert abs(est.estimate - np.log2(1 + np.vdot(beam, beam).real / n0)) <= 1e-14
+
+
+def test_orthogonal_beams_tend_to_conditional_rate_plus_one_bit():
+    # receive angles 0 and 0.5 at n_r = 64 are orthogonal; the confusion penalty falls as n0
+    gaps = []
+    for n0 in (1.0, 1e-2, 1e-4, 1e-6):
+        covs = asymptotic_covariances([0.6, 0.4], [64.0, 64.0], [0.0, 0.5], 64, n0)
+        gaps.append(mc_mutual_information(covs, MonteCarloSpec()).estimate
+                    - conditional_symbol_rate(covs) - 1.0)
+    assert all(gap < 0 for gap in gaps)
+    assert all(abs(later) < 0.1 * abs(earlier) for earlier, later in zip(gaps, gaps[1:]))
+    assert abs(gaps[-1]) < 1e-6
+
+
+def test_high_snr_two_pattern_rate_is_exact():
+    # at n0 = 1e-6 a pattern confusion has probability 1.7e-7 per draw, so 5e4 draws per
+    # component see none: the sampler read 4.7e-7 bits high with a stderr of 1.2e-17
+    chan = sample_channel(make_rng(0, 0), 64, 8, 2, gains=[0.6, 0.4])
+    eff = effective_channel(chan, build_abf(chan, 2), "exact")
+    covs = covariances(eff, pattern_alphabet(2, 1), 1e-6)
+    est = mc_mutual_information(covs, MonteCarloSpec(100_000, seed=0))
+    assert est.stderr == 0.0
+    assert abs(est.estimate - 25.98341895806963200161388) <= 1e-12
+
+
+def test_two_pattern_batch_equals_per_set_calls():
+    rng = np.random.default_rng(16)
+    factors = rng.standard_normal((3, 4, 2, 6, 1)) + 1j * rng.standard_normal((3, 4, 2, 6, 1))
+    factors[0, 0, 1] = factors[0, 0, 0]  # identical beams
+    factors[1, 2] = 0.0  # a zero channel
+    covs = CovarianceSet(0.05, factors)
+    batched = mc_mutual_information(covs, MonteCarloSpec())
+    for index in np.ndindex(3, 4):
+        alone = mc_mutual_information(CovarianceSet(0.05, factors[index]), MonteCarloSpec())
+        assert tuple(batched[index]) == alone, index
