@@ -18,6 +18,13 @@ the K(K-1)/2 distinct pairs. The Gram matrix is also where n0 is checked
 against the factors, so the closed forms and the oracle fail alike, by
 name, when W^H W / N0 leaves the float range. All log-determinant work
 happens in natural logs and converts to bits at the boundary.
+
+spim_rate, the paper's general-M closed form on large-array beams, needs
+none of that machinery: its pair determinants depend on the beams only
+through a = w g / 2N0 and the Dirichlet overlap q of their angles, so it
+evaluates the pair formula elementwise on the one Dirichlet kernel,
+_overlap, which dirichlet_gain fronts for a single distance.
+total_rate_approx of asymptotic_covariances stays its independent oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .numerics import cholesky_logdet, require_integer
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
-_ROUNDS_TO_ONE = math.sqrt(3.0 * 2.0 ** -54) / math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +141,8 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
 def _paths(w, g, theta):
     """w, g and theta as float arrays of one shape: paths on the last axis, batch axes broadcast."""
     w, g, theta = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (w, g, theta))
-    if not w.shape[-1] == g.shape[-1] == theta.shape[-1]:
-        raise DimensionError("w, g and theta must have equal lengths")
+    if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
+        raise DimensionError("w, g and theta must have equal lengths of at least one path")
     if not np.isfinite(theta).all():
         raise ParameterError(f"angles theta must be finite, got {theta[~np.isfinite(theta)][0]}",
                              field="theta")
@@ -152,6 +158,7 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
 
     Leading axes of w, g and theta broadcast into a batch of sets.
     """
+    require_integer("n_r", n_r, minimum=1)
     w, g, theta = _paths(w, g, theta)
     ok = (w * g >= 0) & (w * g < np.inf)
     if not ok.all():
@@ -237,49 +244,82 @@ def mmwave_rate(w1, g1, n0: float) -> float:
     return _bits(np.log1p(snr) / LN2)
 
 
+def _overlap(d: np.ndarray, n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet gain q = sin^2(pi n d) / (n sin(pi d))^2 of beam distances d, and gap = 1 - q.
+
+    Elementwise over an array of distances; both sines are taken at the
+    distance from the nearest integer, which is exact for integer n. Where
+    q > 1/2, 1 - q would cancel, so gap comes from the sum of positive terms
+    S = n - sin(n x) / sin(x) = sum_k 2 sin^2((n - 1 - 2k) x / 2), with
+    x = pi (d - round(d)), as gap = S (2n - S) / n^2, and q = 1 - gap. A
+    whole distance gives gap = 0 exactly.
+    """
+    frac = d - np.round(d)
+    with np.errstate(invalid="ignore"):  # 0/0 at whole distances, which take the S branch
+        ratio = np.sin(np.pi * n_r * frac) / np.sin(np.pi * frac)
+    q = ratio * ratio / float(n_r) ** 2
+    gap = 1.0 - q
+    near = ~(q <= 0.5)
+    half_x = np.pi * frac[near] / 2.0
+    odd = np.arange(n_r - 1, 0, -2)  # terms k and n - 1 - k are equal; 8 at a time bounds memory
+    s = 4.0 * sum((np.sin(np.multiply.outer(half_x, odd[i:i + 8])) ** 2).sum(axis=-1)
+                  for i in range(0, odd.size, 8))
+    gap[near] = s * (2 * n_r - s) / float(n_r) ** 2
+    q[near] = 1.0 - gap[near]
+    return q, gap
+
+
 def dirichlet_gain(delta_theta: float, n_r: int) -> float:
     """Squared normalized steering inner product sin^2(pi n d)/(n^2 sin^2(pi d)) in [0, 1].
 
-    Both sines are evaluated at the fractional distance from the nearest
-    integer, which is exact for integer n and avoids precision loss near
-    the periodic points, where the limit is 1. It is returned as 1.0 only
-    where the true value rounds to 1.
+    The scalar front of the one Dirichlet kernel that spim_rate also reads:
+    near its peak at whole d, the value is 1 minus a gap summed from
+    positive terms, so it follows its series there to the last bit.
     """
-    require_integer("n_r", n_r)
-    if n_r < 1:
-        raise ParameterError(f"n_r must be >= 1, got {n_r}", field="n_r")
+    require_integer("n_r", n_r, minimum=1)
     if not -math.inf < delta_theta < math.inf:
         raise ParameterError(f"delta_theta must be finite, got {delta_theta}",
                              field="delta_theta")
-    frac = delta_theta - round(delta_theta)
-    # 1 - q = pi^2 frac^2 (n^2 - 1) / 3 - O(frac^4) is below half an ulp of 1 under this cut,
-    # so q rounds to 1 there; above it, both sines are far from subnormal
-    if abs(frac) * math.sqrt(n_r * n_r - 1) < _ROUNDS_TO_ONE:
-        return 1.0
-    s = np.sin(np.pi * n_r * frac) / np.sin(np.pi * frac)
-    return float(s * s) / float(n_r) ** 2
+    return float(_overlap(np.array([delta_theta], dtype=np.float64), n_r)[0][0])
+
+
+def _pair_formula(w, g, theta, n_r: int, n0: float) -> np.ndarray:
+    """spim_rate of one validated (sets, M) slice; its arrays are freed on return."""
+    with np.errstate(over="ignore"):
+        a = w * g / (2.0 * n0)
+        square = a.max() ** 2
+    if not square < math.inf:  # coincident beams would give inf * 0 there
+        raise ParameterError(f"n0 = {n0} is too small for these gains: "
+                             "(w g / 2 n0)^2 overflows", field="n0")
+    a_n, a_t = a[..., :, None], a[..., None, :]
+    gap = _overlap(theta[..., :, None] - theta[..., None, :], n_r)[1]
+    inner = _mean_logsumexp(-np.log1p(a_n + a_t + a_n * a_t * gap))
+    return math.log2(a.shape[-1]) - inner / LN2
 
 
 def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
-    """General closed-form rate of index modulation over M steered beams.
+    """General closed-form rate of index modulation over M steered beams, in bits.
 
-    total_rate_approx of the large-array covariances, which works out to
-    log2 M - (1/M) sum_n log2 sum_t [(1 + w_n g_n/2N0)(1 + w_t g_t/2N0) - Q_nt]^{-1}
-    with the Dirichlet cross term Q_nt = (w_n w_t g_n g_t / 4 N0^2) dirichlet_gain.
-    M = 1 collapses exactly to the conventional single-beam rate. Paths run
-    along the last axis; leading axes broadcast into a batch, validated once
-    and scored one (sets, M) slice along the last batch axis at a time, so a
-    (grid, trials, M) theta gives one rate per (grid point, trial), each equal
-    to its own unbatched call, in the memory of one (trials, M) call.
+    The paper's pair formula, log2 M - (1/M) sum_n log2 sum_t exp(-P_nt), with
+    P_nt = ln(1 + a_n + a_t + a_n a_t (1 - q_nt)), a = w g / 2N0 and q the
+    Dirichlet gain of the angle distance; ln|S_n + S_t| of the large-array
+    covariances is n_r ln 2N0 + P_nt, so this equals total_rate_approx of
+    asymptotic_covariances without forming a beam. On the diagonal 1 - q is
+    0 exactly, so M = 1 gives mmwave_rate's bits. Paths run along the last
+    axis; leading axes broadcast into a batch, validated once and scored one
+    (sets, M) slice along the last batch axis at a time, so a (grid, trials, M)
+    theta gives one rate per (grid point, trial), each equal to its own
+    unbatched call, in the memory of one (trials, M) call.
     """
     w, g, theta = _paths(w, g, theta)
     ok = (w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)
     if not ok.all():
         raise ParameterError(f"path gains w and g must be finite and > 0, got w={w[~ok][0]}, "
                              f"g={g[~ok][0]}")
-    if w.shape[-1] == 1:
-        return mmwave_rate(w[..., 0], g[..., 0], n0)
+    require_integer("n_r", n_r, minimum=1)
+    if not 0 < n0 < math.inf:
+        raise ParameterError(f"n0 must be finite and > 0, got {n0}", field="n0")
     rates = np.empty(w.shape[:-1])
     for row in np.ndindex(w.shape[:-2]):
-        rates[row] = total_rate_approx(asymptotic_covariances(w[row], g[row], theta[row], n_r, n0))
+        rates[row] = _pair_formula(w[row], g[row], theta[row], n_r, n0)
     return _bits(rates)

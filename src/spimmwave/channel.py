@@ -34,10 +34,8 @@ class ChannelRealization:
     gains: np.ndarray
 
     def __post_init__(self):
-        require_integer("n_tx", self.n_tx)
-        require_integer("n_rx", self.n_rx)
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ParameterError("antenna counts must be >= 1")
+        require_integer("n_tx", self.n_tx, minimum=1)
+        require_integer("n_rx", self.n_rx, minimum=1)
         aod = np.atleast_1d(np.asarray(self.aod, dtype=np.float64))
         aoa = np.atleast_1d(np.asarray(self.aoa, dtype=np.float64))
         gains = np.atleast_1d(np.asarray(self.gains, dtype=np.float64))
@@ -70,8 +68,7 @@ def steering_vector(angle, n: int) -> np.ndarray:
     last axis: a scalar angle gives shape (n,), a vector of m angles gives
     the (m, n) array with one response per row.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ParameterError(f"array size n must be an integer >= 1, got {n!r}")
+    require_integer("n", n, minimum=1)
     angle = np.asarray(angle, dtype=np.float64)
     if not np.isfinite(angle).all():
         raise ParameterError("angle must be finite", field="angle")
@@ -123,9 +120,7 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     arrivals, and a separation that does not fit in a range fails at once
     with a ParameterError naming n_paths.
     """
-    require_integer("n_paths", n_paths)
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1", field="n_paths")
+    require_integer("n_paths", n_paths, minimum=1)
     gains = np.asarray(gains, dtype=np.float64)
     if len(gains) != n_paths:
         raise ParameterError(f"expected {n_paths} gains, got {len(gains)}")

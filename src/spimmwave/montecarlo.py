@@ -48,7 +48,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .capacity import LN2, CovarianceSet
-from .errors import ParameterError
 from .numerics import make_rng, require_integer
 
 MIN_SAMPLES = 1_000
@@ -92,12 +91,8 @@ class MonteCarloSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "seed"):
-            require_integer(name, getattr(self, name))
-        if self.n_samples < MIN_SAMPLES:
-            raise ParameterError(
-                f"n_samples must be >= {MIN_SAMPLES} to keep estimator variance usable",
-                field="n_samples")
+        require_integer("n_samples", self.n_samples, minimum=MIN_SAMPLES)
+        require_integer("seed", self.seed)
 
 
 class McEstimate(NamedTuple):

@@ -21,10 +21,15 @@ from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
 _UINT64_MASK = (1 << 64) - 1
 
 
-def require_integer(name: str, value) -> None:
-    """Raise a ParameterError naming the field unless value is an integer (a bool is not)."""
+def require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise a ParameterError naming the field unless value is an integer (a bool is not).
+
+    A given minimum is checked too, under the same field.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}", field=name)
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}", field=name)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

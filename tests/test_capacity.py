@@ -38,7 +38,7 @@ from spimmwave import (
     total_rate_approx,
 )
 from spimmwave.beamforming import large_array_beams
-from spimmwave.capacity import LOG2E, _pair_logdets
+from spimmwave.capacity import LOG2E, _overlap, _pair_logdets
 
 RATE_GAP = LOG2E - 1.0  # per receive antenna, closes the bound's constant offset
 
@@ -219,6 +219,8 @@ FLOAT_COUNTS = {
         lambda: ChannelRealization(64.5, 8, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_tx"),
     "ChannelRealization-n_rx": (
         lambda: ChannelRealization(64, 8.0, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_rx"),
+    "ChannelRealization-n_rx-zero": (
+        lambda: ChannelRealization(64, 0, aod=[0.1], aoa=[0.1], gains=[1.0]), "n_rx"),
     "MonteCarloSpec-n_samples": (lambda: MonteCarloSpec(n_samples=2000.5), "n_samples"),
     "MonteCarloSpec-seed": (lambda: MonteCarloSpec(seed=1.5), "seed"),
     "MonteCarloSpec-bool": (lambda: MonteCarloSpec(seed=True), "seed"),
@@ -229,6 +231,22 @@ FLOAT_COUNTS = {
     "sample_channel-bool": (lambda: sample_channel(make_rng(0), 64, 8, True, gains=[1]), "n_paths"),
     "build_abf-m": (
         lambda: build_abf(sample_channel(make_rng(0), 64, 8, 2, gains=[1, 1]), 1.5), "m"),
+    # a receive-array size of True was scored as n_r = 1, and 0 failed without a field
+    "spim_rate-n_r": (lambda: spim_rate([0.6, 0.4], [64, 64], [0.1, 0.2], 2.5, 0.1), "n_r"),
+    "spim_rate-n_r-bool": (
+        lambda: spim_rate([0.6, 0.4], [64, 64], [0.1, 0.2], True, 0.1), "n_r"),
+    "spim_rate-n_r-zero": (lambda: spim_rate([0.6, 0.4], [64, 64], [0.1, 0.2], 0, 0.1), "n_r"),
+    "asymptotic_covariances-n_r": (
+        lambda: asymptotic_covariances([0.6], [64.0], [0.1], 2.5, 0.1), "n_r"),
+    "asymptotic_covariances-n_r-bool": (
+        lambda: asymptotic_covariances([0.6], [64.0], [0.1], True, 0.1), "n_r"),
+    "asymptotic_covariances-n_r-zero": (
+        lambda: asymptotic_covariances([0.6], [64.0], [0.1], 0, 0.1), "n_r"),
+    "steering_vector-n": (lambda: steering_vector(0.1, 2.5), "n"),
+    "steering_vector-n-bool": (lambda: steering_vector(0.1, True), "n"),
+    "steering_vector-n-zero": (lambda: steering_vector(0.1, 0), "n"),
+    "dirichlet_gain-n_r-bool": (lambda: dirichlet_gain(0.3, True), "n_r"),
+    "dirichlet_gain-n_r-zero": (lambda: dirichlet_gain(0.3, 0), "n_r"),
 }
 
 
@@ -242,7 +260,8 @@ def test_non_integer_count_raises_named_parameter_error(call, name):
 def test_mismatched_path_counts_raise_dimension_error():
     for w, g, theta in (([0.5, 0.4], [64, 64, 64], [0.1, -0.1, 0.2]),
                         ([0.5, 0.4, 0.1], [64, 64], [0.1, -0.1]),
-                        (np.full((2, 2), 0.5), [64, 64], np.zeros((3, 2)))):
+                        (np.full((2, 2), 0.5), [64, 64], np.zeros((3, 2))),
+                        ([], [], [])):
         for call in (spim_rate, asymptotic_covariances):
             with pytest.raises(DimensionError):
                 call(w, g, theta, 8, 0.1)
@@ -396,6 +415,23 @@ def test_dirichlet_gain_near_its_peak_follows_its_series(n_r):
         assert abs(dirichlet_gain(d, n_r) - series) <= 1e-15, d
 
 
+@pytest.mark.parametrize("n_r", [2, 8, 64])
+def test_overlap_gap_follows_its_series(n_r):
+    # 1 - q = x^2 (n^2 - 1) / 3 (1 - x^2 (2 n^2 - 3) / 15 + x^4 (n^2 - 2)(3 n^2 - 5) / 315)
+    # + O(x^8), x = pi d; its first two terms alone are 1.6e-9 off at n = 64, d = 1e-4
+    d = np.logspace(-12, -4, 81)
+    x2, n2 = (math.pi * d) ** 2, n_r * n_r
+    series = x2 * (n2 - 1) / 3 * (1 - x2 * (2 * n2 - 3) / 15
+                                  + x2 * x2 * (n2 - 2) * (3 * n2 - 5) / 315)
+    for sign in (1.0, -1.0):
+        q, gap = _overlap(sign * d, n_r)
+        assert np.abs(gap / series - 1.0).max() <= 1e-13
+        assert np.array_equal(q, 1.0 - gap)
+    # whole distances are the peak itself: no gap at all
+    q, gap = _overlap(np.array([0.0, -0.0, 1.0, -3.0]), n_r)
+    assert np.all(gap == 0.0) and np.all(q == 1.0)
+
+
 def test_dirichlet_gain_in_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(500):
@@ -507,14 +543,18 @@ def test_large_array_total_rate_matches_dense_oracle(n_rx):
 
 
 def test_two_path_rate_matches_total_rate_approx():
+    # the pair formula on the Dirichlet kernel against the Gram-and-Cholesky determinants
+    # of the large-array covariances, for two beams and more
     rng = np.random.default_rng(19)
-    for _ in range(100):
-        w = np.sort(rng.uniform(0.05, 1.0, 2))[::-1]
-        theta = rng.uniform(-0.5, 0.5, 2)
-        n0 = rng.uniform(0.05, 1.0)
-        covs = asymptotic_covariances(w, [64.0, 64.0], theta, 8, n0)
-        direct = spim_rate(w, [64.0, 64.0], theta, 8, n0)
-        assert_allclose(direct, total_rate_approx(covs), rtol=1e-9)
+    for m in (2, 3, 4, 8):
+        g = np.full(m, 64.0)
+        for n_r in (2, 8, 64):
+            for _ in range(25):
+                w = np.sort(rng.uniform(0.05, 1.0, m))[::-1]
+                theta = rng.uniform(-0.5, 0.5, m)
+                n0 = 10.0 ** rng.uniform(-3.0, 1.0)
+                covs = asymptotic_covariances(w, g, theta, n_r, n0)
+                assert abs(spim_rate(w, g, theta, n_r, n0) - total_rate_approx(covs)) <= 1e-12
 
 
 def test_two_path_rate_variants_coincide_for_two_patterns():
@@ -574,15 +614,23 @@ def test_general_rate_two_beams_matches_pair_form():
 def test_general_rate_two_beams_at_tiny_noise():
     # the pair form without cancellation, P_nn = log1p(2 a_n) and
     # P_nt = ln(a_n a_t (1 - q) + a_n + a_t + 1) with a = w g / 2N0, is within 5e-15 bits
-    # of a 60-digit evaluation at these n0; the self-pair diagonal was 0.16 bits off at 1e-14
-    w, g = np.array([0.6, 0.4]), np.array([64.0, 64.0])
-    q = dirichlet_gain(0.4, 8)
-    for n0 in (1e-4, 1e-8, 1e-10, 1e-14, 1e-20):
-        a = w * g / (2.0 * n0)
-        p = np.log(np.outer(a, a) * (1.0 - q) + a[:, None] + a[None, :] + 1.0)
-        np.fill_diagonal(p, np.log1p(2.0 * a))
-        form = 1.0 - np.mean(logsumexp(-p, axis=1)) / np.log(2.0)
-        assert abs(spim_rate(w, g, [-0.2, 0.2], 8, n0) - form) <= 1e-12, n0
+    # of a 60-digit evaluation at these n0; the self-pair diagonal was 0.16 bits off at 1e-14.
+    # Near-coincident beams take 1 - q from its series, which 1 - dirichlet_gain would cancel
+    g = np.array([64.0, 64.0])
+    x2 = (math.pi * 1e-9) ** 2
+    for w, theta, gap in (([0.6, 0.4], [-0.2, 0.2], 1.0 - dirichlet_gain(0.4, 8)),
+                          ([0.6, 0.4], [0.0, 1e-9], x2 * 63 / 3 - x2 * x2 * 63 * 125 / 45)):
+        w = np.array(w)
+        for n0 in (1e-4, 1e-8, 1e-10, 1e-14, 1e-20):
+            a = w * g / (2.0 * n0)
+            p = np.log(np.outer(a, a) * gap + a[:, None] + a[None, :] + 1.0)
+            np.fill_diagonal(p, np.log1p(2.0 * a))
+            form = 1.0 - np.mean(logsumexp(-p, axis=1)) / np.log(2.0)
+            assert abs(spim_rate(w, g, theta, 8, n0) - form) <= 1e-12, (theta, n0)
+    # coincident beams carry no index bit: the Gram route read 1.0 bit high at 1e-20
+    for n0 in (1e-4, 1e-8, 1e-14, 1e-20):
+        exact = np.log2(1.0 + 0.6 * 64.0 / n0)
+        assert abs(spim_rate([0.6, 0.6], g, [0.1, 0.1], 8, n0) - exact) <= 1e-14, n0
 
 
 def test_general_rate_permutation_symmetry():
