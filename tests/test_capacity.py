@@ -231,7 +231,7 @@ FLOAT_COUNTS = {
     "sample_channel-bool": (lambda: sample_channel(make_rng(0), 64, 8, True, gains=[1]), "n_paths"),
     "build_abf-m": (
         lambda: build_abf(sample_channel(make_rng(0), 64, 8, 2, gains=[1, 1]), 1.5), "m"),
-    # a receive-array size of True was scored as n_r = 1, and 0 failed without a field
+    # receive-array sizes are integers >= 1 under their own name; True would pass as 1
     "spim_rate-n_r": (lambda: spim_rate([0.6, 0.4], [64, 64], [0.1, 0.2], 2.5, 0.1), "n_r"),
     "spim_rate-n_r-bool": (
         lambda: spim_rate([0.6, 0.4], [64, 64], [0.1, 0.2], True, 0.1), "n_r"),
@@ -615,7 +615,8 @@ def test_general_rate_two_beams_at_tiny_noise():
     # the pair form without cancellation, P_nn = log1p(2 a_n) and
     # P_nt = ln(a_n a_t (1 - q) + a_n + a_t + 1) with a = w g / 2N0, is within 5e-15 bits
     # of a 60-digit evaluation at these n0; the self-pair diagonal was 0.16 bits off at 1e-14.
-    # Near-coincident beams take 1 - q from its series, which 1 - dirichlet_gain would cancel
+    # Near-coincident beams take 1 - q from its two-term series at n = 8 (n^2 - 1 = 63,
+    # 2 n^2 - 3 = 125), since 1 - dirichlet_gain would cancel there
     g = np.array([64.0, 64.0])
     x2 = (math.pi * 1e-9) ** 2
     for w, theta, gap in (([0.6, 0.4], [-0.2, 0.2], 1.0 - dirichlet_gain(0.4, 8)),
@@ -627,7 +628,7 @@ def test_general_rate_two_beams_at_tiny_noise():
             np.fill_diagonal(p, np.log1p(2.0 * a))
             form = 1.0 - np.mean(logsumexp(-p, axis=1)) / np.log(2.0)
             assert abs(spim_rate(w, g, theta, 8, n0) - form) <= 1e-12, (theta, n0)
-    # coincident beams carry no index bit: the Gram route read 1.0 bit high at 1e-20
+    # coincident beams carry no index bit, down to n0 = 1e-20
     for n0 in (1e-4, 1e-8, 1e-14, 1e-20):
         exact = np.log2(1.0 + 0.6 * 64.0 / n0)
         assert abs(spim_rate([0.6, 0.6], g, [0.1, 0.1], 8, n0) - exact) <= 1e-14, n0
