@@ -63,7 +63,7 @@ class CovarianceSet:
 
     def __post_init__(self):
         if not 0 < self.n0 < math.inf:
-            raise ParameterError(f"n0 must be finite and > 0, got {self.n0}")
+            raise ParameterError(f"n0 must be finite and > 0, got {self.n0}", field="n0")
         fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:
             raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
@@ -133,7 +133,7 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
     if eff.ndim != 2 or eff.shape[1] != alphabet.m:
         raise DimensionError(f"effective channel must be (n_r, {alphabet.m}), got {eff.shape}")
     if not np.isfinite(eff).all():
-        raise ParameterError("effective channel eff must be finite")
+        raise ParameterError("effective channel eff must be finite", field="eff")
     factors = eff @ alphabet.patterns / np.sqrt(alphabet.n_s)
     return CovarianceSet(n0=n0, factors=factors, source=source)
 
@@ -163,7 +163,7 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     ok = (w * g >= 0) & (w * g < np.inf)
     if not ok.all():
         raise ParameterError(f"gains w * g must be finite and >= 0, got w={w[~ok][0]}, "
-                             f"g={g[~ok][0]}")
+                             f"g={g[~ok][0]}", field="g" if 0 <= w[~ok][0] < np.inf else "w")
     beams = large_array_beams(w, g, theta, n_r)
     return CovarianceSet(n0=n0, factors=beams[..., None], source="asymptotic")
 
@@ -233,10 +233,11 @@ def mmwave_rate(w1, g1, n0: float) -> float:
     Array gains broadcast and give one rate per element.
     """
     if not 0 < n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and > 0, got {n0}")
+        raise ParameterError(f"n0 must be finite and > 0, got {n0}", field="n0")
     w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
-    if not ((0 <= w1) & (w1 < np.inf) & (0 <= g1) & (g1 < np.inf)).all():
-        raise ParameterError(f"gains w1 and g1 must be finite and >= 0, got {w1}, {g1}")
+    for name, gain in (("w1", w1), ("g1", g1)):
+        if not ((0 <= gain) & (gain < np.inf)).all():
+            raise ParameterError(f"gain {name} must be finite and >= 0, got {gain}", field=name)
     with np.errstate(over="ignore"):
         snr = w1 * g1 / n0
     if not (snr < np.inf).all():
@@ -283,8 +284,11 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
     return float(_overlap(np.array([delta_theta], dtype=np.float64), n_r)[0][0])
 
 
-def _pair_formula(w, g, theta, n_r: int, n0: float) -> np.ndarray:
-    """spim_rate of one validated (sets, M) slice; its arrays are freed on return."""
+def _pair_formula(w, g, gap, n0: float) -> np.ndarray:
+    """spim_rate of one validated (sets, M) slice, given its (sets, M, M) Dirichlet gaps.
+
+    The slice's arrays are freed on return.
+    """
     with np.errstate(over="ignore"):
         a = w * g / (2.0 * n0)
         square = a.max() ** 2
@@ -292,7 +296,6 @@ def _pair_formula(w, g, theta, n_r: int, n0: float) -> np.ndarray:
         raise ParameterError(f"n0 = {n0} is too small for these gains: "
                              "(w g / 2 n0)^2 overflows", field="n0")
     a_n, a_t = a[..., :, None], a[..., None, :]
-    gap = _overlap(theta[..., :, None] - theta[..., None, :], n_r)[1]
     inner = _mean_logsumexp(-np.log1p(a_n + a_t + a_n * a_t * gap))
     return math.log2(a.shape[-1]) - inner / LN2
 
@@ -309,17 +312,29 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     axis; leading axes broadcast into a batch, validated once and scored one
     (sets, M) slice along the last batch axis at a time, so a (grid, trials, M)
     theta gives one rate per (grid point, trial), each equal to its own
-    unbatched call, in the memory of one (trials, M) call.
+    unbatched call, in the memory of one (trials, M) call. The Dirichlet gaps
+    depend on the angles alone: slices whose theta is one broadcast array, as
+    a (trials, M) theta under a (grid, 1, M) w is, share one evaluation of
+    them, and a theta that varies along the batch has its gaps taken slice by
+    slice.
     """
     w, g, theta = _paths(w, g, theta)
-    ok = (w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)
-    if not ok.all():
-        raise ParameterError(f"path gains w and g must be finite and > 0, got w={w[~ok][0]}, "
-                             f"g={g[~ok][0]}")
+    for name, gain in (("w", w), ("g", g)):
+        ok = (gain > 0) & (gain < np.inf)
+        if not ok.all():
+            raise ParameterError(f"path gains {name} must be finite and > 0, "
+                                 f"got {gain[~ok][0]}", field=name)
     require_integer("n_r", n_r, minimum=1)
     if not 0 < n0 < math.inf:
         raise ParameterError(f"n0 must be finite and > 0, got {n0}", field="n0")
     rates = np.empty(w.shape[:-1])
+    # a zero stride marks an axis theta was broadcast along: its slices hold the same angles
+    moving = [stride != 0 for stride in theta.strides[:-2]]
+    key = gap = None
     for row in np.ndindex(w.shape[:-2]):
-        rates[row] = _pair_formula(w[row], g[row], theta[row], n_r, n0)
+        angles = tuple(i for i, moves in zip(row, moving) if moves)
+        if angles != key:
+            key, gap = angles, None  # the old gaps are freed before the new ones are made
+            gap = _overlap(theta[row][..., :, None] - theta[row][..., None, :], n_r)[1]
+        rates[row] = _pair_formula(w[row], g[row], gap, n0)
     return _bits(rates)

@@ -40,12 +40,14 @@ class ChannelRealization:
         aoa = np.atleast_1d(np.asarray(self.aoa, dtype=np.float64))
         gains = np.atleast_1d(np.asarray(self.gains, dtype=np.float64))
         if not (len(aod) == len(aoa) == len(gains)) or len(gains) < 1:
-            raise ParameterError("aod, aoa and gains must share a common length >= 1")
+            raise ParameterError("aod, aoa and gains must share a common length >= 1",
+                                 field="gains")
         if not np.all((gains >= 0) & (gains < np.inf)):
-            raise ParameterError("path gains must be finite and non-negative")
+            raise ParameterError("path gains must be finite and non-negative", field="gains")
         for name, angles in (("aod", aod), ("aoa", aoa)):
             if not np.all(np.abs(angles) <= 0.5):
-                raise ParameterError(f"normalized {name} values must lie in [-0.5, 0.5]")
+                raise ParameterError(f"normalized {name} values must lie in [-0.5, 0.5]",
+                                     field=name)
         order = np.argsort(-gains, kind="stable")
         object.__setattr__(self, "aod", aod[order])
         object.__setattr__(self, "aoa", aoa[order])
@@ -109,6 +111,16 @@ def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
     return rng.permutation(draw)
 
 
+def _angle_ranges(aod_range, aoa_range) -> tuple:
+    """The departure and arrival (lo, hi) pairs, each checked to lie increasing in [-0.5, 0.5]."""
+    ranges = (tuple(aod_range), tuple(aoa_range))
+    for name, (lo, hi) in zip(("aod_range", "aoa_range"), ranges):
+        if not -0.5 <= lo < hi <= 0.5:
+            raise ParameterError(f"{name} must be an increasing pair within [-0.5, 0.5], "
+                                 f"got {(lo, hi)}", field=name)
+    return ranges
+
+
 def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int, *,
                    gains, aod_range=DEFAULT_AOD_RANGE,
                    aoa_range=DEFAULT_AOA_RANGE) -> ChannelRealization:
@@ -123,11 +135,8 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     require_integer("n_paths", n_paths, minimum=1)
     gains = np.asarray(gains, dtype=np.float64)
     if len(gains) != n_paths:
-        raise ParameterError(f"expected {n_paths} gains, got {len(gains)}")
-    for name, (lo, hi) in (("aod_range", tuple(aod_range)), ("aoa_range", tuple(aoa_range))):
-        if not (-0.5 <= lo < hi <= 0.5):
-            raise ParameterError(f"{name} must be an increasing pair within [-0.5, 0.5]")
+        raise ParameterError(f"expected {n_paths} gains, got {len(gains)}", field="gains")
+    ranges = _angle_ranges(aod_range, aoa_range)
     floor = min_angle_separation(n_tx, n_rx)
-    aod = _draw_separated(rng, n_paths, *tuple(aod_range), floor)
-    aoa = _draw_separated(rng, n_paths, *tuple(aoa_range), floor)
+    aod, aoa = (_draw_separated(rng, n_paths, lo, hi, floor) for lo, hi in ranges)
     return ChannelRealization(n_tx=n_tx, n_rx=n_rx, aod=aod, aoa=aoa, gains=gains)

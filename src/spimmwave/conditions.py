@@ -51,8 +51,8 @@ def two_path_margin(w1: float, w2: float) -> float:
     is the boundary, negative gives no guarantee.
     """
     if not 0 < w2 <= w1 < math.inf:
-        raise ParameterError(
-            f"gains must be finite and ordered w1 >= w2 > 0, got w1={w1}, w2={w2}")
+        raise ParameterError(f"gains must be finite and ordered w1 >= w2 > 0, got w1={w1}, "
+                             f"w2={w2}", field="w1" if 0 < w2 < math.inf else "w2")
     return 4.0 * w2 - w1
 
 
@@ -67,11 +67,12 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
     m = len(w)
     if m < 2:
-        raise ParameterError(f"need at least 2 paths, got {m}")
+        raise ParameterError(f"need at least 2 paths, got {m}", field="w")
     if len(g) != m:
-        raise ParameterError("w and g must have equal lengths")
-    if not ((w > 0) & (w < np.inf) & (g > 0) & (g < np.inf)).all():
-        raise ParameterError(f"gains w and g must be finite and > 0, got w={w}, g={g}")
+        raise ParameterError("w and g must have equal lengths", field="g")
+    for name, gain in (("w", w), ("g", g)):
+        if not ((gain > 0) & (gain < np.inf)).all():
+            raise ParameterError(f"gains {name} must be finite and > 0, got {gain}", field=name)
     _check(n0=n0)
     penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
     if n0 > 0:
@@ -119,7 +120,7 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     """
     _check(gamma=gamma, n0=n0, g1=g1)
     if not 1 <= m < math.inf:
-        raise ParameterError(f"m must be finite and >= 1, got {m}")
+        raise ParameterError(f"m must be finite and >= 1, got {m}", field="m")
     if m == 1:
         return 1.0
     with np.errstate(over="ignore"):
@@ -134,6 +135,12 @@ def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool
     integer in [0, 16]. gamma may be a sequence: the candidate grid is then
     built once and scored one gamma at a time, and the margins come back as
     a list, each equal to its scalar call.
+
+    Only candidates up to cap = 1 + ln(top g1 (1 - gamma) / (4 n0) + gamma) / -ln gamma,
+    top = max(M/(M-1) ln M) + 1, are scored. The log condition is a lead no
+    larger than max(M/(M-1) ln M) minus a penalty that rises with M and, from
+    cap on, is at least top, so every candidate beyond cap reads below -1 and
+    cannot win. With n0 = 0, or a cap beyond the float range, all are scored.
     """
     scalar = np.ndim(gamma) == 0
     gammas = [gamma] if scalar else list(gamma)
@@ -149,10 +156,15 @@ def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool
     else:
         candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
     beam_term = _beam_term(candidates)
+    top = float(np.max(beam_term, initial=0.0)) + 1.0
+    top_over_n0 = top * g1 / (4.0 * n0) if n0 else math.inf  # Python floats overflow to inf
     margins = []
     with np.errstate(over="ignore"):
         for value in gammas:
-            wins = candidates[_log_condition(candidates, beam_term, value, n0, g1) > 0.0]
+            cap = 1.0 + math.log(top_over_n0 * (1.0 - value) + value) / -math.log(value)
+            count = np.searchsorted(candidates, cap, side="right")
+            scored, terms = candidates[:count], beam_term[:count]
+            wins = scored[_log_condition(scored, terms, value, n0, g1) > 0.0]
             best = float(wins[-1]) if wins.size else 1.0
             margins.append(best if relax_integer else int(best))
     return margins[0] if scalar else margins
@@ -165,7 +177,7 @@ def gamma_crossover(m: float, n0: float, g1: float) -> float:
     on the sign of the log condition until its midpoint is one of its ends.
     """
     if not 2 <= m < math.inf:
-        raise ParameterError(f"m must be finite and >= 2, got {m}")
+        raise ParameterError(f"m must be finite and >= 2, got {m}", field="m")
     _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9
     beam_term = _beam_term(m)

@@ -6,7 +6,12 @@ seed: channel draws use one stream per trial, and output rows are emitted
 in a fixed (axis, method, variant) order regardless of execution order.
 Closed forms run as array programs: an snr or w1 sweep point makes one
 spim_rate call over its trials, and a gamma sweep one call per beam count
-over every (grid point, trial) pair. Monte-Carlo points share their draws
+over every (grid point, trial) pair. Angle-only work is done once per beam
+count: the angles are drawn once, straight from the trial streams, and
+spim_rate takes their Dirichlet gaps once for the whole grid. Each
+(method, variant) block is reduced to its rows in one pass over the trial
+axis, and a q-function grid is scored in one kernel call per array size.
+Monte-Carlo points share their draws
 along the sweep axis (common random numbers): one estimator call per trial
 and system covers every grid point, on the seed derived from (mc seed,
 trial, system), or from (mc seed, beam count, trial, 0) in gamma sweeps.
@@ -27,8 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import build_abf, effective_channel
-from .capacity import CovarianceSet, dirichlet_gain, mmwave_rate, spim_rate
-from .channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, sample_channel
+from .capacity import CovarianceSet, _overlap, mmwave_rate, spim_rate
+from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, _angle_ranges,
+                      _draw_separated, min_angle_separation)
 from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
@@ -200,8 +206,9 @@ def _validate_types(spec: ExperimentSpec) -> None:
              "channel.gains", "must be a list of finite numbers")
     for name in ("aod_range", "aoa_range"):
         value = getattr(ch, name)
-        _require(_is_list_of(value, _is_number) and len(value) == 2,
-                 f"channel.{name}", "must be a pair of finite numbers")
+        _require(_is_list_of(value, _is_number) and len(value) == 2
+                 and -0.5 <= value[0] < value[1] <= 0.5,
+                 f"channel.{name}", "must be an increasing pair of numbers in [-0.5, 0.5]")
     for path, value in (("channel.normalize", ch.normalize), ("channel.asymptotic", ch.asymptotic),
                         ("margin.relax_integer", spec.margin.relax_integer)):
         _require(isinstance(value, bool), path, "must be true or false")
@@ -273,23 +280,38 @@ def _mix_seed(*parts: int) -> int:
 def _draw_angles(spec: ExperimentSpec, m: int):
     """(trials, m) departure and arrival angles in drawn order, one stream per trial.
 
-    The angle draws do not depend on the path gains, so a sweep draws them
-    once per beam count; unit gains keep the paths in drawn order.
+    Each trial's stream make_rng(seed, t) gives departures then arrivals by
+    the direct draw sample_channel makes, so these are the angles of its
+    channels, bit for bit, without building one. The angle draws do not
+    depend on the path gains, so a sweep draws them once per beam count.
     """
     ch = spec.channel
-    draws = [sample_channel(make_rng(spec.seed, t), ch.n_tx, ch.n_rx, m, gains=np.ones(m),
-                            aod_range=tuple(ch.aod_range), aoa_range=tuple(ch.aoa_range))
-             for t in range(spec.trials)]
-    return np.array([d.aod for d in draws]), np.array([d.aoa for d in draws])
+    ranges = _angle_ranges(ch.aod_range, ch.aoa_range)
+    floor = min_angle_separation(ch.n_tx, ch.n_rx)
+    aod, aoa = np.empty((2, spec.trials, m))
+    for t in range(spec.trials):
+        rng = make_rng(spec.seed, t)
+        for out, (lo, hi) in zip((aod, aoa), ranges):
+            out[t] = _draw_separated(rng, m, lo, hi, floor)
+    return aod, aoa
 
 
-def _row(spec: ExperimentSpec, axis: float, method: str, variant: str, values,
-         stderrs=None) -> ResultRow:
-    """One row from a point's per-trial values: mean, ddof=1 spread, combined MC stderr."""
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    stderr = None if stderrs is None else float(np.sqrt(np.sum(stderrs ** 2)) / len(stderrs))
-    return ResultRow(axis, method, variant, float(np.mean(values)), std, stderr,
-                     spec.seed, len(values))
+def _rows(spec: ExperimentSpec, axes, method: str, variant: str, values,
+          stderrs=None) -> list[ResultRow]:
+    """One row per point of (points, trials) values: mean, ddof=1 spread, combined MC stderr.
+
+    Each statistic is one reduction over the trial axis of a C-contiguous
+    block, which gives every row the bits of the same call on its own trials.
+    """
+    values = np.ascontiguousarray(values)
+    trials = values.shape[-1]
+    means = np.mean(values, axis=-1)
+    stds = np.std(values, axis=-1, ddof=1) if trials > 1 else np.zeros(len(values))
+    errs = ([None] * len(values) if stderrs is None
+            else np.sqrt(np.sum(np.ascontiguousarray(stderrs) ** 2, axis=-1)) / trials)
+    return [ResultRow(axis, method, variant, float(mean), float(std),
+                      None if err is None else float(err), spec.seed, trials)
+            for axis, mean, std, err in zip(axes, means, stds, errs)]
 
 
 def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
@@ -333,23 +355,23 @@ def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         points = [(float(w1), n0, [w1, 1.0 - w1]) for w1 in spec.grid]
     g = float(ch.n_tx)
     aod, aoa = _draw_angles(spec, m)
-    rows, mc_points = [], []
-    for axis, n0, gains in points:
+    shannon, rates, mc_points = [], [], []
+    for _, n0, gains in points:
         w = np.asarray(gains, dtype=np.float64)
         w = w / float(np.sum(w)) if ch.normalize else w
         # paths strongest-first, the stable order a channel drawn with these gains holds
         order = np.argsort(-w, kind="stable")
         w, point_aod, point_aoa = w[order], aod[:, order], aoa[:, order]
-        rate = spim_rate(w, np.full(m, g), point_aoa, ch.n_rx, n0)
-        rows.append(_row(spec, axis, METHOD_SHANNON, "mmwave",
-                         np.full(spec.trials, mmwave_rate(w[0], g, n0))))
-        rows.append(_row(spec, axis, METHOD_GENERAL_M, "spim", rate))
+        shannon.append(np.full(spec.trials, mmwave_rate(w[0], g, n0)))
+        rates.append(spim_rate(w, np.full(m, g), point_aoa, ch.n_rx, n0))
         mc_points.append((w, point_aod, point_aoa, n0))
+    axes = [axis for axis, _, _ in points]
+    rows = (_rows(spec, axes, METHOD_SHANNON, "mmwave", shannon)
+            + _rows(spec, axes, METHOD_GENERAL_M, "spim", rates))
     if spec.mc is not None:
         spim, mm = _monte_carlo(spec, mc_points, (), (m, 1))
-        for p, (axis, _, _) in enumerate(points):
-            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "spim", *spim[:, p]))
-            rows.append(_row(spec, axis, METHOD_MONTE_CARLO, "mmwave", *mm[:, p]))
+        rows += (_rows(spec, axes, METHOD_MONTE_CARLO, "spim", *spim)
+                 + _rows(spec, axes, METHOD_MONTE_CARLO, "mmwave", *mm))
     return rows
 
 
@@ -366,12 +388,10 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         w = np.array([gamma ** np.arange(m) for gamma in gammas])  # (grid, m)
         w = w / w.sum(axis=-1, keepdims=True) if ch.normalize else w
         rates = spim_rate(w[:, None, :], np.full(m, float(ch.n_tx)), aoa, ch.n_rx, n0)
-        rows += [_row(spec, gamma, METHOD_GENERAL_M, variant, rate)
-                 for gamma, rate in zip(gammas, rates)]
+        rows += _rows(spec, gammas, METHOD_GENERAL_M, variant, rates)
         if spec.mc is not None:
             (mc,) = _monte_carlo(spec, [(gains, aod, aoa, n0) for gains in w], (m,), (m,))
-            rows += [_row(spec, gamma, METHOD_MONTE_CARLO, variant, *mc[:, p])
-                     for p, gamma in enumerate(gammas)]
+            rows += _rows(spec, gammas, METHOD_MONTE_CARLO, variant, *mc)
     return rows
 
 
@@ -393,12 +413,17 @@ def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_q_function(spec: ExperimentSpec) -> list[ResultRow]:
+    """One Dirichlet kernel call per receive-array size scores the whole grid.
+
+    validate_spec has checked the sizes and the grid, the checks dirichlet_gain
+    makes, so each value is that of its scalar dirichlet_gain call.
+    """
+    grid = np.asarray(spec.grid, dtype=np.float64)
     rows = []
-    for delta in spec.grid:
-        for n_rx in _as_list(spec.channel.n_rx):
-            rows.append(ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={n_rx}",
-                                  dirichlet_gain(float(delta), n_rx),
-                                  None, None, spec.seed, 1))
+    for n_rx in _as_list(spec.channel.n_rx):
+        rows += [ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={n_rx}", float(gain),
+                           None, None, spec.seed, 1)
+                 for delta, gain in zip(grid, _overlap(grid, n_rx)[0])]
     return rows
 
 

@@ -210,8 +210,9 @@ NAN_CALLS = {
 
 @pytest.mark.parametrize("call, name", NAN_CALLS.values(), ids=NAN_CALLS.keys())
 def test_nan_argument_raises_named_parameter_error(call, name):
-    with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+    with pytest.raises(ParameterError, match=rf"\b{name}\b") as info:
         call()
+    assert info.value.field == name
 
 
 FLOAT_COUNTS = {
@@ -309,6 +310,38 @@ def test_grid_memory_stays_that_of_one_point(m, n_r):
         tracemalloc.start()
         try:
             spim_rate(gains, g, theta, n_r, 0.1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_grid_varying_angles_equal_per_point_calls(m):
+    # a theta that moves along the grid has its gaps taken slice by slice, and a theta
+    # broadcast along one batch axis but moving along another shares them only along the first
+    w, _ = _decay_grid(m)
+    g = np.full(m, 64.0)
+    theta = make_rng(6, m).uniform(-0.5, 0.5, (19, 30, m))
+    batched = spim_rate(w, g, theta, 8, 0.1)
+    assert np.array_equal(batched, [spim_rate(row[0], g, angles, 8, 0.1)
+                                    for row, angles in zip(w, theta)])
+    mixed = spim_rate(w[:, None], g, theta[:3], 8, 0.1)  # (19, 3, 30): theta moves last
+    assert np.array_equal(mixed, [[spim_rate(row[0], g, angles, 8, 0.1) for angles in theta[:3]]
+                                  for row in w])
+
+
+@pytest.mark.parametrize("n_r", [8, 64])
+@pytest.mark.parametrize("m", [2, 8])
+def test_grid_memory_with_grid_varying_angles_stays_that_of_one_point(m, n_r):
+    w, theta = _decay_grid(m)
+    full = np.broadcast_to(theta, (19, 30, m)).copy()  # every grid point holds its own angles
+    g = np.full(m, 64.0)
+    peaks = []
+    for gains, angles in ((w[0, 0], theta), (w, full)):
+        tracemalloc.start()
+        try:
+            spim_rate(gains, g, angles, n_r, 0.1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

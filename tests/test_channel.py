@@ -208,6 +208,14 @@ def test_sample_channel_parameter_errors():
         sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, 0.5], aoa_range=(-0.7, 0.7))
 
 
+@pytest.mark.parametrize("name, pair", [("aod_range", (-0.6, 0.25)), ("aoa_range", (0.2, 0.1)),
+                                        ("aoa_range", (0.1, 0.1)), ("aod_range", (0.0, 0.51))])
+def test_sample_channel_range_error_names_the_range(name, pair):
+    with pytest.raises(ParameterError, match=name) as info:
+        sample_channel(make_rng(0), 64, 8, 2, gains=[1.0, 0.5], **{name: pair})
+    assert info.value.field == name
+
+
 def test_sample_channel_deterministic():
     a = sample_channel(make_rng(11), 64, 8, 2, gains=[0.9, 0.1])
     b = sample_channel(make_rng(11), 64, 8, 2, gains=[0.9, 0.1])

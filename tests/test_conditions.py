@@ -280,19 +280,23 @@ def test_batched_margins_equal_scalar_calls(b_max, relax):
     assert info.value.field == "gamma"
 
 
+def _reference_log_condition(m, gamma, n0, g1):
+    """The log decay condition written out, elementwise over m; no penalty at n0 = 0."""
+    with np.errstate(over="ignore"):
+        log_gamma = np.log(gamma)
+        lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
+        if n0 == 0:
+            return lead
+        inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
+        return lead - 4.0 * n0 * inverse_gain_sum / g1
+
+
 def _reference_crossover(m, n0, g1):
     """The bisection with each step's log condition written out and evaluated afresh."""
-    def log_condition(gamma):
-        with np.errstate(over="ignore"):
-            log_gamma = np.log(gamma)
-            lead = m / (m - 1.0) * np.log(m) + m / 2.0 * log_gamma
-            inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
-            return lead - 4.0 * n0 * inverse_gain_sum / g1
-
     lo, hi = 1e-9, 1.0 - 1e-9
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if log_condition(mid) > 0.0:
+        if _reference_log_condition(m, mid, n0, g1) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -312,3 +316,36 @@ def test_margin_transition_matches_crossover():
     root = gamma_crossover(2, 0.1, 64.0)
     assert spim_margin(gamma=root - 0.01, n0=0.1, g1=64.0) == 1
     assert spim_margin(gamma=root + 0.01, n0=0.1, g1=64.0) >= 2
+
+
+def _unpruned_margin(gamma, n0, g1, b_max, relax):
+    """Oracle: the margin with every candidate of the grid scored, none skipped."""
+    if relax:
+        candidates = 1.0 + 0.01 * np.arange(1, int(round((2.0 ** b_max - 1.0) / 0.01)) + 1)
+    else:
+        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
+    wins = candidates[_reference_log_condition(candidates, gamma, n0, g1) > 0.0]
+    best = float(wins[-1]) if wins.size else 1.0
+    return best if relax else int(best)
+
+
+def test_pruned_margins_equal_unpruned_scan():
+    # candidates beyond the cap are skipped; the margins must equal a scan of all of them,
+    # also at gammas within 1e-12 of a crossover root, where the condition sits at 1
+    rng = np.random.default_rng(18)
+    for _ in range(80):
+        b_max, relax = int(rng.integers(0, 12)), bool(rng.integers(2))
+        n0 = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-4.0, 1.0))
+        g1 = float(rng.choice([8.0, 64.0, 256.0]))
+        gammas = list(rng.uniform(1e-6, 1.0 - 1e-6, 6))
+        if b_max >= 1:
+            m = float(rng.choice([2.0 ** int(rng.integers(1, b_max + 1)),
+                                  1.0 + 0.01 * int(rng.integers(100, 100 * 2 ** b_max))]))
+            try:
+                root = gamma_crossover(m, n0, g1)
+            except NoRootError:
+                root = None
+            if root is not None:
+                gammas += [root + k * 1e-12 for k in (-1, 0, 1) if 0 < root + k * 1e-12 < 1]
+        expected = [_unpruned_margin(gamma, n0, g1, b_max, relax) for gamma in gammas]
+        assert spim_margin(gammas, n0, g1, b_max, relax) == expected, (n0, g1, b_max, relax)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spimmwave import (
     CovarianceSet,
     MonteCarloSpec,
+    ParameterError,
     SpecValidationError,
     build_abf,
     dirichlet_gain,
@@ -120,6 +121,13 @@ WRONG_TYPES = {
     "seed": ({"seed": 1.5}, "seed"),
     "aod_range": ({"channel": {"gains": [0.6, 0.4], "aod_range": [0.3]}}, "channel.aod_range"),
     "gains": ({"channel": {"gains": [0.6, "x"]}}, "channel.gains"),
+    # ranges fail at spec time, not at the first draw
+    "aoa_range-outside": ({"channel": {"gains": [0.6, 0.4], "aoa_range": [-0.6, 0.25]}},
+                          "channel.aoa_range"),
+    "aoa_range-decreasing": ({"channel": {"gains": [0.6, 0.4], "aoa_range": [0.2, 0.1]}},
+                             "channel.aoa_range"),
+    "aod_range-empty": ({"channel": {"gains": [0.6, 0.4], "aod_range": [0.1, 0.1]}},
+                        "channel.aod_range"),
     "margin-map-n0": ({"experiment": "margin-map", "grid": [0.5], "channel": {},
                        "noise": {"n0": "x"}}, "noise.n0"),
     "grid-huge-int": ({"grid": [0, 10 ** 400]}, "grid"),
@@ -347,7 +355,8 @@ def test_sweeps_draw_each_channel_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(experiments, "sample_channel", counting(draws, sample_channel))
+    # each channel draw reads one trial stream, make_rng(seed, t)
+    monkeypatch.setattr(experiments, "make_rng", counting(draws, make_rng))
     monkeypatch.setattr(experiments, "spim_rate", counting(rates, spim_rate))
     run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
                                    "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
@@ -433,6 +442,62 @@ def test_margin_map_matches_direct_margin_calls():
         expected = spim_margin(row.axis, n0, 64.0, relax_integer=False)
         assert row.value == expected
         assert row.method == "margin"
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_drawn_angles_equal_sampled_channels(m):
+    # the runner's angle draws are those of sample_channel on the trial streams, to the bit
+    for ranges in ({}, {"aod_range": [-0.45, 0.05], "aoa_range": [0.1, 0.5]}):
+        spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 7,
+                               "channel": {"m": [m], **ranges}, "noise": {"n0": 0.1},
+                               "seed": 12})
+        aod, aoa = experiments._draw_angles(spec, m)
+        ch = spec.channel
+        fresh = [sample_channel(make_rng(12, t), 64, 8, m, gains=np.ones(m),
+                                aod_range=ch.aod_range, aoa_range=ch.aoa_range)
+                 for t in range(7)]
+        assert np.array_equal(aod, [c.aod for c in fresh])
+        assert np.array_equal(aoa, [c.aoa for c in fresh])
+
+
+def test_drawn_angles_keep_the_range_guard():
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2]},
+                           "noise": {"n0": 0.1}})
+    spec.channel.aoa_range = (0.2, 0.1)  # past validate_spec
+    with pytest.raises(ParameterError) as info:
+        experiments._draw_angles(spec, 2)
+    assert info.value.field == "aoa_range"
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 30, 129])
+def test_rows_equal_per_point_statistics(trials):
+    # one reduction over the trial axis gives each row the bits of its own 1-D calls,
+    # also for a block laid out trials-first
+    rng = np.random.default_rng(trials)
+    values, stderrs = rng.standard_normal((2, 19, trials)) * [[[3.0]], [[0.1]]]
+    spec = tiny_snr_spec()
+    for block, errs in ((values, stderrs), (values.T.copy().T, stderrs.T.copy().T)):
+        rows = experiments._rows(spec, range(19), "monte-carlo", "spim", block, errs)
+        for row, point, point_errs in zip(rows, values, stderrs):
+            assert row.value == float(np.mean(point))
+            assert row.value_std == (float(np.std(point, ddof=1)) if trials > 1 else 0.0)
+            assert row.mc_stderr == float(np.sqrt(np.sum(point_errs ** 2)) / trials)
+            assert row.trials == trials
+    assert all(row.mc_stderr is None
+               for row in experiments._rows(spec, range(19), "general-m", "spim", values))
+
+
+def test_q_function_runner_equals_scalar_dirichlet_gain_calls():
+    # one kernel call per array size scores the grid; each value is its scalar call's
+    grid = sorted(set([round(-1.0 + 0.01 * i, 2) for i in range(201)]
+                      + list(np.random.default_rng(3).uniform(-2.0, 2.0, 50))
+                      + [-1.0 + 1e-9, 1e-12, 0.5 - 1e-13]))
+    spec = spec_from_dict({"experiment": "q-function", "grid": grid,
+                           "channel": {"n_rx": [1, 2, 4, 8, 64]}})
+    rows = run_experiment(spec)
+    assert len(rows) == 5 * len(grid)
+    for row in rows:
+        assert row.value == dirichlet_gain(row.axis, int(row.variant[3:]))
 
 
 def test_q_function_rows():
