@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization, build_channel, steering_vector
 from .errors import ParameterError
-from .numerics import require_integer
+from .numerics import require_in, require_integer
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
     """
     require_integer("m", m)
     require_integer("n_s", n_s)
-    if not 1 <= n_s <= m:
-        raise ParameterError(f"need 1 <= n_s <= m, got n_s={n_s}, m={m}")
+    require_in("n_s", n_s, 1, m, open_low=False, open_high=False)
     total = math.comb(m, n_s)
     k = 1 << (total.bit_length() - 1)
     patterns = np.zeros((k, m, n_s), dtype=np.float64)
@@ -60,8 +59,7 @@ def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
     modulus; the coherent array gain per beam is n_tx.
     """
     require_integer("m", m)
-    if not 1 <= m <= channel.n_paths:
-        raise ParameterError(f"m must be in [1, {channel.n_paths}], got {m}", field="m")
+    require_in("m", m, 1, channel.n_paths, open_low=False, open_high=False)
     return np.sqrt(channel.n_tx) * steering_vector(channel.aod[:m], channel.n_tx).T
 
 
@@ -84,4 +82,4 @@ def effective_channel(channel: ChannelRealization, abf: np.ndarray,
         m = abf.shape[1]
         return large_array_beams(channel.gains[:m], float(channel.n_tx), channel.aoa[:m],
                                  channel.n_rx).T
-    raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
+    raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}", field="mode")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import cholesky_logdet, require_integer
+from .numerics import cholesky_logdet, require_in, require_integer
 
 LN2 = float(np.log(2.0))
 LOG2E = float(np.log2(np.e))
@@ -62,8 +62,7 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
-        if not 0 < self.n0 < math.inf:
-            raise ParameterError(f"n0 must be finite and > 0, got {self.n0}", field="n0")
+        require_in("n0", self.n0, 0)
         fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:
             raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
@@ -143,9 +142,7 @@ def _paths(w, g, theta):
     w, g, theta = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (w, g, theta))
     if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths of at least one path")
-    if not np.isfinite(theta).all():
-        raise ParameterError(f"angles theta must be finite, got {theta[~np.isfinite(theta)][0]}",
-                             field="theta")
+    require_in("theta", theta)
     try:
         return np.broadcast_arrays(w, g, theta)
     except ValueError as exc:
@@ -160,10 +157,8 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     """
     require_integer("n_r", n_r, minimum=1)
     w, g, theta = _paths(w, g, theta)
-    ok = (w * g >= 0) & (w * g < np.inf)
-    if not ok.all():
-        raise ParameterError(f"gains w * g must be finite and >= 0, got w={w[~ok][0]}, "
-                             f"g={g[~ok][0]}", field="g" if 0 <= w[~ok][0] < np.inf else "w")
+    require_in("w", w, 0, open_low=False)
+    require_in("g", g, 0, open_low=False)
     beams = large_array_beams(w, g, theta, n_r)
     return CovarianceSet(n0=n0, factors=beams[..., None], source="asymptotic")
 
@@ -232,12 +227,10 @@ def mmwave_rate(w1, g1, n0: float) -> float:
 
     Array gains broadcast and give one rate per element.
     """
-    if not 0 < n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and > 0, got {n0}", field="n0")
+    require_in("n0", n0, 0)
+    require_in("w1", w1, 0, open_low=False)
+    require_in("g1", g1, 0, open_low=False)
     w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
-    for name, gain in (("w1", w1), ("g1", g1)):
-        if not ((0 <= gain) & (gain < np.inf)).all():
-            raise ParameterError(f"gain {name} must be finite and >= 0, got {gain}", field=name)
     with np.errstate(over="ignore"):
         snr = w1 * g1 / n0
     if not (snr < np.inf).all():
@@ -278,9 +271,7 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
     positive terms, so it follows its series there to the last bit.
     """
     require_integer("n_r", n_r, minimum=1)
-    if not -math.inf < delta_theta < math.inf:
-        raise ParameterError(f"delta_theta must be finite, got {delta_theta}",
-                             field="delta_theta")
+    require_in("delta_theta", delta_theta)
     return float(_overlap(np.array([delta_theta], dtype=np.float64), n_r)[0][0])
 
 
@@ -319,14 +310,10 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     slice.
     """
     w, g, theta = _paths(w, g, theta)
-    for name, gain in (("w", w), ("g", g)):
-        ok = (gain > 0) & (gain < np.inf)
-        if not ok.all():
-            raise ParameterError(f"path gains {name} must be finite and > 0, "
-                                 f"got {gain[~ok][0]}", field=name)
+    require_in("w", w, 0)
+    require_in("g", g, 0)
     require_integer("n_r", n_r, minimum=1)
-    if not 0 < n0 < math.inf:
-        raise ParameterError(f"n0 must be finite and > 0, got {n0}", field="n0")
+    require_in("n0", n0, 0)
     rates = np.empty(w.shape[:-1])
     # a zero stride marks an axis theta was broadcast along: its slices hold the same angles
     moving = [stride != 0 for stride in theta.strides[:-2]]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import require_integer
+from .numerics import require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -42,12 +42,9 @@ class ChannelRealization:
         if not (len(aod) == len(aoa) == len(gains)) or len(gains) < 1:
             raise ParameterError("aod, aoa and gains must share a common length >= 1",
                                  field="gains")
-        if not np.all((gains >= 0) & (gains < np.inf)):
-            raise ParameterError("path gains must be finite and non-negative", field="gains")
+        require_in("gains", gains, 0, open_low=False)
         for name, angles in (("aod", aod), ("aoa", aoa)):
-            if not np.all(np.abs(angles) <= 0.5):
-                raise ParameterError(f"normalized {name} values must lie in [-0.5, 0.5]",
-                                     field=name)
+            require_in(name, angles, -0.5, 0.5, open_low=False, open_high=False)
         order = np.argsort(-gains, kind="stable")
         object.__setattr__(self, "aod", aod[order])
         object.__setattr__(self, "aoa", aoa[order])
@@ -72,8 +69,7 @@ def steering_vector(angle, n: int) -> np.ndarray:
     """
     require_integer("n", n, minimum=1)
     angle = np.asarray(angle, dtype=np.float64)
-    if not np.isfinite(angle).all():
-        raise ParameterError("angle must be finite", field="angle")
+    require_in("angle", angle)
     offsets = np.arange(n) - (n - 1) / 2.0
     angle = angle[..., None]
     return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
@@ -112,12 +108,14 @@ def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
 
 
 def _angle_ranges(aod_range, aoa_range) -> tuple:
-    """The departure and arrival (lo, hi) pairs, each checked to lie increasing in [-0.5, 0.5]."""
+    """The departure and arrival (lo, hi) pairs, each checked to lie increasing in [-0.5, 0.5].
+
+    A range fails under its own name: lo must lie in [-0.5, 0.5), then hi in (lo, 0.5].
+    """
     ranges = (tuple(aod_range), tuple(aoa_range))
     for name, (lo, hi) in zip(("aod_range", "aoa_range"), ranges):
-        if not -0.5 <= lo < hi <= 0.5:
-            raise ParameterError(f"{name} must be an increasing pair within [-0.5, 0.5], "
-                                 f"got {(lo, hi)}", field=name)
+        require_in(name, lo, -0.5, 0.5, open_low=False)
+        require_in(name, hi, lo, 0.5, open_high=False)
     return ranges
 
 

@@ -4,7 +4,6 @@ and evaluate the beam-superiority conditions for a gain profile."""
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .conditions import geometric_mean_threshold, two_path_margin
@@ -16,6 +15,7 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
+from .numerics import require_in
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,15 +67,13 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _flag_value(flag: str, text, inside=lambda x: 0 < x < math.inf,
-                domain: str = "be finite and > 0") -> float:
-    """The float in text, or a ParameterError naming the flag."""
+def _flag_value(flag: str, text, open_low: bool = True) -> float:
+    """The float in text, in (0, inf), or [0, inf) if not open_low; else a ParameterError."""
     try:
         value = float(text)
     except ValueError:
         raise ParameterError(f"{flag}: {text.strip()!r} is not a number", field=flag) from None
-    if not inside(value):
-        raise ParameterError(f"{flag} must {domain}, got {value}", field=flag)
+    require_in(flag, value, 0, open_low=open_low)
     return value
 
 
@@ -86,7 +84,7 @@ def _cmd_check_conditions(args) -> int:
         raise ParameterError(f"--gains needs at least two gains, got {len(gains)}",
                              field="--gains")
     _flag_value("--array-gain", args.array_gain)
-    _flag_value("--n0", args.n0, lambda x: 0 <= x < math.inf, "be finite and >= 0")
+    _flag_value("--n0", args.n0, open_low=False)
     gains = sorted(gains, reverse=True)
     g = [args.array_gain] * len(gains)
     print(f"paths (strongest first): {gains}")

@@ -17,25 +17,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRootError, ParameterError
-from .numerics import require_integer
+from .numerics import require_in, require_integer
 
 RELAXED_STEP = 0.01
 # the relaxed grid holds 100 * 2^b_max candidates: 6.6M at the cap
 _B_MAX_CAP = 16
 
-_DOMAINS = {
-    "gamma": (lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
-    "n0": (lambda x: 0 <= x < math.inf, "be finite and >= 0"),
-    "g1": (lambda x: 0 < x < math.inf, "be finite and > 0"),
-}
+# the interval of each shared argument, as require_in takes it
+_DOMAINS = {"gamma": dict(low=0, high=1), "n0": dict(low=0, open_low=False), "g1": dict(low=0)}
 
 
 def _check(**values) -> None:
     """Raise a ParameterError naming the first of gamma, n0, g1 outside its domain."""
     for name, value in values.items():
-        inside, domain = _DOMAINS[name]
-        if not inside(value):
-            raise ParameterError(f"{name} must {domain}, got {value}", field=name)
+        require_in(name, value, **_DOMAINS[name])
 
 
 class ThresholdResult(NamedTuple):
@@ -50,9 +45,8 @@ def two_path_margin(w1: float, w2: float) -> float:
     Positive means index modulation is guaranteed to win at high SNR, zero
     is the boundary, negative gives no guarantee.
     """
-    if not 0 < w2 <= w1 < math.inf:
-        raise ParameterError(f"gains must be finite and ordered w1 >= w2 > 0, got w1={w1}, "
-                             f"w2={w2}", field="w1" if 0 < w2 < math.inf else "w2")
+    require_in("w2", w2, 0)
+    require_in("w1", w1, w2, open_low=False)
     return 4.0 * w2 - w1
 
 
@@ -70,9 +64,8 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
         raise ParameterError(f"need at least 2 paths, got {m}", field="w")
     if len(g) != m:
         raise ParameterError("w and g must have equal lengths", field="g")
-    for name, gain in (("w", w), ("g", g)):
-        if not ((gain > 0) & (gain < np.inf)).all():
-            raise ParameterError(f"gains {name} must be finite and > 0, got {gain}", field=name)
+    require_in("w", w, 0)
+    require_in("g", g, 0)
     _check(n0=n0)
     penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
     if n0 > 0:
@@ -119,8 +112,7 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     the floating-point range is 0.
     """
     _check(gamma=gamma, n0=n0, g1=g1)
-    if not 1 <= m < math.inf:
-        raise ParameterError(f"m must be finite and >= 1, got {m}", field="m")
+    require_in("m", m, 1, open_low=False)
     if m == 1:
         return 1.0
     with np.errstate(over="ignore"):
@@ -144,12 +136,9 @@ def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool
     """
     scalar = np.ndim(gamma) == 0
     gammas = [gamma] if scalar else list(gamma)
-    for value in gammas:
-        _check(gamma=value)
-    _check(n0=n0, g1=g1)
+    _check(gamma=gammas, n0=n0, g1=g1)
     require_integer("b_max", b_max)
-    if not 0 <= b_max <= _B_MAX_CAP:
-        raise ParameterError(f"b_max must lie in [0, {_B_MAX_CAP}], got {b_max}", field="b_max")
+    require_in("b_max", b_max, 0, _B_MAX_CAP, open_low=False, open_high=False)
     if relax_integer:
         steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
         candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
@@ -176,8 +165,7 @@ def gamma_crossover(m: float, n0: float, g1: float) -> float:
     The bracket (1e-9, 1 - 1e-9) is sign-checked on every call, then halved
     on the sign of the log condition until its midpoint is one of its ends.
     """
-    if not 2 <= m < math.inf:
-        raise ParameterError(f"m must be finite and >= 2, got {m}", field="m")
+    require_in("m", m, 2, open_low=False)
     _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9
     beam_term = _beam_term(m)

@@ -260,6 +260,14 @@ def validate_spec(spec: ExperimentSpec) -> None:
                  f"noise levels must have distinct row labels, got {labels}")
     elif kind == "q-function":
         _require(spec.noise is None, "noise", "q-function uses no noise model")
+    if kind in ("snr-sweep", "w1-sweep", "gamma-sweep"):
+        # the test _draw_separated makes, so that every spec that validates can draw its angles
+        floor = min_angle_separation(ch.n_tx, ch.n_rx)
+        span = (max(_as_list(ch.m)) - 1) * floor
+        for name in ("aod_range", "aoa_range"):
+            lo, hi = getattr(ch, name)
+            _require(not span > hi - lo, f"channel.{name}", f"the largest beam count at separation "
+                     f"{floor} needs a span of {span}, more than {(lo, hi)} holds")
 
 
 def _noise_from_snr(snr_db: float) -> float:
@@ -557,7 +565,7 @@ def reproduce(preset: str, out_dir, *, seed: int | None = None, trials: int | No
     presets = _preset_specs()
     if preset not in presets:
         raise ParameterError(
-            f"unknown preset {preset!r}; valid ids: {', '.join(sorted(presets))}")
+            f"unknown preset {preset!r}; valid ids: {', '.join(sorted(presets))}", field="preset")
     data = presets[preset]
     out_dir = Path(out_dir)
     data.setdefault("outputs", {})

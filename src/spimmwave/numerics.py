@@ -9,10 +9,14 @@ numerically stable and rejects non-PD input for free. Determinants are
 only ever returned as logs, which neither underflow nor overflow at large
 array sizes. Randomness is built on counter-based Philox streams keyed by
 (seed, stream); identical pairs reproduce identical sequences under any
-parallel schedule, distinct stream ids are independent.
+parallel schedule, distinct stream ids are independent. The argument
+checks every module shares live here too: require_integer for counts and
+require_in for every interval domain.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +34,31 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}", field=name)
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}", field=name)
+
+
+def require_in(name: str, value, low: float = -math.inf, high: float = math.inf, *,
+               open_low: bool = True, open_high: bool = True) -> None:
+    """Raise a ParameterError naming the field unless every entry of value lies in the interval.
+
+    The one domain rule of the package: value is a scalar or an array, the
+    interval runs from low to high, each end open unless open_low or
+    open_high is False, and NaN lies in no interval, so the default
+    (-inf, inf) asks for finite entries. The message names the interval
+    and the first entry outside it.
+    """
+    # The runners check many scalars and small arrays, so each check is kept cheap: a Python
+    # number compares as it is, to a bool, at a tenth of a 0-d array's cost, and numpy compares
+    # an array to a float bound at half an int's cost. value itself is not cast, so an int
+    # beyond the float range still compares.
+    lo, hi = float(low), float(high)
+    if not isinstance(value, (int, float)):
+        value = np.asarray(value)
+    inside = ((value > lo) if open_low else (value >= lo)) & (
+        (value < hi) if open_high else (value <= hi))
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        bad = np.asarray(value)[~np.asarray(inside)].flat[0]
+        raise ParameterError(f"{name} must lie in {interval}, got {bad}", field=name)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -52,7 +81,7 @@ def hermitian_logdet(m: np.ndarray):
     # Hermitian to rounding, so this only catches misuse (and NaN)
     tol = 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol:
-        raise ParameterError("matrix is not Hermitian")
+        raise ParameterError("matrix m is not Hermitian", field="m")
     out = cholesky_logdet(m)[1]
     return float(out) if m.ndim == 2 else out
 

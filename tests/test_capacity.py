@@ -25,6 +25,7 @@ from spimmwave import (
     effective_channel,
     gamma_crossover,
     geometric_mean_threshold,
+    hermitian_logdet,
     make_rng,
     mc_mutual_information,
     mmwave_rate,
@@ -39,6 +40,7 @@ from spimmwave import (
 )
 from spimmwave.beamforming import large_array_beams
 from spimmwave.capacity import LOG2E, _overlap, _pair_logdets
+from spimmwave.experiments import reproduce
 
 RATE_GAP = LOG2E - 1.0  # per receive antenna, closes the bound's constant offset
 
@@ -205,6 +207,19 @@ NAN_CALLS = {
     # w1 g1 / n0 overflows at a subnormal noise floor
     "mmwave_rate-n0-subnormal": (lambda: mmwave_rate(0.6, 64, 1e-320), "n0"),
     "spim_rate-single-n0-subnormal": (lambda: spim_rate([0.6], [64], [0.1], 8, 1e-320), "n0"),
+    # each gain is checked on its own: two negative gains have a positive product
+    "asymptotic_covariances-w-and-g-negative": (
+        lambda: asymptotic_covariances([-0.5], [-64.0], [0.1], 8, 0.1), "w"),
+    "asymptotic_covariances-g-negative": (
+        lambda: asymptotic_covariances([0.5], [-64.0], [0.1], 8, 0.1), "g"),
+    # one check covers the whole gamma sequence
+    "spim_margin-gamma-sequence": (lambda: spim_margin([0.5, 1.5], 0.1, 64.0), "gamma"),
+    "pattern_alphabet-n_s": (lambda: pattern_alphabet(2, 3), "n_s"),
+    "effective_channel-mode": (
+        lambda: effective_channel(sample_channel(make_rng(0), 64, 8, 2, gains=[1, 1]),
+                                  np.ones((64, 2)), "bad"), "mode"),
+    "hermitian_logdet-m": (lambda: hermitian_logdet(np.array([[1.0, 2.0], [0.0, 1.0]])), "m"),
+    "reproduce-preset": (lambda: reproduce("nope", "unused"), "preset"),
 }
 
 

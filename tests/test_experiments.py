@@ -134,6 +134,12 @@ WRONG_TYPES = {
     "asymptotic": ({"channel": {"gains": [0.6, 0.4], "asymptotic": "false"}},
                    "channel.asymptotic"),
     "mc-n_samples": ({"mc": {"n_samples": 2000.5}}, "mc.n_samples"),
+    # 8 angles at the (64, 8) separation floor 1/256 need a span of 7/256 = 0.02734375
+    "aoa_range-too-narrow": ({"experiment": "gamma-sweep", "grid": [0.5],
+                              "channel": {"m": [8], "n_tx": 64, "aoa_range": [0.0, 0.01]},
+                              "noise": {"n0": 0.1}}, "channel.aoa_range"),
+    "aod_range-too-narrow": ({"channel": {"gains": [0.6, 0.4], "aod_range": [0.0, 0.001]}},
+                             "channel.aod_range"),
 }
 
 
@@ -447,7 +453,9 @@ def test_margin_map_matches_direct_margin_calls():
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_drawn_angles_equal_sampled_channels(m):
     # the runner's angle draws are those of sample_channel on the trial streams, to the bit
-    for ranges in ({}, {"aod_range": [-0.45, 0.05], "aoa_range": [0.1, 0.5]}):
+    # the last ranges are a tight fit for 8 angles, (8 - 1) / 256 wide: they validate and draw
+    for ranges in ({}, {"aod_range": [-0.45, 0.05], "aoa_range": [0.1, 0.5]},
+                   {"aod_range": [-0.02734375, 0.0], "aoa_range": [0.0, 0.02734375]}):
         spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 7,
                                "channel": {"m": [m], **ranges}, "noise": {"n0": 0.1},
                                "seed": 12})

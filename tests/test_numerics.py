@@ -1,5 +1,8 @@
 """Determinant kernel and sampling contracts."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,3 +124,17 @@ def test_rng_streams_independent_of_order():
     make_rng(5, 1).standard_normal(8)
     again = make_rng(5, 0).standard_normal(8)
     assert np.array_equal(first, again)
+
+
+def test_every_parameter_error_names_its_field():
+    # a raise without field= would reach the caller with field None; find it from the source
+    calls = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "spimmwave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "ParameterError":
+                calls.append((f"{path.name}:{node.lineno}", {
+                    k.arg for k in node.keywords
+                    if not (isinstance(k.value, ast.Constant) and k.value.value is None)}))
+    assert len(calls) > 10  # the walk reached the package
+    assert [where for where, keywords in calls if "field" not in keywords] == []
