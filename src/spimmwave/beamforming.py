@@ -53,14 +53,15 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
 
 
 def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
-    """Analog matrix (n_tx, m) steering one column along each of the m strongest paths.
+    """Analog matrices (..., n_tx, m) steering one column along each of the m strongest paths.
 
     Columns are sqrt(n_tx) * a_tx(phi_j), which keeps every entry at unit
     modulus; the coherent array gain per beam is n_tx.
     """
     require_integer("m", m)
     require_in("m", m, 1, channel.n_paths, open_low=False, open_high=False)
-    return np.sqrt(channel.n_tx) * steering_vector(channel.aod[:m], channel.n_tx).T
+    return np.sqrt(channel.n_tx) * steering_vector(channel.aod[..., :m],
+                                                   channel.n_tx).swapaxes(-1, -2)
 
 
 def large_array_beams(w, g, theta, n_r: int) -> np.ndarray:
@@ -70,7 +71,7 @@ def large_array_beams(w, g, theta, n_r: int) -> np.ndarray:
 
 def effective_channel(channel: ChannelRealization, abf: np.ndarray,
                       mode: str = "exact") -> np.ndarray:
-    """Receive-side view H @ A of the steered beams, shape (n_rx, m).
+    """Receive-side view H @ A of the steered beams, shape (..., n_rx, m).
 
     mode "exact" multiplies the full channel matrix; mode "asymptotic" takes
     the large-array limit where beam j collapses to sqrt(w_j n_tx) a_rx(theta_j)
@@ -79,7 +80,7 @@ def effective_channel(channel: ChannelRealization, abf: np.ndarray,
     if mode == "exact":
         return build_channel(channel) @ abf
     if mode == "asymptotic":
-        m = abf.shape[1]
-        return large_array_beams(channel.gains[:m], float(channel.n_tx), channel.aoa[:m],
-                                 channel.n_rx).T
+        m = abf.shape[-1]
+        return large_array_beams(channel.gains[..., :m], float(channel.n_tx),
+                                 channel.aoa[..., :m], channel.n_rx).swapaxes(-1, -2)
     raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}", field="mode")

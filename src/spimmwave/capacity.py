@@ -222,19 +222,39 @@ def total_rate_approx(covs: CovarianceSet) -> float:
     return _bits(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
 
 
-def mmwave_rate(w1, g1, n0: float) -> float:
+def _batch_shape(**shapes) -> tuple:
+    """The broadcast of the named shapes; a DimensionError names them where they do not broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes.values())
+    except ValueError as exc:
+        raise DimensionError(f"{', '.join(shapes)} have incompatible batch shapes "
+                             f"{', '.join(map(str, shapes.values()))}") from exc
+
+
+def _too_small(n0, overflowed, reason: str) -> None:
+    """Raise a ParameterError naming n0 unless no entry of overflowed is set.
+
+    n0 broadcasts to overflowed's shape; the message gives the noise level of
+    the first entry that overflowed, one scalar whatever n0's shape.
+    """
+    if overflowed.any():
+        bad = float(np.broadcast_to(n0, overflowed.shape)[overflowed].flat[0])
+        raise ParameterError(f"n0 = {bad} is too small{reason}", field="n0")
+
+
+def mmwave_rate(w1, g1, n0) -> float:
     """Shannon rate log2(1 + w1 g1 / n0) of steering the single strongest beam.
 
-    Array gains broadcast and give one rate per element.
+    Array gains and noise levels broadcast and give one rate per element.
     """
     require_in("n0", n0, 0)
     require_in("w1", w1, 0, open_low=False)
     require_in("g1", g1, 0, open_low=False)
     w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
+    _batch_shape(w1=w1.shape, g1=g1.shape, n0=np.shape(n0))
     with np.errstate(over="ignore"):
         snr = w1 * g1 / n0
-    if not (snr < np.inf).all():
-        raise ParameterError(f"n0 = {n0} is too small: w1 g1 / n0 overflows", field="n0")
+    _too_small(n0, ~(snr < np.inf), ": w1 g1 / n0 overflows")
     return _bits(np.log1p(snr) / LN2)
 
 
@@ -275,23 +295,23 @@ def dirichlet_gain(delta_theta: float, n_r: int) -> float:
     return float(_overlap(np.array([delta_theta], dtype=np.float64), n_r)[0][0])
 
 
-def _pair_formula(w, g, gap, n0: float) -> np.ndarray:
+def _pair_formula(w, g, gap, two_n0) -> np.ndarray:
     """spim_rate of one validated (sets, M) slice, given its (sets, M, M) Dirichlet gaps.
 
-    The slice's arrays are freed on return.
+    two_n0 holds the slice's (sets, 1) values of 2 n0, which halve back to n0
+    exactly. Its arrays are freed on return.
     """
     with np.errstate(over="ignore"):
-        a = w * g / (2.0 * n0)
-        square = a.max() ** 2
-    if not square < math.inf:  # coincident beams would give inf * 0 there
-        raise ParameterError(f"n0 = {n0} is too small for these gains: "
-                             "(w g / 2 n0)^2 overflows", field="n0")
+        a = w * g / two_n0
+        if not a.max() ** 2 < math.inf:  # coincident beams would give inf * 0 there
+            _too_small(two_n0 / 2.0, ~(a.max(axis=-1, keepdims=True) ** 2 < math.inf),
+                       " for these gains: (w g / 2 n0)^2 overflows")
     a_n, a_t = a[..., :, None], a[..., None, :]
     inner = _mean_logsumexp(-np.log1p(a_n + a_t + a_n * a_t * gap))
     return math.log2(a.shape[-1]) - inner / LN2
 
 
-def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
+def spim_rate(w, g, theta, n_r: int, n0) -> float:
     """General closed-form rate of index modulation over M steered beams, in bits.
 
     The paper's pair formula, log2 M - (1/M) sum_n log2 sum_t exp(-P_nt), with
@@ -300,10 +320,11 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     covariances is n_r ln 2N0 + P_nt, so this equals total_rate_approx of
     asymptotic_covariances without forming a beam. On the diagonal 1 - q is
     0 exactly, so M = 1 gives mmwave_rate's bits. Paths run along the last
-    axis; leading axes broadcast into a batch, validated once and scored one
-    (sets, M) slice along the last batch axis at a time, so a (grid, trials, M)
-    theta gives one rate per (grid point, trial), each equal to its own
-    unbatched call, in the memory of one (trials, M) call. The Dirichlet gaps
+    axis; their leading axes and those of n0 broadcast into a batch, validated
+    once and scored one (sets, M) slice along the last batch axis at a time, so
+    a (grid, trials, M) theta gives one rate per (grid point, trial), each
+    equal to its own unbatched call, in the memory of one (trials, M) call.
+    A (grid, 1) n0 gives each grid point its own noise level. The Dirichlet gaps
     depend on the angles alone: slices whose theta is one broadcast array, as
     a (trials, M) theta under a (grid, 1, M) w is, share one evaluation of
     them, and a theta that varies along the batch has its gaps taken slice by
@@ -314,7 +335,13 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
     require_in("g", g, 0)
     require_integer("n_r", n_r, minimum=1)
     require_in("n0", n0, 0)
-    rates = np.empty(w.shape[:-1])
+    # 2 n0 of every set, taken once, on a trailing axis the paths broadcast along
+    two_n0 = 2.0 * np.asarray(n0, dtype=np.float64)[..., None]
+    batch = _batch_shape(w=w.shape[:-1], n0=two_n0.shape[:-1])
+    if batch != w.shape[:-1]:  # n0 adds batch axes
+        w, g, theta = (np.broadcast_to(x, batch + x.shape[-1:]) for x in (w, g, theta))
+    two_n0 = np.broadcast_to(two_n0, batch + (1,))
+    rates = np.empty(batch)
     # a zero stride marks an axis theta was broadcast along: its slices hold the same angles
     moving = [stride != 0 for stride in theta.strides[:-2]]
     key = gap = None
@@ -323,5 +350,5 @@ def spim_rate(w, g, theta, n_r: int, n0: float) -> float:
         if angles != key:
             key, gap = angles, None  # the old gaps are freed before the new ones are made
             gap = _overlap(theta[row][..., :, None] - theta[row][..., None, :], n_r)[1]
-        rates[row] = _pair_formula(w[row], g[row], gap, n0)
+        rates[row] = _pair_formula(w[row], g[row], gap, two_n0[row])
     return _bits(rates)

@@ -21,9 +21,12 @@ DEFAULT_AOA_RANGE = (-0.25, 0.25)
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One narrow-band multipath draw: per-path gain, departure and arrival angle.
+    """Narrow-band multipath draws: per-path gain, departure and arrival angle.
 
-    Paths are stored strongest-first; construction sorts the (gain, aod, aoa)
+    aod, aoa and gains run along a last path axis; leading axes broadcast
+    into a batch of realizations sharing n_tx and n_rx, and every function
+    below returns one result per leading index. Paths are stored
+    strongest-first: construction sorts each realization's (gain, aod, aoa)
     triples jointly by descending gain, ties keeping their original order.
     """
 
@@ -36,23 +39,26 @@ class ChannelRealization:
     def __post_init__(self):
         require_integer("n_tx", self.n_tx, minimum=1)
         require_integer("n_rx", self.n_rx, minimum=1)
-        aod = np.atleast_1d(np.asarray(self.aod, dtype=np.float64))
-        aoa = np.atleast_1d(np.asarray(self.aoa, dtype=np.float64))
-        gains = np.atleast_1d(np.asarray(self.gains, dtype=np.float64))
-        if not (len(aod) == len(aoa) == len(gains)) or len(gains) < 1:
-            raise ParameterError("aod, aoa and gains must share a common length >= 1",
-                                 field="gains")
+        arrays = [np.atleast_1d(np.asarray(x, dtype=np.float64))
+                  for x in (self.aod, self.aoa, self.gains)]
+        try:
+            aod, aoa, gains = np.broadcast_arrays(*arrays)
+            common = all(x.shape[-1] == gains.shape[-1] >= 1 for x in arrays)
+        except ValueError:
+            common = False
+        if not common:
+            raise ParameterError("aod, aoa and gains must share a common length >= 1 on their "
+                                 "last axis, and broadcast along the others", field="gains")
         require_in("gains", gains, 0, open_low=False)
         for name, angles in (("aod", aod), ("aoa", aoa)):
             require_in(name, angles, -0.5, 0.5, open_low=False, open_high=False)
-        order = np.argsort(-gains, kind="stable")
-        object.__setattr__(self, "aod", aod[order])
-        object.__setattr__(self, "aoa", aoa[order])
-        object.__setattr__(self, "gains", gains[order])
+        order = np.argsort(-gains, axis=-1, kind="stable")
+        for name, values in (("aod", aod), ("aoa", aoa), ("gains", gains)):
+            object.__setattr__(self, name, np.take_along_axis(values, order, axis=-1))
 
     @property
     def n_paths(self) -> int:
-        return len(self.gains)
+        return self.gains.shape[-1]
 
 
 def normalized_from_physical(angle_rad: float) -> float:
@@ -76,10 +82,10 @@ def steering_vector(angle, n: int) -> np.ndarray:
 
 
 def build_channel(real: ChannelRealization) -> np.ndarray:
-    """Assemble the (n_rx, n_tx) matrix sum_i sqrt(w_i) a_rx(theta_i) a_tx(phi_i)^H."""
-    p = steering_vector(real.aoa, real.n_rx).T
+    """Assemble the (..., n_rx, n_tx) matrices sum_i sqrt(w_i) a_rx(theta_i) a_tx(phi_i)^H."""
+    p = steering_vector(real.aoa, real.n_rx).swapaxes(-1, -2)
     q = steering_vector(real.aod, real.n_tx)
-    return (p * np.sqrt(real.gains)) @ q.conj()
+    return (p * np.sqrt(real.gains)[..., None, :]) @ q.conj()
 
 
 def min_angle_separation(n_tx: int, n_rx: int) -> float:

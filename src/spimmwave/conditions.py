@@ -12,6 +12,7 @@ blind guess is not safe).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +113,7 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
     the floating-point range is 0.
     """
     _check(gamma=gamma, n0=n0, g1=g1)
-    require_in("m", m, 1, open_low=False)
+    require_in("m", m, 1, sys.float_info.max, open_low=False, open_high=False)
     if m == 1:
         return 1.0
     with np.errstate(over="ignore"):
@@ -165,7 +166,7 @@ def gamma_crossover(m: float, n0: float, g1: float) -> float:
     The bracket (1e-9, 1 - 1e-9) is sign-checked on every call, then halved
     on the sign of the log condition until its midpoint is one of its ends.
     """
-    require_in("m", m, 2, open_low=False)
+    require_in("m", m, 2, sys.float_info.max, open_low=False, open_high=False)
     _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9
     beam_term = _beam_term(m)

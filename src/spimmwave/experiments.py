@@ -4,15 +4,16 @@ A spec is a flat JSON object mirroring ExperimentSpec; unknown keys are
 rejected with the offending field path. Runs are deterministic given the
 seed: channel draws use one stream per trial, and output rows are emitted
 in a fixed (axis, method, variant) order regardless of execution order.
-Closed forms run as array programs: an snr or w1 sweep point makes one
-spim_rate call over its trials, and a gamma sweep one call per beam count
-over every (grid point, trial) pair. Angle-only work is done once per beam
+Closed forms run as array programs: an snr or w1 sweep makes one spim_rate
+and one mmwave_rate call over every (grid point, trial) pair, and a gamma
+sweep one spim_rate call per beam count. Angle-only work is done once per beam
 count: the angles are drawn once, straight from the trial streams, and
 spim_rate takes their Dirichlet gaps once for the whole grid. Each
 (method, variant) block is reduced to its rows in one pass over the trial
 axis, and a q-function grid is scored in one kernel call per array size.
 Monte-Carlo points share their draws
-along the sweep axis (common random numbers): one estimator call per trial
+along the sweep axis (common random numbers): a trial's beams are steered
+at every grid point by one batched channel, and one estimator call per trial
 and system covers every grid point, on the seed derived from (mc seed,
 trial, system), or from (mc seed, beam count, trial, 0) in gamma sweeps.
 Trials keep independent streams, so a row's combined stderr still holds;
@@ -322,29 +323,30 @@ def _rows(spec: ExperimentSpec, axes, method: str, variant: str, values,
             for axis, mean, std, err in zip(axes, means, stds, errs)]
 
 
-def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
+def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0, key: tuple,
                  beam_counts: tuple) -> np.ndarray:
     """Per-trial Monte-Carlo rates of every grid point, shape (len(beam_counts), 2, points, trials).
 
-    points[p] is (w, aod, aoa, n0): strongest-first gains, (trials, m)
-    angles in the same path order, and the noise floor. Entry [i, :, p, t]
-    is the (estimate, stderr) of switching among the first beam_counts[i]
-    steered beams of trial t's channel at point p; each beam is one
-    equiprobable pattern, the system spim_rate scores. All points of one
-    trial and beam count are estimated in one call, on the draws of the
-    seed _mix_seed(mc.seed, *key, t, i). The sets of one call share a noise
+    w holds the (points, m) strongest-first gains, or one (1, m) row every
+    point shares; aod and aoa are the (trials, m) angles in the same path
+    order, and n0 the (points,) noise floors. Entry [i, :, p, t] is the
+    (estimate, stderr) of switching among the first beam_counts[i] steered
+    beams of trial t's channel at point p; each beam is one equiprobable
+    pattern, the system spim_rate scores. A trial's beams are steered at
+    every point at once, by one batched channel, and all points of one trial
+    and beam count are estimated in one call, on the draws of the seed
+    _mix_seed(mc.seed, *key, t, i). The sets of one call share a noise
     floor, so each point's beams are scaled by 1/sqrt(N0) and sampled at
     n0 = 1: the rate depends only on G G^H / N0.
     """
     ch = spec.channel
     mode = "asymptotic" if ch.asymptotic else "exact"
-    out = np.empty((len(beam_counts), 2, len(points), spec.trials))
+    scale = np.sqrt(n0)[:, None, None]
+    out = np.empty((len(beam_counts), 2, len(n0), spec.trials))
     for t in range(spec.trials):
-        steered = []
-        for w, aod, aoa, n0 in points:
-            chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
-            steered.append(effective_channel(chan, build_abf(chan, len(w)), mode) / math.sqrt(n0))
-        beams_first = np.array(steered).swapaxes(1, 2)  # (points, beams, n_r)
+        chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
+        eff = effective_channel(chan, build_abf(chan, w.shape[-1]), mode) / scale
+        beams_first = eff.swapaxes(1, 2)  # (points, beams, n_r)
         for i, beams in enumerate(beam_counts):
             covs = CovarianceSet(1.0, beams_first[:, :beams, :, None])
             out[i, :, :, t] = mc_mutual_information(covs, MonteCarloSpec(
@@ -353,31 +355,30 @@ def _monte_carlo(spec: ExperimentSpec, points: list, key: tuple,
 
 
 def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    """Shared implementation of snr-sweep and w1-sweep."""
+    """Shared implementation of snr-sweep and w1-sweep: one call per system scores every point."""
     ch = spec.channel
     m = ch.m
+    axes = [float(x) for x in spec.grid]
     if spec.experiment == "snr-sweep":
-        points = [(float(snr), _noise_from_snr(snr), ch.gains) for snr in spec.grid]
+        n0 = np.array([_noise_from_snr(snr) for snr in axes])
+        w = np.array([ch.gains], dtype=np.float64)  # one row, shared by every point
     else:
-        n0 = float(spec.noise.n0)
-        points = [(float(w1), n0, [w1, 1.0 - w1]) for w1 in spec.grid]
-    g = float(ch.n_tx)
+        n0 = np.full(len(axes), float(spec.noise.n0))
+        w = np.array([[w1, 1.0 - w1] for w1 in axes])
+    w = w / w.sum(axis=-1, keepdims=True) if ch.normalize else w
+    # paths strongest-first, the stable order a channel drawn with these gains holds; it is
+    # the same at every point, as snr gains are fixed and w1 >= 0.5 keeps w1 first
+    order = np.argsort(-w[0], kind="stable")
     aod, aoa = _draw_angles(spec, m)
-    shannon, rates, mc_points = [], [], []
-    for _, n0, gains in points:
-        w = np.asarray(gains, dtype=np.float64)
-        w = w / float(np.sum(w)) if ch.normalize else w
-        # paths strongest-first, the stable order a channel drawn with these gains holds
-        order = np.argsort(-w, kind="stable")
-        w, point_aod, point_aoa = w[order], aod[:, order], aoa[:, order]
-        shannon.append(np.full(spec.trials, mmwave_rate(w[0], g, n0)))
-        rates.append(spim_rate(w, np.full(m, g), point_aoa, ch.n_rx, n0))
-        mc_points.append((w, point_aod, point_aoa, n0))
-    axes = [axis for axis, _, _ in points]
-    rows = (_rows(spec, axes, METHOD_SHANNON, "mmwave", shannon)
+    w, aod, aoa = w[:, order], aod[:, order], aoa[:, order]
+    g = float(ch.n_tx)
+    shannon = mmwave_rate(w[:, 0], g, n0)
+    rates = spim_rate(w[:, None, :], np.full(m, g), aoa, ch.n_rx, n0[:, None])
+    rows = (_rows(spec, axes, METHOD_SHANNON, "mmwave",
+                  np.broadcast_to(shannon[:, None], rates.shape))
             + _rows(spec, axes, METHOD_GENERAL_M, "spim", rates))
     if spec.mc is not None:
-        spim, mm = _monte_carlo(spec, mc_points, (), (m, 1))
+        spim, mm = _monte_carlo(spec, w, aod, aoa, n0, (), (m, 1))
         rows += (_rows(spec, axes, METHOD_MONTE_CARLO, "spim", *spim)
                  + _rows(spec, axes, METHOD_MONTE_CARLO, "mmwave", *mm))
     return rows
@@ -398,7 +399,7 @@ def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         rates = spim_rate(w[:, None, :], np.full(m, float(ch.n_tx)), aoa, ch.n_rx, n0)
         rows += _rows(spec, gammas, METHOD_GENERAL_M, variant, rates)
         if spec.mc is not None:
-            (mc,) = _monte_carlo(spec, [(gains, aod, aoa, n0) for gains in w], (m,), (m,))
+            (mc,) = _monte_carlo(spec, w, aod, aoa, np.full(len(gammas), n0), (m,), (m,))
             rows += _rows(spec, gammas, METHOD_MONTE_CARLO, variant, *mc)
     return rows
 

@@ -11,6 +11,7 @@ from spimmwave import (
     ParameterError,
     asymptotic_covariances,
     build_abf,
+    build_channel,
     covariances,
     effective_channel,
     make_rng,
@@ -170,3 +171,54 @@ def test_covariance_factors_apply_the_digital_stage():
     assert factors.shape == (alphabet.k, 8, 2)
     for pattern, g in zip(alphabet.patterns, factors):
         assert_allclose(g, eff @ pattern / np.sqrt(2.0), rtol=1e-15)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_batched_channel_equals_per_realization_calls():
+    # a (2, 4, 3) batch: rows with tied and out-of-order gains, one angle row broadcast
+    rng = np.random.default_rng(11)
+    gains = rng.uniform(0.1, 1.0, (2, 4, 3))
+    gains[0, 1] = [0.3, 0.3, 0.3]
+    gains[0, 2] = [0.2, 0.5, 0.2]
+    gains[1, 0] = [0.1, 0.4, 0.9]
+    aod = rng.uniform(-0.5, 0.5, (2, 4, 3))
+    aoa = rng.uniform(-0.5, 0.5, 3)
+    batch = ChannelRealization(32, 8, aod=aod, aoa=aoa, gains=gains)
+    assert batch.gains.shape == batch.aoa.shape == (2, 4, 3) and batch.n_paths == 3
+    for m in (1, 2, 3):
+        abf = build_abf(batch, m)
+        assert abf.shape == (2, 4, 32, m)
+        effs = {mode: effective_channel(batch, abf, mode) for mode in ("exact", "asymptotic")}
+        for index in np.ndindex(2, 4):
+            one = ChannelRealization(32, 8, aod=aod[index], aoa=aoa, gains=gains[index])
+            for name in ("aod", "aoa", "gains"):
+                assert _same_bits(getattr(batch, name)[index], getattr(one, name))
+            assert _same_bits(build_channel(batch)[index], build_channel(one))
+            assert _same_bits(abf[index], build_abf(one, m))
+            for mode, eff in effs.items():
+                assert _same_bits(eff[index], effective_channel(one, build_abf(one, m), mode))
+    # the tied row keeps its order, the out-of-order rows are sorted strongest-first
+    assert list(batch.gains[0, 2]) == [0.5, 0.2, 0.2]
+    assert list(batch.aod[0, 1]) == list(aod[0, 1])
+
+
+@pytest.mark.parametrize("name, bad", [("gains", np.nan), ("gains", -0.1), ("aod", 0.7),
+                                       ("aod", np.nan), ("aoa", -0.6), ("aoa", np.inf)])
+def test_batched_realization_fails_naming_the_bad_field(name, bad):
+    arrays = {"aod": np.full((3, 2), 0.1), "aoa": np.full((3, 2), -0.1),
+              "gains": np.full((3, 2), 0.5)}
+    arrays[name][2, 1] = bad  # one entry of the last row
+    with pytest.raises(ParameterError, match=rf"\b{name}\b") as info:
+        ChannelRealization(16, 4, **arrays)
+    assert info.value.field == name
+
+
+def test_batched_realization_rejects_mismatched_shapes():
+    for aod, gains in (([[0.1, 0.2]], [[0.5]]), (np.zeros((3, 2)), np.ones((2, 2)))):
+        with pytest.raises(ParameterError) as info:
+            ChannelRealization(16, 4, aod=aod, aoa=aod, gains=gains)
+        assert info.value.field == "gains"

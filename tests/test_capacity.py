@@ -220,6 +220,10 @@ NAN_CALLS = {
                                   np.ones((64, 2)), "bad"), "mode"),
     "hermitian_logdet-m": (lambda: hermitian_logdet(np.array([[1.0, 2.0], [0.0, 1.0]])), "m"),
     "reproduce-preset": (lambda: reproduce("nope", "unused"), "preset"),
+    # an integer beam count beyond the float range fails by name, not as an OverflowError
+    "decay_condition_value-m-huge-int": (
+        lambda: decay_condition_value(10**400, 0.5, 0.1, 64.0), "m"),
+    "gamma_crossover-m-huge-int": (lambda: gamma_crossover(10**400, 0.1, 64.0), "m"),
 }
 
 
@@ -313,6 +317,56 @@ def test_grid_rates_equal_per_point_calls(m):
     batched = spim_rate(w, g, theta, 8, 0.1)
     assert batched.shape == (19, 30)
     assert np.array_equal(batched, [spim_rate(row[0], g, theta, 8, 0.1) for row in w])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_per_point_noise_equals_per_point_calls(m):
+    # a (19, 1) n0 gives each grid point its own noise level; each point is its own call
+    w, theta = _decay_grid(m)
+    g = np.full(m, 64.0)
+    n0 = np.logspace(-3, 1, 19)
+    batched = spim_rate(w, g, theta, 8, n0[:, None])
+    assert np.array_equal(batched, [spim_rate(row[0], g, theta, 8, level)
+                                    for row, level in zip(w, n0)])
+    # one gain row shared by every point, as an snr sweep has it
+    shared = spim_rate(w[:1], g, theta, 8, n0[:, None])
+    assert np.array_equal(shared, [spim_rate(w[0, 0], g, theta, 8, level) for level in n0])
+    assert np.array_equal(spim_rate(w[0, 0], g, theta[0], 8, n0),
+                          [spim_rate(w[0, 0], g, theta[0], 8, level) for level in n0])
+    w1 = w[:, 0, 0]
+    assert np.array_equal(mmwave_rate(w1, 64.0, n0),
+                          [mmwave_rate(a, 64.0, level) for a, level in zip(w1, n0)])
+    assert np.array_equal(mmwave_rate(0.6, 64.0, n0), [mmwave_rate(0.6, 64.0, x) for x in n0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, NAN, INF])
+def test_per_point_noise_out_of_domain_anywhere_fails_naming_n0(bad):
+    n0 = np.array([[0.1], [bad], [0.2]])
+    theta = np.array([[-0.1, 0.1], [0.0, 0.3]])
+    with pytest.raises(ParameterError, match=r"\bn0\b") as info:
+        spim_rate([0.6, 0.4], [64.0, 64.0], theta, 8, n0)
+    assert info.value.field == "n0"
+    with pytest.raises(ParameterError, match=r"\bn0\b") as info:
+        mmwave_rate([0.6, 0.7, 0.8], 64.0, n0[:, 0])
+    assert info.value.field == "n0"
+
+
+def test_per_point_noise_overflow_names_the_failing_scalar_in_one_line():
+    n0 = np.array([0.1, 1e-320, 1e-321, 0.2])
+    theta = np.array([[-0.1, 0.1], [0.0, 0.3]])
+    calls = (lambda: spim_rate([0.6, 0.4], [64.0, 64.0], theta, 8, n0[:, None]),
+             lambda: mmwave_rate(0.6, 64.0, n0))
+    for call in calls:
+        with pytest.raises(ParameterError) as info:
+            call()
+        message = str(info.value)
+        assert info.value.field == "n0"
+        assert message.startswith("n0 = 1e-320 is too small") and "\n" not in message, message
+    # a noise level per point that does not broadcast against the batch fails by name
+    with pytest.raises(DimensionError, match=r"\bn0\b"):
+        spim_rate([0.6, 0.4], [64.0, 64.0], theta, 8, np.full(3, 0.1))
+    with pytest.raises(DimensionError, match=r"\bn0\b"):
+        mmwave_rate([0.6, 0.7], 64.0, np.full(3, 0.1))
 
 
 @pytest.mark.parametrize("n_r", [8, 64])

@@ -374,7 +374,31 @@ def test_sweeps_draw_each_channel_once(monkeypatch):
     run_experiment(spec_from_dict({"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9],
                                    "noise": {"n0": 0.1}, "trials": 2}))
     assert len(draws) == 2
-    assert len(rates) == 3
+    assert len(rates) == 1
+
+
+@pytest.mark.parametrize("grid", [[0.0], [-10.0, 0.0, 5.0, 20.0]])
+def test_sweeps_make_one_call_per_sweep_whatever_the_grid(grid, monkeypatch):
+    calls = {"spim_rate": [], "mmwave_rate": [], "effective_channel": [],
+             "mc_mutual_information": []}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(experiments, name), _log=log, **kwargs):
+            _log.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    mc = {"n_samples": 1000}
+    run_experiment(spec_from_dict({"experiment": "snr-sweep", "grid": grid, "trials": 3,
+                                   "channel": {"gains": [0.6, 0.4]}, "mc": mc}))
+    # one closed-form call per system over every point; the Monte-Carlo beams of both
+    # systems are steered once per trial, and estimated once per (trial, system)
+    assert [len(log) for log in calls.values()] == [1, 1, 3, 3 * 2]
+    for log in calls.values():
+        log.clear()
+    gammas = [0.2 * (i + 1) for i in range(len(grid))]
+    run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": gammas,
+                                   "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
+                                   "trials": 2, "mc": mc}))
+    assert [len(log) for log in calls.values()] == [3, 0, 2 * 3, 2 * 3]
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -610,6 +634,20 @@ def test_cli_run_subnormal_noise_fails_in_one_line_naming_n0(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: n0 ") and err.count("\n") == 1
     assert not csv_path.exists()
+
+
+def test_cli_snr_sweep_subnormal_point_fails_in_one_line_naming_its_n0(tmp_path, capsys):
+    # the closed forms score every point in one call; the error names the failing
+    # point's noise level as one number, not the sweep's array of them
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "experiment": "snr-sweep", "grid": [0.0, 3200.0], "trials": 2,
+        "channel": {"gains": [0.6, 0.4]},
+    }), encoding="utf-8")
+    assert main(["run", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    n0 = 10.0 ** (-3200.0 / 10.0)
+    assert err.startswith(f"error: n0 = {n0} is too small") and err.count("\n") == 1, err
 
 
 def test_cli_rejects_invalid_spec(tmp_path):
