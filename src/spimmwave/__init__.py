@@ -13,7 +13,6 @@ from .capacity import (
     covariances,
     dirichlet_gain,
     mmwave_rate,
-    pattern_rate_bound,
     spim_rate,
     total_rate_approx,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "mmwave_rate",
     "normalized_from_physical",
     "pattern_alphabet",
-    "pattern_rate_bound",
     "sample_channel",
     "spim_margin",
     "spim_rate",

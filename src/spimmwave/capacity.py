@@ -6,18 +6,24 @@ The total rate splits into the mean per-pattern Shannon term plus the rate
 carried by the pattern index itself; the latter has no closed form but a
 tight determinant-based bound, and combining the two (with a constant
 N_r(log2 e - 1) correction that neutralizes the bound's asymptotic offset)
-gives the closed-form approximation implemented here.
+gives the closed-form approximation implemented here. The bound on its own
+is not part of the package; the tests keep it as an oracle for that split.
 
 Every determinant comes from one identity on the small Gram matrix of the
 beam factors, ln|c N0 I + W W^H| = n_r ln(c N0) + ln|I + W^H W / (c N0)|,
-so the cost does not grow with the receive array beyond one Gram product.
-A CovarianceSet factors each pattern's block I + G_k^H G_k / N0 once; its
-determinants, the diagonal of the pair kernel and the Monte-Carlo
-whitening all read that factorization, and the pair kernel factors only
-the K(K-1)/2 distinct pairs. The Gram matrix is also where n0 is checked
-against the factors, so the closed forms and the oracle fail alike, by
-name, when W^H W / N0 leaves the float range. All log-determinant work
-happens in natural logs and converts to bits at the boundary.
+so the receive array enters the cost only through one Gram product and
+one QR of each pair's n_r x 2s stacked factors. A CovarianceSet factors
+each pattern's block I + G_k^H G_k / N0 once; its determinants, the
+diagonal of the pair kernel and the Monte-Carlo whitening all read that
+factorization. A pair of patterns is factored in one place, _pair_factors:
+one batched QR of the stacked factors [G_n, G_t] of each of the K(K-1)/2
+distinct pairs. The pair kernel reads its R through Sylvester's identity,
+|I + W^H W / c| = |I + R R^H / c|, and the exact two-pattern rate reads
+det W^H W off its diagonal, so neither forms a Gram block that cancels
+when beams coincide. The Gram matrix is where n0 is checked against the
+factors, so the closed forms and the oracle fail alike, by name, when
+W^H W / N0 leaves the float range. All log-determinant work happens in
+natural logs and converts to bits at the boundary.
 
 spim_rate, the paper's general-M closed form on large-array beams, needs
 none of that machinery: its pair determinants depend on the beams only
@@ -40,7 +46,6 @@ from .errors import DimensionError, ParameterError
 from .numerics import cholesky_logdet, require_in, require_integer
 
 LN2 = float(np.log(2.0))
-LOG2E = float(np.log2(np.e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +57,9 @@ class CovarianceSet:
     (k, n_r, s) hold a batch of sets sharing n0, and every closed form
     below returns one value per set, a float for an unbatched one. The
     factors are stored C-contiguous, so a set's bits do not depend on the
-    memory layout the caller passed. The Gram matrix of the factors and the
-    dense covariances are built only on first use and cached; the object is
-    immutable otherwise and safe to share across threads.
+    memory layout the caller passed. The Gram matrix of the factors and its
+    per-pattern factorization are built only on first use and cached; the
+    object is immutable otherwise and safe to share across threads.
     """
 
     n0: float
@@ -103,22 +108,12 @@ class CovarianceSet:
         """The one per-pattern factorization: (L, ld) with I + G_k^H G_k / N0 = L_k L_k^H.
 
         L is (..., k, s, s), taken from the Gram matrix's diagonal blocks, and
-        ld (..., k) holds ln|I + G_k^H G_k / N0|. logdets, the pair kernel's
-        diagonal and the Monte-Carlo whitening all read it.
+        ld (..., k) holds ln|I + G_k^H G_k / N0|. The symbol rate, the pair
+        kernel's diagonal and the Monte-Carlo whitening all read it.
         """
         k, s = self.k, self.factors.shape[-1]
         blocks = self.gram.reshape(*self.gram.shape[:-2], k, s, k, s).diagonal(axis1=-4, axis2=-2)
         return cholesky_logdet(np.eye(s) + np.moveaxis(blocks, -1, -3) / self.n0)
-
-    @cached_property
-    def sigmas(self) -> np.ndarray:
-        """Dense (..., k, n_r, n_r) covariances, a reference for test oracles only."""
-        fac = self.factors
-        return self.n0 * np.eye(self.n_r) + fac @ fac.conj().swapaxes(-1, -2)
-
-    def logdets(self) -> np.ndarray:
-        """Natural-log determinants ln|S_k| = n_r ln N0 + ln|I + G_k^H G_k / N0|."""
-        return self.n_r * math.log(self.n0) + self.cholesky[1]
 
 
 def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
@@ -163,27 +158,38 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     return CovarianceSet(n0=n0, factors=beams[..., None], source="asymptotic")
 
 
+def _pair_factors(covs: CovarianceSet) -> np.ndarray:
+    """R of each distinct pair's stacked factors W_nt = [G_n, G_t] = Q R, n < t.
+
+    Shape (..., pairs, min(n_r, 2s), 2s), pairs in np.triu_indices(k, 1)
+    order: one batched QR, so W_nt^H W_nt = R^H R without forming a Gram
+    block, and R keeps the small directions of near-coincident beams that
+    the Gram entries cancel. The pair determinants and the exact two-pattern
+    rate both read it.
+    """
+    n, t = np.triu_indices(covs.k, 1)
+    pairs = np.concatenate([covs.factors[..., n, :, :], covs.factors[..., t, :, :]], axis=-1)
+    return np.linalg.qr(pairs, mode="r")
+
+
 def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
     """(..., k, k) symmetric matrices of ln|S_n + S_t|; diagonals are ln|2 S_n|.
 
-    ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t]:
-    the Gram matrix of the stacked factors supplies every block, and one
-    batched factorization the (2s x 2s) determinant of each distinct pair
-    n < t, written to both halves. A self pair [G_n, G_n] is singular to
-    rounding at small N0, so the diagonal n_r ln 2N0 + ln|I + G_n^H G_n / N0|
-    comes from the per-pattern factorization instead.
+    ln|S_n + S_t| = n_r ln 2N0 + ln|I + W_nt^H W_nt / 2N0| with W_nt = [G_n, G_t].
+    For each distinct pair n < t, Sylvester's identity gives the last term as
+    ln|I + R R^H / 2N0| on the pair's R (_pair_factors), written to both
+    halves; it keeps its digits where beams coincide. The diagonal,
+    n_r ln 2N0 + ln|I + G_n^H G_n / N0|, comes from the per-pattern
+    factorization, which is read first, so an n0 too small for the factors
+    fails by name before any pair is factored.
     """
-    k, n_r, s = covs.factors.shape[-3:]
-    n, t = np.nonzero(np.less.outer(range(k), range(k)))  # the distinct pairs n < t
-    cols = np.arange(k * s).reshape(k, s)  # columns of G_n in the stacked factors
-    idx = np.concatenate([cols[n], cols[t]], axis=-1)
-    # W_nt^H W_nt, (..., pairs, 2s, 2s); a batched gather lays the index axes out first, and
-    # the row sums below must see one layout for any batch to keep batched calls bit-exact
-    gram = np.ascontiguousarray(covs.gram[..., idx[:, :, None], idx[:, None, :]])
-    two_n0 = 2.0 * covs.n0
+    k, two_n0 = covs.k, 2.0 * covs.n0
     ld = covs.cholesky[1][..., None] * np.eye(k)  # ln|I + G_n^H G_n / N0| on the diagonal
-    ld[..., n, t] = ld[..., t, n] = cholesky_logdet(np.eye(2 * s) + gram / two_n0)[1]
-    return n_r * math.log(two_n0) + ld
+    r = _pair_factors(covs)
+    n, t = np.triu_indices(k, 1)
+    rrh = r @ r.conj().swapaxes(-1, -2)
+    ld[..., n, t] = ld[..., t, n] = cholesky_logdet(np.eye(r.shape[-2]) + rrh / two_n0)[1]
+    return covs.n_r * math.log(two_n0) + ld
 
 
 def _mean_logsumexp(x: np.ndarray) -> np.ndarray:
@@ -202,21 +208,13 @@ def conditional_symbol_rate(covs: CovarianceSet) -> float:
     return _bits(np.mean(covs.cholesky[1], axis=-1) / LN2)
 
 
-def pattern_rate_bound(covs: CovarianceSet) -> float:
-    """Determinant lower bound on the rate carried by the pattern index.
-
-    log2 K - N_r log2 e - (1/K) sum_n log2 sum_t |S_n| / |S_n + S_t|.
-    This is a bound, not a rate: it goes negative when patterns overlap.
-    """
-    inner = _mean_logsumexp(covs.logdets()[..., :, None] - _pair_logdets(covs))
-    return _bits(np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2)
-
-
 def total_rate_approx(covs: CovarianceSet) -> float:
     """Closed-form approximation of the total mixture rate, in bits.
 
     log2(K / (2 N0)^N_r) - (1/K) sum_n log2 sum_t |S_n + S_t|^{-1}; equals
-    conditional_symbol_rate + pattern_rate_bound + N_r (log2 e - 1).
+    conditional_symbol_rate plus the determinant bound on the pattern-index
+    rate, log2 K - N_r log2 e - (1/K) sum_n log2 sum_t |S_n| / |S_n + S_t|,
+    plus N_r (log2 e - 1).
     """
     inner = _mean_logsumexp(-_pair_logdets(covs))
     return _bits(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)

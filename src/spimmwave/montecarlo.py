@@ -17,6 +17,9 @@ leave one random scalar per component, Z = E_o - E_c, an indefinite
 Hermitian form of a complex Gaussian 2-vector, so Z = lam_+ X + lam_- Y with
 X, Y i.i.d. Exp(1). The rate is then a function of x_j = A_jj and
 delta = det A alone, and one 1-D quadrature gives it (_two_pattern_rate).
+delta is read off the R of the pair W = Q R that the closed forms' pair
+determinants read too (capacity._pair_factors), so it keeps its digits for
+near-parallel beams.
 
 Every other set (K >= 3, or s > 1) is sampled. Under component c, q is
 CN(0, B_c) with B_c = A + A_c A_c^H, A_c the s columns of block c. B_c may
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capacity import LN2, CovarianceSet
+from .capacity import LN2, CovarianceSet, _pair_factors
 from .numerics import make_rng, require_integer
 
 MIN_SAMPLES = 1_000
@@ -208,14 +211,15 @@ def _two_pattern_rate(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 def _two_pattern_inputs(covs: CovarianceSet) -> tuple[np.ndarray, np.ndarray]:
     """x_j = A_jj and delta = det A of two rank-one patterns, A = W^H W / N0.
 
-    delta comes from a QR factorization of W, |R_11 R_22|^2 / N0^2, not from
-    x_1 x_2 - |A_12|^2, which cancels for near-parallel beams.
+    delta is |R_11 R_22|^2 / N0^2, read off the pair's QR factor W = Q R
+    (capacity._pair_factors, which the pair determinants read too), not
+    x_1 x_2 - |A_12|^2, which cancels for near-parallel beams. One receive
+    antenna leaves R one row, and A rank one: delta is 0.
     """
     x = covs.gram.diagonal(axis1=-2, axis2=-1).real / covs.n0  # the Gram matrix checks n0
     if covs.n_r < 2:
         return x, np.zeros(x.shape[:-1])
-    diag = np.linalg.qr(covs.factors[..., 0].swapaxes(-1, -2), mode="r").diagonal(
-        axis1=-2, axis2=-1)
+    diag = _pair_factors(covs)[..., 0, :, :].diagonal(axis1=-2, axis2=-1)
     return x, np.prod(np.square(np.abs(diag)) / covs.n0, axis=-1)
 
 

@@ -1,17 +1,18 @@
 """Log-determinant kernel and reproducible random sampling.
 
 Every determinant taken in this package is of a Hermitian positive-definite
-matrix I + W^H W / c, W the beams of one pattern or of two distinct ones.
-No self pair [G, G] is ever factored, so these matrices are positive
-definite in floating point too, not only in exact arithmetic, as long as
-no two beams coincide. Factorization goes through Cholesky: it is
-numerically stable and rejects non-PD input for free. Determinants are
-only ever returned as logs, which neither underflow nor overflow at large
-array sizes. Randomness is built on counter-based Philox streams keyed by
-(seed, stream); identical pairs reproduce identical sequences under any
-parallel schedule, distinct stream ids are independent. The argument
-checks every module shares live here too: require_integer for counts and
-require_in for every interval domain.
+matrix I + M / c with M positive semidefinite: M = G^H G for the beams G
+of one pattern, and for a pair of patterns M = R R^H, the Sylvester form of
+the R of the pair's stacked beams [G_n, G_t] = Q R, which keeps its digits
+where the two patterns' beams coincide. Two equal columns within one
+pattern still make I + G^H G / c singular to rounding at small c.
+Factorization goes through Cholesky: it is numerically stable and rejects
+non-PD input for free. Determinants are only ever returned as logs, which
+neither underflow nor overflow at large array sizes. Randomness is built
+on counter-based Philox streams keyed by (seed, stream); identical pairs
+reproduce identical sequences under any parallel schedule, distinct stream
+ids are independent. The argument checks every module shares live here
+too: require_integer for counts and require_in for every interval domain.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from spimmwave import (
     mc_mutual_information,
     mmwave_rate,
     pattern_alphabet,
-    pattern_rate_bound,
     sample_channel,
     spim_margin,
     spim_rate,
@@ -39,8 +38,10 @@ from spimmwave import (
     total_rate_approx,
 )
 from spimmwave.beamforming import large_array_beams
-from spimmwave.capacity import LOG2E, _overlap, _pair_logdets
+from spimmwave.capacity import _overlap, _pair_logdets
 from spimmwave.experiments import reproduce
+
+from oracles import LOG2E, dense_covariances, pattern_rate_bound
 
 RATE_GAP = LOG2E - 1.0  # per receive antenna, closes the bound's constant offset
 
@@ -59,7 +60,7 @@ def random_covariance_set(rng):
 
 def dense_pair_logdets(covs):
     """Oracle: ln|S_n + S_t| by LU factorization of the dense covariance sums."""
-    sig = covs.sigmas
+    sig = dense_covariances(covs)
     return np.array([[np.linalg.slogdet(a + b)[1] for b in sig] for a in sig])
 
 
@@ -89,7 +90,7 @@ def factor_sets(draw):
 
 def test_covariances_zero_channel():
     covs = covariances(np.zeros((4, 2)), pattern_alphabet(2, 1), 0.3)
-    for sigma in covs.sigmas:
+    for sigma in dense_covariances(covs):
         assert_allclose(sigma, 0.3 * np.eye(4), atol=1e-15)
 
 
@@ -104,7 +105,7 @@ def test_covariance_determinant_closed_form():
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances([w], [g], [theta], n_r, n0)
         expected = n0 ** n_r * (1.0 + w * g / n0)
-        assert_allclose(np.exp(covs.logdets()[0]), expected, rtol=1e-10)
+        assert_allclose(np.exp(n_r * np.log(n0) + covs.cholesky[1][0]), expected, rtol=1e-10)
 
 
 def test_covariance_set_bits_do_not_depend_on_layout():
@@ -594,7 +595,7 @@ def test_pair_determinant_matches_brute_force():
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances(w, g, theta, n_r, n0)
-        brute = np.linalg.slogdet(covs.sigmas[0] + covs.sigmas[1])[1]
+        brute = np.linalg.slogdet(dense_covariances(covs).sum(axis=0))[1]
         assert abs(np.expm1(_pair_logdets(covs)[0, 1] - brute)) <= 1e-10
 
 
@@ -602,8 +603,8 @@ def test_pair_determinant_matches_brute_force():
 @given(factor_sets())
 def test_kernel_matches_dense_oracle(covs):
     assert_allclose(_pair_logdets(covs), dense_pair_logdets(covs), rtol=0.0, atol=1e-9)
-    dense = np.array([np.linalg.slogdet(s)[1] for s in covs.sigmas])
-    assert_allclose(covs.logdets(), dense, rtol=0.0, atol=1e-9)
+    dense = np.array([np.linalg.slogdet(s)[1] for s in dense_covariances(covs)])
+    assert_allclose(covs.n_r * np.log(covs.n0) + covs.cholesky[1], dense, rtol=0.0, atol=1e-9)
     assert total_rate_approx(covs) == pytest.approx(dense_total_rate(covs), abs=1e-9)
 
 
@@ -668,7 +669,7 @@ def test_two_path_rate_variants_coincide_for_two_patterns():
         theta = rng.uniform(-0.5, 0.5, 2)
         n0 = rng.uniform(0.05, 1.0)
         covs = asymptotic_covariances(w, [64, 64], theta, 8, n0)
-        ld, pair = covs.logdets(), _pair_logdets(covs)
+        ld, pair = 8 * np.log(n0) + covs.cholesky[1], _pair_logdets(covs)
         lb = np.mean(logsumexp(ld[:, None] - pair, axis=1))
         cross = np.mean(logsumexp(ld[None, :] - pair, axis=1))
         assert_allclose(lb, cross, rtol=1e-12)
@@ -734,6 +735,30 @@ def test_general_rate_two_beams_at_tiny_noise():
     for n0 in (1e-4, 1e-8, 1e-14, 1e-20):
         exact = np.log2(1.0 + 0.6 * 64.0 / n0)
         assert abs(spim_rate([0.6, 0.6], g, [0.1, 0.1], 8, n0) - exact) <= 1e-14, n0
+
+
+def test_oracle_matches_spim_rate_at_near_coincident_beams():
+    # the pair determinants of total_rate_approx come from the QR of the stacked beams, which
+    # does not cancel where the beams coincide; what is left is the rounding of the beam
+    # vectors themselves, under 5e-10 bits on this grid
+    w, g = [0.6, 0.4], [64.0, 64.0]
+    for gap in (0.0, 1e-9, 1e-6, 1e-3):
+        for n0 in (1e-8, 1e-12, 1e-16, 1e-20):
+            theta = [0.1, 0.1 + gap]
+            oracle = total_rate_approx(asymptotic_covariances(w, g, theta, 8, n0))
+            assert abs(oracle - spim_rate(w, g, theta, 8, n0)) <= 1e-9, (gap, n0)
+
+
+@pytest.mark.parametrize("n0", [1e-16, 1e-20])
+def test_oracle_coincident_beams_carry_no_index_bit(n0):
+    # two equal large-array beams, and three equal exact channel columns, are one beam
+    covs = asymptotic_covariances([0.6, 0.6], [64.0, 64.0], [0.1, 0.1], 8, n0)
+    assert abs(total_rate_approx(covs) - math.log2(1.0 + 0.6 * 64.0 / n0)) <= 1e-9
+    chan = sample_channel(make_rng(4), 64, 8, 2, gains=[0.6, 0.4])
+    column = effective_channel(chan, build_abf(chan, 2), "exact")[:, :1]
+    covs = CovarianceSet(n0, np.stack([column] * 3))
+    exact = math.log2(1.0 + float(np.sum(np.abs(column) ** 2)) / n0)
+    assert abs(total_rate_approx(covs) - exact) <= 1e-9
 
 
 def test_general_rate_permutation_symmetry():

@@ -24,11 +24,12 @@ from spimmwave import (
     make_rng,
     mc_mutual_information,
     pattern_alphabet,
-    pattern_rate_bound,
     sample_channel,
     total_rate_approx,
 )
 from spimmwave import montecarlo
+
+from oracles import dense_covariances, pattern_rate_bound
 
 
 def mc_spatial_information(covs, spec):
@@ -50,7 +51,7 @@ def dense_mutual_information(covs, spec):
     reports the same stratified stderr, sqrt(sum_c var_c / n_c) / K.
     """
     k, n_r = covs.k, covs.n_r
-    chol = np.linalg.cholesky(covs.sigmas)
+    chol = np.linalg.cholesky(dense_covariances(covs))
     eye = np.eye(n_r, dtype=np.complex128)
     whiten = np.stack([solve_triangular(chol[j], eye, lower=True) for j in range(k)])
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)

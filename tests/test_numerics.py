@@ -138,3 +138,22 @@ def test_every_parameter_error_names_its_field():
                     if not (isinstance(k.value, ast.Constant) and k.value.value is None)}))
     assert len(calls) > 10  # the walk reached the package
     assert [where for where, keywords in calls if "field" not in keywords] == []
+
+
+def test_each_factorization_has_one_call_site():
+    # one function decides how a pair of patterns is factored, and one runs Cholesky
+    sites = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "spimmwave").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk goes outside in, so a call maps to its innermost enclosing function
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.endswith(("linalg.qr", "linalg.cholesky")):
+                    where = f"{path.stem}.{owner.get(id(node), '<module>')}"
+                    sites.setdefault(name.rsplit(".", 1)[1], []).append(where)
+    assert sites == {"qr": ["capacity._pair_factors"],
+                     "cholesky": ["numerics.cholesky_logdet"]}
