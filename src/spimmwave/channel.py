@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import require_in, require_integer
+from .numerics import make_rng, require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -113,16 +113,28 @@ def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
     return rng.permutation(draw)
 
 
-def _angle_ranges(aod_range, aoa_range) -> tuple:
-    """The departure and arrival (lo, hi) pairs, each checked to lie increasing in [-0.5, 0.5].
+def _draw_angles(rngs, n_paths: int, n_tx: int, n_rx: int, aod_range, aoa_range) -> tuple:
+    """(len(rngs), n_paths) departure and arrival angles, one row per stream, in drawn order.
 
-    A range fails under its own name: lo must lie in [-0.5, 0.5), then hi in (lo, 0.5].
+    This is the one draw of the channel streams, for sample_channel and the
+    sweeps alike: each stream gives its departures, then its arrivals, by
+    _draw_separated at the separation floor of (n_tx, n_rx). A stream is a
+    Generator, or the (seed, stream) key of make_rng(seed, stream); trial t
+    of a sweep draws from the key (seed, t). The angles do not depend on the
+    path gains. A range fails under its own name: lo must lie in
+    [-0.5, 0.5), then hi in (lo, 0.5].
     """
     ranges = (tuple(aod_range), tuple(aoa_range))
     for name, (lo, hi) in zip(("aod_range", "aoa_range"), ranges):
         require_in(name, lo, -0.5, 0.5, open_low=False)
         require_in(name, hi, lo, 0.5, open_high=False)
-    return ranges
+    floor = min_angle_separation(n_tx, n_rx)
+    aod, aoa = np.empty((2, len(rngs), n_paths))
+    for t, rng in enumerate(rngs):
+        rng = rng if isinstance(rng, np.random.Generator) else make_rng(*rng)
+        for out, (lo, hi) in zip((aod, aoa), ranges):
+            out[t] = _draw_separated(rng, n_paths, lo, hi, floor)
+    return aod, aoa
 
 
 def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int, *,
@@ -132,15 +144,15 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
 
     The angles on each side are uniform over the set whose pairwise
     distances all reach min_angle_separation, to rounding, so near-coincident
-    paths cannot occur at finite array sizes. They are drawn directly, departures then
-    arrivals, and a separation that does not fit in a range fails at once
-    with a ParameterError naming n_paths.
+    paths cannot occur at finite array sizes. They are drawn directly from rng,
+    departures then arrivals, by the one draw the sweeps make on their trial
+    streams, so a sweep's trial t holds the angles of
+    sample_channel(make_rng(seed, t), ...), bit for bit. A separation that
+    does not fit in a range fails at once with a ParameterError naming n_paths.
     """
     require_integer("n_paths", n_paths, minimum=1)
     gains = np.asarray(gains, dtype=np.float64)
     if len(gains) != n_paths:
         raise ParameterError(f"expected {n_paths} gains, got {len(gains)}", field="gains")
-    ranges = _angle_ranges(aod_range, aoa_range)
-    floor = min_angle_separation(n_tx, n_rx)
-    aod, aoa = (_draw_separated(rng, n_paths, lo, hi, floor) for lo, hi in ranges)
+    (aod,), (aoa,) = _draw_angles([rng], n_paths, n_tx, n_rx, aod_range, aoa_range)
     return ChannelRealization(n_tx=n_tx, n_rx=n_rx, aod=aod, aoa=aoa, gains=gains)

@@ -4,14 +4,15 @@ A spec is a flat JSON object mirroring ExperimentSpec; unknown keys are
 rejected with the offending field path. Runs are deterministic given the
 seed: channel draws use one stream per trial, and output rows are emitted
 in a fixed (axis, method, variant) order regardless of execution order.
-Closed forms run as array programs: an snr or w1 sweep makes one spim_rate
-and one mmwave_rate call over every (grid point, trial) pair, and a gamma
-sweep one spim_rate call per beam count. Angle-only work is done once per beam
-count: the angles are drawn once, straight from the trial streams, and
-spim_rate takes their Dirichlet gaps once for the whole grid. Each
-(method, variant) block is reduced to its rows in one pass over the trial
-axis, and a q-function grid is scored in one kernel call per array size.
-Monte-Carlo points share their draws
+The snr, w1 and gamma sweeps score their beams through one function,
+_sweep_rows: an snr or w1 sweep calls it once, with its spim and single-beam
+(mmwave) systems, and a gamma sweep once per beam count. Each call draws the
+angles once, by channel._draw_angles on the trial streams, makes one
+spim_rate call over every (grid point, trial) pair, which takes the
+Dirichlet gaps once for the whole grid, and reduces each (method, variant)
+block to its rows in one pass over the trial axis; an snr or w1 sweep adds
+its shannon rows in one mmwave_rate call. A q-function grid is scored in
+one kernel call per array size. Monte-Carlo points share their draws
 along the sweep axis (common random numbers): a trial's beams are steered
 at every grid point by one batched channel, and one estimator call per trial
 and system covers every grid point, on the seed derived from (mc seed,
@@ -34,12 +35,11 @@ import numpy as np
 
 from .beamforming import build_abf, effective_channel
 from .capacity import CovarianceSet, _overlap, mmwave_rate, spim_rate
-from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, _angle_ranges,
-                      _draw_separated, min_angle_separation)
+from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, _draw_angles,
+                      min_angle_separation)
 from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
-from .numerics import make_rng
 
 METHOD_SHANNON = "shannon"
 METHOD_GENERAL_M = "general-m"
@@ -286,25 +286,6 @@ def _mix_seed(*parts: int) -> int:
     return out
 
 
-def _draw_angles(spec: ExperimentSpec, m: int):
-    """(trials, m) departure and arrival angles in drawn order, one stream per trial.
-
-    Each trial's stream make_rng(seed, t) gives departures then arrivals by
-    the direct draw sample_channel makes, so these are the angles of its
-    channels, bit for bit, without building one. The angle draws do not
-    depend on the path gains, so a sweep draws them once per beam count.
-    """
-    ch = spec.channel
-    ranges = _angle_ranges(ch.aod_range, ch.aoa_range)
-    floor = min_angle_separation(ch.n_tx, ch.n_rx)
-    aod, aoa = np.empty((2, spec.trials, m))
-    for t in range(spec.trials):
-        rng = make_rng(spec.seed, t)
-        for out, (lo, hi) in zip((aod, aoa), ranges):
-            out[t] = _draw_separated(rng, m, lo, hi, floor)
-    return aod, aoa
-
-
 def _rows(spec: ExperimentSpec, axes, method: str, variant: str, values,
           stderrs=None) -> list[ResultRow]:
     """One row per point of (points, trials) values: mean, ddof=1 spread, combined MC stderr.
@@ -323,84 +304,81 @@ def _rows(spec: ExperimentSpec, axes, method: str, variant: str, values,
             for axis, mean, std, err in zip(axes, means, stds, errs)]
 
 
-def _monte_carlo(spec: ExperimentSpec, w, aod, aoa, n0, key: tuple,
-                 beam_counts: tuple) -> np.ndarray:
-    """Per-trial Monte-Carlo rates of every grid point, shape (len(beam_counts), 2, points, trials).
+def _gains(spec: ExperimentSpec, w) -> np.ndarray:
+    """Rows of path gains as floats, each divided by its sum where the channel asks to normalize."""
+    w = np.asarray(w, dtype=np.float64)
+    return w / w.sum(axis=-1, keepdims=True) if spec.channel.normalize else w
 
-    w holds the (points, m) strongest-first gains, or one (1, m) row every
-    point shares; aod and aoa are the (trials, m) angles in the same path
-    order, and n0 the (points,) noise floors. Entry [i, :, p, t] is the
-    (estimate, stderr) of switching among the first beam_counts[i] steered
-    beams of trial t's channel at point p; each beam is one equiprobable
-    pattern, the system spim_rate scores. A trial's beams are steered at
-    every point at once, by one batched channel, and all points of one trial
-    and beam count are estimated in one call, on the draws of the seed
-    _mix_seed(mc.seed, *key, t, i). The sets of one call share a noise
-    floor, so each point's beams are scaled by 1/sqrt(N0) and sampled at
-    n0 = 1: the rate depends only on G G^H / N0.
+
+def _sweep_rows(spec: ExperimentSpec, axes, w, n0, beam_counts: tuple,
+                key: tuple) -> list[ResultRow]:
+    """The general-m rows of one sweep, and its monte-carlo rows where the spec has an mc section.
+
+    w holds the (points, m) gains from _gains, or one (1, m) row every point
+    shares, and n0 the (points,) noise floors. The paths are put
+    strongest-first, the stable order a channel drawn with these gains holds;
+    the runners keep it the same at every point (snr gains are fixed, w1 >= 0.5
+    keeps w1 first, and decay gains never rise, so their order is the
+    identity). One spim_rate call scores every (point, trial) pair; its rows
+    take the variant of beam_counts[0]. Each (count, variant) pair of
+    beam_counts gives one monte-carlo block: switching among the first count
+    steered beams, each one equiprobable pattern, the system spim_rate scores.
+    A trial's beams are steered at every point at once, by one batched
+    channel, and all points of one trial and beam count are estimated in one
+    call, on the draws of the seed _mix_seed(mc.seed, *key, t, i) of pair i.
+    The sets of one call share a noise floor, so each point's beams are scaled
+    by 1/sqrt(N0) and sampled at n0 = 1: the rate depends only on G G^H / N0.
     """
     ch = spec.channel
+    m = w.shape[-1]
+    order = np.argsort(-w[0], kind="stable")
+    aod, aoa = _draw_angles([(spec.seed, t) for t in range(spec.trials)], m, ch.n_tx, ch.n_rx,
+                            ch.aod_range, ch.aoa_range)
+    w, aod, aoa = w[:, order], aod[:, order], aoa[:, order]
+    rates = spim_rate(w[:, None, :], np.full(m, float(ch.n_tx)), aoa, ch.n_rx, n0[:, None])
+    rows = _rows(spec, axes, METHOD_GENERAL_M, beam_counts[0][1], rates)
+    if spec.mc is None:
+        return rows
     mode = "asymptotic" if ch.asymptotic else "exact"
     scale = np.sqrt(n0)[:, None, None]
     out = np.empty((len(beam_counts), 2, len(n0), spec.trials))
     for t in range(spec.trials):
         chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
-        eff = effective_channel(chan, build_abf(chan, w.shape[-1]), mode) / scale
+        eff = effective_channel(chan, build_abf(chan, m), mode) / scale
         beams_first = eff.swapaxes(1, 2)  # (points, beams, n_r)
-        for i, beams in enumerate(beam_counts):
+        for i, (beams, _) in enumerate(beam_counts):
             covs = CovarianceSet(1.0, beams_first[:, :beams, :, None])
             out[i, :, :, t] = mc_mutual_information(covs, MonteCarloSpec(
                 spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i))).T
-    return out
+    for (_, variant), (values, stderrs) in zip(beam_counts, out):
+        rows += _rows(spec, axes, METHOD_MONTE_CARLO, variant, values, stderrs)
+    return rows
 
 
 def _run_se_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Shared implementation of snr-sweep and w1-sweep: one call per system scores every point."""
     ch = spec.channel
-    m = ch.m
     axes = [float(x) for x in spec.grid]
     if spec.experiment == "snr-sweep":
         n0 = np.array([_noise_from_snr(snr) for snr in axes])
-        w = np.array([ch.gains], dtype=np.float64)  # one row, shared by every point
+        w = _gains(spec, [ch.gains])  # one row, shared by every point
     else:
         n0 = np.full(len(axes), float(spec.noise.n0))
-        w = np.array([[w1, 1.0 - w1] for w1 in axes])
-    w = w / w.sum(axis=-1, keepdims=True) if ch.normalize else w
-    # paths strongest-first, the stable order a channel drawn with these gains holds; it is
-    # the same at every point, as snr gains are fixed and w1 >= 0.5 keeps w1 first
-    order = np.argsort(-w[0], kind="stable")
-    aod, aoa = _draw_angles(spec, m)
-    w, aod, aoa = w[:, order], aod[:, order], aoa[:, order]
-    g = float(ch.n_tx)
-    shannon = mmwave_rate(w[:, 0], g, n0)
-    rates = spim_rate(w[:, None, :], np.full(m, g), aoa, ch.n_rx, n0[:, None])
-    rows = (_rows(spec, axes, METHOD_SHANNON, "mmwave",
-                  np.broadcast_to(shannon[:, None], rates.shape))
-            + _rows(spec, axes, METHOD_GENERAL_M, "spim", rates))
-    if spec.mc is not None:
-        spim, mm = _monte_carlo(spec, w, aod, aoa, n0, (), (m, 1))
-        rows += (_rows(spec, axes, METHOD_MONTE_CARLO, "spim", *spim)
-                 + _rows(spec, axes, METHOD_MONTE_CARLO, "mmwave", *mm))
-    return rows
+        w = _gains(spec, [[w1, 1.0 - w1] for w1 in axes])
+    shannon = mmwave_rate(w.max(axis=-1), float(ch.n_tx), n0)  # the strongest path alone
+    return (_rows(spec, axes, METHOD_SHANNON, "mmwave",
+                  np.broadcast_to(shannon[:, None], (len(axes), spec.trials)))
+            + _sweep_rows(spec, axes, w, n0, ((ch.m, "spim"), (1, "mmwave")), ()))
 
 
 def _run_gamma_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    """One closed-form call per beam count scores every (grid point, trial) pair."""
-    ch = spec.channel
-    n0 = float(spec.noise.n0)
+    """One sweep per beam count m, on the decay gains gamma ** arange(m)."""
     gammas = [float(gamma) for gamma in spec.grid]
+    n0 = np.full(len(gammas), float(spec.noise.n0))
     rows = []
-    for m in _as_list(ch.m):
-        variant = f"m={m}"
-        aod, aoa = _draw_angles(spec, m)
-        # gamma ** arange(m) never rises for gamma in (0, 1): drawn order is strongest-first
-        w = np.array([gamma ** np.arange(m) for gamma in gammas])  # (grid, m)
-        w = w / w.sum(axis=-1, keepdims=True) if ch.normalize else w
-        rates = spim_rate(w[:, None, :], np.full(m, float(ch.n_tx)), aoa, ch.n_rx, n0)
-        rows += _rows(spec, gammas, METHOD_GENERAL_M, variant, rates)
-        if spec.mc is not None:
-            (mc,) = _monte_carlo(spec, w, aod, aoa, np.full(len(gammas), n0), (m,), (m,))
-            rows += _rows(spec, gammas, METHOD_MONTE_CARLO, variant, *mc)
+    for m in _as_list(spec.channel.m):
+        w = _gains(spec, [gamma ** np.arange(m) for gamma in gammas])
+        rows += _sweep_rows(spec, gammas, w, n0, ((m, f"m={m}"),), (m,))
     return rows
 
 

@@ -15,7 +15,8 @@ from spimmwave import (
     sample_channel,
     steering_vector,
 )
-from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_separated
+from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_angles, _draw_separated
+from spimmwave.experiments import spec_from_dict
 
 
 def test_normalized_angle_conversion():
@@ -169,6 +170,35 @@ def test_single_path_is_one_uniform_draw():
     rng = make_rng(7)
     assert ch.aod[0] == rng.uniform(*DEFAULT_AOD_RANGE, size=1)[0]
     assert ch.aoa[0] == rng.uniform(*DEFAULT_AOA_RANGE, size=1)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_drawn_angles_equal_sampled_channels(m):
+    # the runner's angle draws are those of sample_channel on the trial streams, to the bit
+    # the last ranges are a tight fit for 8 angles, (8 - 1) / 256 wide: they validate and draw
+    for ranges in ({}, {"aod_range": [-0.45, 0.05], "aoa_range": [0.1, 0.5]},
+                   {"aod_range": [-0.02734375, 0.0], "aoa_range": [0.0, 0.02734375]}):
+        spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 7,
+                               "channel": {"m": [m], **ranges}, "noise": {"n0": 0.1},
+                               "seed": 12})
+        ch = spec.channel
+        aod, aoa = _draw_angles([(spec.seed, t) for t in range(spec.trials)], m, ch.n_tx,
+                                ch.n_rx, ch.aod_range, ch.aoa_range)
+        fresh = [sample_channel(make_rng(12, t), 64, 8, m, gains=np.ones(m),
+                                aod_range=ch.aod_range, aoa_range=ch.aoa_range)
+                 for t in range(7)]
+        assert np.array_equal(aod, [c.aod for c in fresh])
+        assert np.array_equal(aoa, [c.aoa for c in fresh])
+
+
+def test_drawn_angles_keep_the_range_guard():
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2]},
+                           "noise": {"n0": 0.1}})
+    spec.channel.aoa_range = (0.2, 0.1)  # past validate_spec
+    ch = spec.channel
+    with pytest.raises(ParameterError) as info:
+        _draw_angles([(spec.seed, 0)], 2, ch.n_tx, ch.n_rx, ch.aod_range, ch.aoa_range)
+    assert info.value.field == "aoa_range"
 
 
 def _rejection_draws(rng, draws, n, lo, hi, floor):

@@ -1,5 +1,6 @@
 """Spec parsing, sweep execution, CSV contract, and the CLI surface."""
 
+import ast
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from spimmwave import (
     CovarianceSet,
     MonteCarloSpec,
-    ParameterError,
     SpecValidationError,
     build_abf,
     dirichlet_gain,
@@ -29,7 +29,7 @@ from spimmwave import (
     spim_margin,
     spim_rate,
 )
-from spimmwave import experiments, montecarlo
+from spimmwave import channel, experiments, montecarlo
 from spimmwave.cli import main
 from spimmwave.experiments import (
     CSV_COLUMNS,
@@ -361,8 +361,8 @@ def test_sweeps_draw_each_channel_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    # each channel draw reads one trial stream, make_rng(seed, t)
-    monkeypatch.setattr(experiments, "make_rng", counting(draws, make_rng))
+    # each channel draw reads one trial stream, make_rng(seed, t), made where the draw is
+    monkeypatch.setattr(channel, "make_rng", counting(draws, make_rng))
     monkeypatch.setattr(experiments, "spim_rate", counting(rates, spim_rate))
     run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
                                    "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
@@ -443,6 +443,56 @@ def test_gamma_sweep_closed_form_equals_fresh_channels(normalize):
             assert row.value_std == float(np.std(rates, ddof=1))
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_w1_sweep_equals_fresh_channels(normalize):
+    # the only sweep whose gains change per point: each general-m and shannon row must equal
+    # the mean over channels drawn afresh with that point's gains
+    grid = [0.5, 0.62, 0.7, 0.93]
+    spec = spec_from_dict({"experiment": "w1-sweep", "grid": grid, "trials": 3,
+                           "channel": {"normalize": normalize, "aod_range": [-0.4, 0.2],
+                                       "aoa_range": [-0.1, 0.45]},
+                           "noise": {"n0": 0.3}, "seed": 7})
+    rows = {(r.axis, r.method): r.value for r in run_experiment(spec)}
+    assert len(rows) == 2 * len(grid)
+    for w1 in grid:
+        gains = np.array([w1, 1.0 - w1])
+        if normalize:
+            gains = gains / np.sum(gains)
+        fresh = [sample_channel(make_rng(7, t), 64, 8, 2, gains=gains, aod_range=(-0.4, 0.2),
+                                aoa_range=(-0.1, 0.45)) for t in range(3)]
+        rates = [spim_rate(c.gains, np.full(2, 64.0), c.aoa, 8, 0.3) for c in fresh]
+        assert rows[(w1, "general-m")] == float(np.mean(rates))
+        shannon = [mmwave_rate(c.gains[0], 64.0, 0.3) for c in fresh]
+        assert rows[(w1, "shannon")] == float(np.mean(shannon))
+
+
+def test_snr_sweep_with_one_beam_keeps_both_monte_carlo_rows():
+    # at m = 1 both systems switch among one beam: each monte-carlo row is the exact
+    # Shannon rate of the steered beam, and neither is dropped for sharing the count
+    spec = tiny_snr_spec(channel={"m": 1, "gains": [0.8]}, trials=3)
+    rows = [r for r in run_experiment(spec) if r.method == "monte-carlo"]
+    assert sorted((r.axis, r.variant) for r in rows) == [
+        (0.0, "mmwave"), (0.0, "spim"), (10.0, "mmwave"), (10.0, "spim")]
+    beams = [effective_channel(chan, build_abf(chan, 1), "exact")[:, 0] for chan in (
+        sample_channel(make_rng(spec.seed, t), 64, 8, 1, gains=[0.8]) for t in range(3))]
+    for row in rows:
+        n0 = 10 ** (-row.axis / 10)
+        exact = np.mean([np.log2(1 + np.vdot(b, b).real / n0) for b in beams])
+        assert row.mc_stderr == 0
+        assert abs(row.value - exact) <= 1e-12
+
+
+def test_each_sweep_stage_has_one_call_site():
+    # the snr, w1 and gamma sweeps draw, score and sample their beams through one function
+    names = ("spim_rate", "mc_mutual_information", "effective_channel", "_draw_angles")
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    sites = {name: 0 for name in names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in sites:
+            sites[ast.unparse(node.func)] += 1
+    assert sites == {name: 1 for name in names}
+
+
 def test_gamma_sweep_runs_on_large_array_with_monte_carlo():
     spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.6],
                            "channel": {"n_rx": 128, "m": [1, 2, 4]}, "noise": {"n0": 0.1},
@@ -472,33 +522,6 @@ def test_margin_map_matches_direct_margin_calls():
         expected = spim_margin(row.axis, n0, 64.0, relax_integer=False)
         assert row.value == expected
         assert row.method == "margin"
-
-
-@pytest.mark.parametrize("m", [1, 2, 8])
-def test_drawn_angles_equal_sampled_channels(m):
-    # the runner's angle draws are those of sample_channel on the trial streams, to the bit
-    # the last ranges are a tight fit for 8 angles, (8 - 1) / 256 wide: they validate and draw
-    for ranges in ({}, {"aod_range": [-0.45, 0.05], "aoa_range": [0.1, 0.5]},
-                   {"aod_range": [-0.02734375, 0.0], "aoa_range": [0.0, 0.02734375]}):
-        spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "trials": 7,
-                               "channel": {"m": [m], **ranges}, "noise": {"n0": 0.1},
-                               "seed": 12})
-        aod, aoa = experiments._draw_angles(spec, m)
-        ch = spec.channel
-        fresh = [sample_channel(make_rng(12, t), 64, 8, m, gains=np.ones(m),
-                                aod_range=ch.aod_range, aoa_range=ch.aoa_range)
-                 for t in range(7)]
-        assert np.array_equal(aod, [c.aod for c in fresh])
-        assert np.array_equal(aoa, [c.aoa for c in fresh])
-
-
-def test_drawn_angles_keep_the_range_guard():
-    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2]},
-                           "noise": {"n0": 0.1}})
-    spec.channel.aoa_range = (0.2, 0.1)  # past validate_spec
-    with pytest.raises(ParameterError) as info:
-        experiments._draw_angles(spec, 2)
-    assert info.value.field == "aoa_range"
 
 
 @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 30, 129])
