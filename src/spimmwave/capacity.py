@@ -192,10 +192,14 @@ def _pair_logdets(covs: CovarianceSet) -> np.ndarray:
     return covs.n_r * math.log(two_n0) + ld
 
 
-def _mean_logsumexp(x: np.ndarray) -> np.ndarray:
-    """Mean over rows n of ln sum_t exp(x_nt), each row shifted by its peak, per (k, k) matrix."""
-    peak = x.max(axis=-1)
-    return (peak + np.log(np.exp(x - peak[..., None]).sum(axis=-1))).mean(axis=-1)
+def _mean_logsumexp_neg(p: np.ndarray) -> np.ndarray:
+    """Mean over rows n of ln sum_t exp(-p_nt), each row shifted by its least entry, per (k, k) matrix.
+
+    min(p) - p is the peak-shifted -p bit for bit, without negating p first,
+    and the mean is the sum over rows divided by their count, as np.mean takes it.
+    """
+    low = p.min(axis=-1)
+    return (np.log(np.exp(low[..., None] - p).sum(axis=-1)) - low).sum(axis=-1) / p.shape[-1]
 
 
 def _bits(x):
@@ -216,7 +220,7 @@ def total_rate_approx(covs: CovarianceSet) -> float:
     rate, log2 K - N_r log2 e - (1/K) sum_n log2 sum_t |S_n| / |S_n + S_t|,
     plus N_r (log2 e - 1).
     """
-    inner = _mean_logsumexp(-_pair_logdets(covs))
+    inner = _mean_logsumexp_neg(_pair_logdets(covs))
     return _bits(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
 
 
@@ -297,15 +301,16 @@ def _pair_formula(w, g, gap, two_n0) -> np.ndarray:
     """spim_rate of one validated (sets, M) slice, given its (sets, M, M) Dirichlet gaps.
 
     two_n0 holds the slice's (sets, 1) values of 2 n0, which halve back to n0
-    exactly. Its arrays are freed on return.
+    exactly. It runs under spim_rate's np.errstate(over="ignore"), and fails
+    a slice whose a overflows, or whose a^2 would. Its arrays are freed on
+    return.
     """
-    with np.errstate(over="ignore"):
-        a = w * g / two_n0
-        if not a.max() ** 2 < math.inf:  # coincident beams would give inf * 0 there
-            _too_small(two_n0 / 2.0, ~(a.max(axis=-1, keepdims=True) ** 2 < math.inf),
-                       " for these gains: (w g / 2 n0)^2 overflows")
+    a = w * g / two_n0
+    if not a.max() ** 2 < math.inf:  # coincident beams would give inf * 0 there
+        _too_small(two_n0 / 2.0, ~(a.max(axis=-1, keepdims=True) ** 2 < math.inf),
+                   " for these gains: (w g / 2 n0)^2 overflows")
     a_n, a_t = a[..., :, None], a[..., None, :]
-    inner = _mean_logsumexp(-np.log1p(a_n + a_t + a_n * a_t * gap))
+    inner = _mean_logsumexp_neg(np.log1p(a_n + a_t + a_n * a_t * gap))
     return math.log2(a.shape[-1]) - inner / LN2
 
 
@@ -326,7 +331,8 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     depend on the angles alone: slices whose theta is one broadcast array, as
     a (trials, M) theta under a (grid, 1, M) w is, share one evaluation of
     them, and a theta that varies along the batch has its gaps taken slice by
-    slice.
+    slice. The slices share one np.errstate, entered once per call, and each
+    takes its log-sum-exp of -P as min(P) - P, without a negated copy of P.
     """
     w, g, theta = _paths(w, g, theta)
     require_in("w", w, 0)
@@ -343,10 +349,11 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     # a zero stride marks an axis theta was broadcast along: its slices hold the same angles
     moving = [stride != 0 for stride in theta.strides[:-2]]
     key = gap = None
-    for row in np.ndindex(w.shape[:-2]):
-        angles = tuple(i for i, moves in zip(row, moving) if moves)
-        if angles != key:
-            key, gap = angles, None  # the old gaps are freed before the new ones are made
-            gap = _overlap(theta[row][..., :, None] - theta[row][..., None, :], n_r)[1]
-        rates[row] = _pair_formula(w[row], g[row], gap, two_n0[row])
+    with np.errstate(over="ignore"):  # entered once; _pair_formula checks each slice's a
+        for row in np.ndindex(w.shape[:-2]):
+            angles = tuple(i for i, moves in zip(row, moving) if moves)
+            if angles != key:
+                key, gap = angles, None  # the old gaps are freed before the new ones are made
+                gap = _overlap(theta[row][..., :, None] - theta[row][..., None, :], n_r)[1]
+            rates[row] = _pair_formula(w[row], g[row], gap, two_n0[row])
     return _bits(rates)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import make_rng, require_in, require_integer
+from .numerics import _rekeyed, require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -93,47 +93,56 @@ def min_angle_separation(n_tx: int, n_rx: int) -> float:
     return 1.0 / (4.0 * max(n_tx, n_rx))
 
 
-def _draw_separated(rng: np.random.Generator, n: int, lo: float, hi: float,
-                    floor: float) -> np.ndarray:
-    """n angles uniform over the points of [lo, hi]^n whose sorted gaps all reach floor.
+def _separate(raw: np.ndarray, index: np.ndarray, floor: float) -> np.ndarray:
+    """Angles whose sorted gaps all reach floor, from raw uniforms and a permutation per row.
 
-    Sorted uniforms on [lo, hi - (n-1) floor], the i-th shifted by i floor,
-    map volume-preservingly onto the sorted points of that set, so one draw
-    is enough; the permutation puts the angles in random order. The gaps
+    Each row along the last axis holds n uniforms on [lo, hi - (n-1) floor]:
+    sorted and the i-th shifted by i floor, they map volume-preservingly onto
+    the sorted points of [lo, hi]^n whose gaps all reach floor, so one draw
+    is enough. The row's permutation index of range(n) then puts them in
+    random order, as permutation(row) would with the same draws. The gaps
     reach floor to rounding: lo + i floor is rounded, so at or near a tight
-    fit, (n-1) floor = hi - lo, a gap may fall short by a few ulps. One angle
-    is exactly uniform(lo, hi, 1), and its permutation draws nothing.
+    fit, (n-1) floor = hi - lo, a gap may fall short by a few ulps. All rows
+    are sorted, shifted and gathered in one pass.
     """
-    span = (n - 1) * floor
-    if span > hi - lo:
-        raise ParameterError(
-            f"{n} angles at separation {floor} need a span of {span}, more than "
-            f"[{lo}, {hi}] holds", field="n_paths")
-    draw = np.sort(rng.uniform(lo, hi - span, size=n)) + floor * np.arange(n)
-    return rng.permutation(draw)
+    shifted = np.sort(raw, axis=-1) + floor * np.arange(raw.shape[-1])
+    return np.take_along_axis(shifted, index, axis=-1)
 
 
 def _draw_angles(rngs, n_paths: int, n_tx: int, n_rx: int, aod_range, aoa_range) -> tuple:
     """(len(rngs), n_paths) departure and arrival angles, one row per stream, in drawn order.
 
     This is the one draw of the channel streams, for sample_channel and the
-    sweeps alike: each stream gives its departures, then its arrivals, by
-    _draw_separated at the separation floor of (n_tx, n_rx). A stream is a
+    sweeps alike, at the separation floor of (n_tx, n_rx). A stream is a
     Generator, or the (seed, stream) key of make_rng(seed, stream); trial t
-    of a sweep draws from the key (seed, t). The angles do not depend on the
-    path gains. A range fails under its own name: lo must lie in
-    [-0.5, 0.5), then hi in (lo, 0.5].
+    of a sweep draws from the key (seed, t), and the keys share one re-keyed
+    Philox (numerics._rekeyed). Each stream draws its departures' n_paths
+    uniforms and permutation of range(n_paths), then its arrivals'; _separate
+    turns every stream's draws into angles at once. The angles do not depend
+    on the path gains. A range fails under its own name: lo must lie in
+    [-0.5, 0.5), then hi in (lo, 0.5]; a separation that does not fit in it
+    fails under n_paths.
     """
     ranges = (tuple(aod_range), tuple(aoa_range))
     for name, (lo, hi) in zip(("aod_range", "aoa_range"), ranges):
         require_in(name, lo, -0.5, 0.5, open_low=False)
         require_in(name, hi, lo, 0.5, open_high=False)
     floor = min_angle_separation(n_tx, n_rx)
-    aod, aoa = np.empty((2, len(rngs), n_paths))
+    span = (n_paths - 1) * floor
+    for lo, hi in ranges:
+        if span > hi - lo:
+            raise ParameterError(
+                f"{n_paths} angles at separation {floor} need a span of {span}, more than "
+                f"[{lo}, {hi}] holds", field="n_paths")
+    raw = np.empty((2, len(rngs), n_paths))
+    index = np.broadcast_to(np.arange(n_paths), raw.shape).copy()
+    keyed = _rekeyed(rng for rng in rngs if not isinstance(rng, np.random.Generator))
     for t, rng in enumerate(rngs):
-        rng = rng if isinstance(rng, np.random.Generator) else make_rng(*rng)
-        for out, (lo, hi) in zip((aod, aoa), ranges):
-            out[t] = _draw_separated(rng, n_paths, lo, hi, floor)
+        rng = rng if isinstance(rng, np.random.Generator) else next(keyed)
+        for side, (lo, hi) in enumerate(ranges):
+            raw[side, t] = rng.uniform(lo, hi - span, size=n_paths)
+            rng.shuffle(index[side, t])  # permutation(n_paths), in place
+    aod, aoa = _separate(raw, index, floor)
     return aod, aoa
 
 

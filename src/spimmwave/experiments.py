@@ -444,14 +444,19 @@ def _fmt(value) -> str:
 
 
 def write_csv(rows, path) -> None:
-    """UTF-8 CSV, '.' decimal separator, fixed column order, deterministic bytes."""
+    """UTF-8 CSV, '.' decimal separator, fixed column order, deterministic bytes.
+
+    The float columns go through _fmt; csv writes the str and int ones as
+    str(value), as _fmt would.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerows((_fmt(row.axis), row.method, row.variant, _fmt(row.value),
+                          _fmt(row.value_std), _fmt(row.mc_stderr), row.seed, row.trials)
+                         for row in rows)  # in CSV_COLUMNS order
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

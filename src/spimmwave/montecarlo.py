@@ -32,8 +32,9 @@ a tiny stderr is rounding, not convergence.
 
 A component's draws come in fixed chunks of _CHUNK = 16384, each on its
 own stream keyed by (component, chunk), so results do not depend on the
-schedule; the chunk bounds the work buffers, allocated once per call so
-the hot loop allocates no arrays. A batch of sets (leading axes of the
+schedule; one Philox is re-keyed for every stream (numerics._rekeyed).
+The chunk bounds the work buffers, allocated once per call so the hot
+loop allocates no arrays. A batch of sets (leading axes of the
 factors, one noise floor) shares these common random numbers: each stream
 is drawn once per call and mapped through every set's whitening blocks,
 one set at a time, so memory does not grow with the batch.
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .capacity import LN2, CovarianceSet, _pair_factors
-from .numerics import make_rng, require_integer
+from .numerics import _rekeyed, require_integer
 
 MIN_SAMPLES = 1_000
 
@@ -278,9 +279,11 @@ def _sampled(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate | np.ndarr
     all_normals = np.empty(2 * ks * size)
     work = (np.empty(2 * ks * size), np.empty(k * size), np.empty(k * size),
             np.empty(size), np.empty(size))
+    streams = _rekeyed((spec.seed, comp * _STREAM_SPAN + chunk)
+                       for comp in range(k) for chunk in range(len(counts)))
     for comp in range(k):
         for chunk, count in enumerate(counts):
-            rng = make_rng(spec.seed, stream=comp * _STREAM_SPAN + chunk)
+            rng = next(streams)
             draw = _shaped(work[0], count, ks)  # x's buffer is free until _draw_values
             normals = _shaped(all_normals, 2 * ks, count)  # real parts, then imaginary
             for half in (slice(None, ks), slice(ks, None)):

@@ -11,13 +11,18 @@ non-PD input for free. Determinants are only ever returned as logs, which
 neither underflow nor overflow at large array sizes. Randomness is built
 on counter-based Philox streams keyed by (seed, stream); identical pairs
 reproduce identical sequences under any parallel schedule, distinct stream
-ids are independent. The argument checks every module shares live here
-too: require_integer for counts and require_in for every interval domain.
+ids are independent. A stream is fully defined by its key and counter, so a
+loop that draws from many keys builds one Philox and re-keys it per key
+(_rekeyed), with the draws of make_rng(seed, stream); the Philox state
+layout lives in this module alone. The argument checks every module shares
+live here too: require_integer for counts and require_in for every interval
+domain.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -66,6 +71,29 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair of the splittable RNG contract."""
     key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekeyed(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """One Generator per (seed, stream) key in turn, each drawing as make_rng(seed, stream).
+
+    The Generator of the first key is built by make_rng; every later key
+    restarts it by setting its Philox state to the masked key, a zero counter,
+    an empty buffer (its four words used up) and no buffered uint32: the
+    state a new Philox starts in. Building a Philox costs far more, most of it
+    a SeedSequence drawing OS entropy that the key then overrides. Every key
+    yields the same object, valid until the next key is taken.
+    """
+    rng = None
+    for seed, stream in keys:
+        if rng is None:
+            rng = make_rng(seed, stream)
+        else:
+            rng.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, 0],
+                          "key": [seed & _UINT64_MASK, stream & _UINT64_MASK]},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def hermitian_logdet(m: np.ndarray):

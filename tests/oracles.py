@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from spimmwave.capacity import LN2, _mean_logsumexp, _pair_logdets
+from spimmwave.capacity import LN2, _mean_logsumexp_neg, _pair_logdets
 
 LOG2E = float(np.log2(np.e))
 
@@ -30,5 +30,5 @@ def pattern_rate_bound(covs):
     the two stays something the tests check.
     """
     logdets = covs.n_r * math.log(covs.n0) + covs.cholesky[1]
-    inner = _mean_logsumexp(logdets[..., :, None] - _pair_logdets(covs))
+    inner = _mean_logsumexp_neg(_pair_logdets(covs) - logdets[..., :, None])
     return np.log2(covs.k) - covs.n_r * LOG2E - inner / LN2

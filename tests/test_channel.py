@@ -15,7 +15,7 @@ from spimmwave import (
     sample_channel,
     steering_vector,
 )
-from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_angles, _draw_separated
+from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_angles, _separate
 from spimmwave.experiments import spec_from_dict
 
 
@@ -150,8 +150,10 @@ def test_tight_fit_keeps_separation_to_rounding(n, lo, hi):
     tight = (hi - lo) / (n - 1)
     eps = np.finfo(float).eps
     for floor in (tight, tight * (1 - 1e-12)):
-        for seed in range(20):
-            angles = np.sort(_draw_separated(make_rng(seed, n), n, lo, hi, floor))
+        rngs = [make_rng(seed, n) for seed in range(20)]
+        raw = np.array([rng.uniform(lo, hi - (n - 1) * floor, size=n) for rng in rngs])
+        index = np.array([rng.permutation(n) for rng in rngs])
+        for angles in np.sort(_separate(raw, index, floor), axis=-1):
             assert np.diff(angles).min() >= floor * (1 - 64 * eps)
             if floor == tight:
                 assert np.abs(angles - (lo + np.arange(n) * floor)).max() <= 1e-15
@@ -191,6 +193,26 @@ def test_drawn_angles_equal_sampled_channels(m):
         assert np.array_equal(aoa, [c.aoa for c in fresh])
 
 
+def _parent_draw(rng, n, lo, hi, floor):
+    """Reference: one side's angles as drawn one stream at a time, permuting the shifted array."""
+    draw = np.sort(rng.uniform(lo, hi - (n - 1) * floor, size=n)) + floor * np.arange(n)
+    return rng.permutation(draw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 40])
+@pytest.mark.parametrize("ranges", [(DEFAULT_AOD_RANGE, DEFAULT_AOA_RANGE),
+                                    ((-0.45, 0.05), (0.1, 0.5))], ids=["default", "custom"])
+def test_drawn_angles_equal_the_per_stream_draw(n, ranges):
+    # one sort, shift and gather over every stream gives each stream's own draw, bit for bit;
+    # a Generator stream and keyed streams mix, and the keyed ones share one re-keyed Philox
+    keys = [(-3, t) for t in range(6)] + [(5, (1 << 64) + 2), (5, 3 * (1 << 32) + 1)]
+    floor = min_angle_separation(64, 8)
+    aod, aoa = _draw_angles([make_rng(9, 9), *keys], n, 64, 8, *ranges)
+    for row, rng in enumerate([make_rng(9, 9), *(make_rng(*key) for key in keys)]):
+        assert np.array_equal(aod[row], _parent_draw(rng, n, *ranges[0], floor))
+        assert np.array_equal(aoa[row], _parent_draw(rng, n, *ranges[1], floor))
+
+
 def test_drawn_angles_keep_the_range_guard():
     spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.5], "channel": {"m": [2]},
                            "noise": {"n0": 0.1}})
@@ -215,7 +237,11 @@ def test_direct_draw_matches_rejection_sampler(n, floor):
     # floors that reject about 3 in 4 uniform draws, so the constraint shapes the law
     lo, hi, draws = -0.25, 0.25, 20_000
     rng = make_rng(21, n)
-    direct = np.array([_draw_separated(rng, n, lo, hi, floor) for _ in range(draws)])
+    raw, index = np.empty((draws, n)), np.empty((draws, n), dtype=np.intp)
+    for i in range(draws):  # one stream, each draw's uniforms then its permutation
+        raw[i] = rng.uniform(lo, hi - (n - 1) * floor, size=n)
+        index[i] = rng.permutation(n)
+    direct = _separate(raw, index, floor)
     oracle = _rejection_draws(make_rng(22, n), draws, n, lo, hi, floor)
     direct_sorted, oracle_sorted = np.sort(direct, axis=1), np.sort(oracle, axis=1)
 

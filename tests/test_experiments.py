@@ -47,6 +47,7 @@ from spimmwave.experiments import (
     spec_from_dict,
     write_csv,
 )
+from spimmwave.numerics import _rekeyed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -361,19 +362,27 @@ def test_sweeps_draw_each_channel_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    # each channel draw reads one trial stream, make_rng(seed, t), made where the draw is
-    monkeypatch.setattr(channel, "make_rng", counting(draws, make_rng))
+    def logged(keys):
+        for key in keys:
+            draws.append(key)
+            yield key
+
+    # each channel draw reads one trial stream, the key (seed, t), re-keyed where the draw is
+    monkeypatch.setattr(channel, "_rekeyed", lambda keys: _rekeyed(logged(keys)))
     monkeypatch.setattr(experiments, "spim_rate", counting(rates, spim_rate))
-    run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
-                                   "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
-                                   "trials": 3}))
+    spec = spec_from_dict({"experiment": "gamma-sweep", "grid": [0.3, 0.6, 0.9],
+                           "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
+                           "trials": 3, "seed": 4})
+    run_experiment(spec)
     assert len(draws) == 3 * 3  # trials x beam counts, not x grid points
+    assert draws == [(4, t) for _ in range(3) for t in range(3)]
     assert len(rates) == 3  # one per beam count, over every grid point and trial
     draws.clear()
     rates.clear()
     run_experiment(spec_from_dict({"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9],
                                    "noise": {"n0": 0.1}, "trials": 2}))
     assert len(draws) == 2
+    assert draws == [(0, 0), (0, 1)]
     assert len(rates) == 1
 
 

@@ -14,6 +14,7 @@ from spimmwave import (
     hermitian_logdet,
     make_rng,
 )
+from spimmwave.numerics import _rekeyed
 
 
 def naive_det(m: np.ndarray) -> complex:
@@ -124,6 +125,55 @@ def test_rng_streams_independent_of_order():
     make_rng(5, 1).standard_normal(8)
     again = make_rng(5, 0).standard_normal(8)
     assert np.array_equal(first, again)
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so that == compares every field."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+# a negative seed, a stream at 2^64 + 3 (masked to 3) and a sampler chunk stream c 2^32 + j
+REKEYED = [(-7, 0), (9, 2), (-7, 0), (2, (1 << 64) + 3), (2, 3), (5, 3 * (1 << 32) + 1)]
+
+
+def test_rekeyed_streams_equal_fresh_generators():
+    # each key restarts the one Philox in the state a new one starts in, after a draw that
+    # left it mid-buffer with a buffered uint32, and then draws as make_rng(seed, stream)
+    out, fresh_out = np.empty(6), np.empty(6)
+    for rng, key in zip(_rekeyed(REKEYED), REKEYED):
+        fresh = make_rng(*key)
+        assert _plain(rng.bit_generator.state) == _plain(fresh.bit_generator.state)
+        assert np.array_equal(rng.uniform(-0.3, 0.2, size=5), fresh.uniform(-0.3, 0.2, size=5))
+        assert np.array_equal(rng.permutation(7), fresh.permutation(7))
+        rng.standard_normal(out=out)
+        fresh.standard_normal(out=fresh_out)
+        assert np.array_equal(out, fresh_out)
+        # permutation(2) draws one uint32: go on until one is buffered, words left in the buffer
+        while not (rng.bit_generator.state["has_uint32"] == 1
+                   and rng.bit_generator.state["buffer_pos"] < 4):
+            assert np.array_equal(rng.permutation(2), fresh.permutation(2))
+
+
+def test_rekeyed_streams_reuse_one_generator():
+    rngs = {id(rng) for rng in _rekeyed(REKEYED)}
+    assert len(rngs) == 1
+    assert list(_rekeyed([])) == []
+
+
+def test_philox_is_built_and_rekeyed_only_in_numerics():
+    # the Philox state layout lives in one module
+    sites = {"Philox": set(), "state": set()}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "spimmwave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Philox"):
+                sites["Philox"].add(path.stem)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(ast.unparse(t).endswith("bit_generator.state") for t in targets):
+                    sites["state"].add(path.stem)
+    assert sites == {"Philox": {"numerics"}, "state": {"numerics"}}
 
 
 def test_every_parameter_error_names_its_field():
