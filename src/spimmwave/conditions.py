@@ -6,7 +6,9 @@ proportional to the strongest gain. Under an exponentially decaying gain
 profile w_n = gamma^(n-1) the threshold becomes a scalar condition in gamma
 whose unit crossing is found by bracketed bisection down to float spacing
 (the function is monotone and flat near gamma -> 0, so raw Newton from a
-blind guess is not safe).
+blind guess is not safe). In the beam count M the log condition is strictly
+concave and never rises from below 0, so the counts that win form a prefix
+of any candidate grid, and a margin is found by binary search over the grid.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _beam_term(m):
     return m / (m - 1.0) * np.log(m)
 
 
-def _log_condition(m, beam_term, gamma, n0: float, g1: float):
+def _log_condition(m, beam_term, gamma, n0: float, g1: float, noisy=None):
     """Natural log of the decay-condition value for m > 1, elementwise over m and gamma.
 
     beam_term is _beam_term(m), which a caller evaluating many gammas computes
@@ -95,12 +97,17 @@ def _log_condition(m, beam_term, gamma, n0: float, g1: float):
     the penalty is infinite and the log is -inf (a value of 0) instead of an
     OverflowError. The caller enters np.errstate(over="ignore") once around
     all its evaluations. With n0 = 0 there is no penalty at all, never 0 * inf.
+    n0 may also be an array of levels broadcasting with m and gamma, passed
+    with noisy = n0 > 0: an entry with n0 = 0 then gets its gain sum zeroed
+    before the product, so it has no penalty either, and never 0 * inf.
     """
     log_gamma = np.log(gamma)
     lead = beam_term + m / 2.0 * log_gamma
-    if n0 == 0:
+    if noisy is None and n0 == 0:
         return lead
     inverse_gain_sum = (np.exp((1.0 - m) * log_gamma) - gamma) / (1.0 - gamma)
+    if noisy is not None:
+        inverse_gain_sum = np.where(noisy, inverse_gain_sum, 0.0)
     return lead - 4.0 * n0 * inverse_gain_sum / g1
 
 
@@ -120,43 +127,59 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
 
 
+def _margins(gamma, n0, g1: float, b_max: int, relax_integer: bool):
+    """spim_margin's margins as floats, elementwise over gamma and n0, unchecked.
+
+    The wins are a prefix of the candidate grid (see spim_margin), so a
+    binary search finds the last in ceil(log2(N + 1)) rounds. Each round
+    tests one candidate per entry with the test an exhaustive scan makes, so
+    every margin has the scan's bits.
+    """
+    if relax_integer:
+        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
+        candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
+    else:
+        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
+    gamma, n0 = np.broadcast_arrays(np.asarray(gamma, dtype=np.float64),
+                                    np.asarray(n0, dtype=np.float64))
+    count, beam_term, noisy = len(candidates), _beam_term(candidates), n0 > 0
+    known = np.zeros(gamma.shape, dtype=np.intp)  # the candidates before index known win
+    with np.errstate(over="ignore"):
+        for step in [1 << k for k in reversed(range(count.bit_length()))]:
+            probe = np.minimum(known + (step - 1), count - 1)
+            wins = _log_condition(candidates[probe], beam_term[probe], gamma, n0, g1, noisy) > 0.0
+            known += step * (wins & (known + step <= count))
+    return np.where(known > 0, candidates[known - 1] if count else 1.0, 1.0)
+
+
 def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool = False):
     """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
 
     Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
     over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
     integer in [0, 16]. gamma may be a sequence: the candidate grid is then
-    built once and scored one gamma at a time, and the margins come back as
-    a list, each equal to its scalar call.
+    built once and every gamma scored in one search, and the margins come
+    back as a list, each equal to its scalar call.
 
-    Only candidates up to cap = 1 + ln(top g1 (1 - gamma) / (4 n0) + gamma) / -ln gamma,
-    top = max(M/(M-1) ln M) + 1, are scored. The log condition is a lead no
-    larger than max(M/(M-1) ln M) minus a penalty that rises with M and, from
-    cap on, is at least top, so every candidate beyond cap reads below -1 and
-    cannot win. With n0 = 0, or a cap beyond the float range, all are scored.
+    The log condition f(M) = g(M) + (M/2) L - c (gamma^(1-M) - gamma), with
+    g(M) = M ln M / (M-1), L = ln gamma < 0 and c = 4 n0 / (g1 (1-gamma)) >= 0,
+    is strictly concave in M > 1: with u = M-1, g'' = h(u)/u^3 for
+    h(u) = u^2/(1+u) - 2u + 2 ln(1+u), where h(0) = 0 and h' = -u^2/(1+u)^2 < 0;
+    -c gamma^(1-M) is concave and (M/2) L is linear. As M -> 1, f -> 1 + L/2 -
+    c (1-gamma) and f' -> 1/2 + L (1/2 + c). Since 1 - gamma <= -L, f(1) < 0
+    needs -L (1/2 + c) > 1, and then f'(1) < 0, so f falls from the start and
+    nothing wins. Otherwise f(1) >= 0 and, by concavity, f > 0 on (1, M] for
+    any winning M. Either way the winning candidates are a prefix of the grid,
+    and a binary search finds its end in about log2(N) evaluations, not N.
     """
     scalar = np.ndim(gamma) == 0
     gammas = [gamma] if scalar else list(gamma)
     _check(gamma=gammas, n0=n0, g1=g1)
     require_integer("b_max", b_max)
     require_in("b_max", b_max, 0, _B_MAX_CAP, open_low=False, open_high=False)
-    if relax_integer:
-        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
-        candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
-    else:
-        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
-    beam_term = _beam_term(candidates)
-    top = float(np.max(beam_term, initial=0.0)) + 1.0
-    top_over_n0 = top * g1 / (4.0 * n0) if n0 else math.inf  # Python floats overflow to inf
-    margins = []
-    with np.errstate(over="ignore"):
-        for value in gammas:
-            cap = 1.0 + math.log(top_over_n0 * (1.0 - value) + value) / -math.log(value)
-            count = np.searchsorted(candidates, cap, side="right")
-            scored, terms = candidates[:count], beam_term[:count]
-            wins = scored[_log_condition(scored, terms, value, n0, g1) > 0.0]
-            best = float(wins[-1]) if wins.size else 1.0
-            margins.append(best if relax_integer else int(best))
+    margins = _margins(gammas, n0, g1, b_max, relax_integer).tolist()
+    if not relax_integer:
+        margins = [int(margin) for margin in margins]
     return margins[0] if scalar else margins
 
 

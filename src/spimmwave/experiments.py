@@ -37,7 +37,7 @@ from .beamforming import build_abf, effective_channel
 from .capacity import CovarianceSet, _overlap, mmwave_rate, spim_rate
 from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, _draw_angles,
                       min_angle_separation)
-from .conditions import _B_MAX_CAP, spim_margin
+from .conditions import _B_MAX_CAP, _margins
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
 
@@ -388,15 +388,17 @@ def _n0_label(n0: float) -> str:
 
 
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
-    """One spim_margin call per noise level scores the whole decay grid."""
+    """One margin search scores the whole (noise level, decay) map.
+
+    validate_spec has checked the decay values, the noise levels and b_max,
+    the checks spim_margin makes, so each margin is that of its spim_margin call.
+    """
     gammas = [float(gamma) for gamma in spec.grid]
-    rows = []
-    for n0 in _as_list(spec.noise.n0):
-        margins = spim_margin(gammas, float(n0), float(spec.channel.n_tx),
-                              spec.margin.b_max, spec.margin.relax_integer)
-        rows += [ResultRow(gamma, METHOD_MARGIN, _n0_label(n0), float(margin), None, None,
-                           spec.seed, 1) for gamma, margin in zip(gammas, margins)]
-    return rows
+    levels = _as_list(spec.noise.n0)
+    margins = _margins(gammas, np.array(levels, dtype=np.float64)[:, None],
+                       float(spec.channel.n_tx), spec.margin.b_max, spec.margin.relax_integer)
+    return [ResultRow(gamma, METHOD_MARGIN, _n0_label(n0), margin, None, None, spec.seed, 1)
+            for n0, row in zip(levels, margins.tolist()) for gamma, margin in zip(gammas, row)]
 
 
 def _run_q_function(spec: ExperimentSpec) -> list[ResultRow]:

@@ -16,6 +16,7 @@ from spimmwave import (
     spim_margin,
     two_path_margin,
 )
+from spimmwave.conditions import _beam_term, _log_condition
 
 
 def high_snr_superiority(w) -> bool:
@@ -330,8 +331,8 @@ def _unpruned_margin(gamma, n0, g1, b_max, relax):
 
 
 def test_pruned_margins_equal_unpruned_scan():
-    # candidates beyond the cap are skipped; the margins must equal a scan of all of them,
-    # also at gammas within 1e-12 of a crossover root, where the condition sits at 1
+    # the search scores about log2 of the grid size candidates; the margins must equal a scan
+    # of all of them, also at gammas within 1e-12 of a crossover root, where the condition is 1
     rng = np.random.default_rng(18)
     for _ in range(80):
         b_max, relax = int(rng.integers(0, 12)), bool(rng.integers(2))
@@ -349,3 +350,65 @@ def test_pruned_margins_equal_unpruned_scan():
                 gammas += [root + k * 1e-12 for k in (-1, 0, 1) if 0 < root + k * 1e-12 < 1]
         expected = [_unpruned_margin(gamma, n0, g1, b_max, relax) for gamma in gammas]
         assert spim_margin(gammas, n0, g1, b_max, relax) == expected, (n0, g1, b_max, relax)
+
+
+@st.composite
+def margin_queries(draw):
+    """A margin query, with the gammas at a random candidate's crossover root +-1e-12 among its own."""
+    relax = draw(st.booleans())
+    b_max = draw(st.integers(0, 11 if relax else 16))
+    n0 = draw(st.just(0.0) | st.floats(1e-4, 10.0))
+    g1 = draw(st.floats(1.0, 4096.0))
+    gammas = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+    if b_max >= 1:
+        index = draw(st.integers(100, 100 * (2 ** b_max - 1)) if relax else st.integers(1, b_max))
+        try:
+            root = gamma_crossover(1.0 + 0.01 * index if relax else 2.0 ** index, n0, g1)
+        except NoRootError:
+            root = None
+        if root is not None:
+            gammas += [root + k * 1e-12 for k in (-1, 0, 1) if 0 < root + k * 1e-12 < 1]
+    return gammas, n0, g1, b_max, relax
+
+
+@given(margin_queries())
+def test_searched_margins_equal_exhaustive_scan(query):
+    gammas, n0, g1, b_max, relax = query
+    expected = [_unpruned_margin(gamma, n0, g1, b_max, relax) for gamma in gammas]
+    assert spim_margin(gammas, n0, g1, b_max, relax) == expected
+
+
+@pytest.mark.parametrize("gamma, n0, g1", [(0.02, 0.0, 64.0), (0.3, 0.1, 64.0), (0.6, 1e-4, 8.0),
+                                           (0.9, 0.5, 4096.0), (0.99, 10.0, 1.0),
+                                           (0.999, 0.01, 256.0)])
+def test_log_condition_is_concave_in_beam_count(gamma, n0, g1):
+    # what the margin search rests on: second differences in m are <= 0, and the wins a prefix
+    for grid in (1.0 + 0.01 * np.arange(1, 6301), 1.0 + 2.0 ** np.linspace(-20.0, 16.0, 2001)):
+        with np.errstate(over="ignore"):
+            values = _log_condition(grid, _beam_term(grid), gamma, n0, g1)
+        wins = values > 0.0
+        assert np.all(wins[:np.count_nonzero(wins)])
+        m, values = grid[np.isfinite(values)], values[np.isfinite(values)]
+        assert len(values) > 100
+        # each point lies on or above the chord of its two neighbours, to rounding
+        chords = (values[:-2] * (m[2:] - m[1:-1]) + values[2:] * (m[1:-1] - m[:-2])) / (m[2:] - m[:-2])
+        scale = np.abs(values[:-2]) + np.abs(values[1:-1]) + np.abs(values[2:])
+        assert np.all(values[1:-1] - chords >= -1e-12 * scale)
+
+
+def test_margin_map_mixes_noise_free_and_noisy_levels():
+    # gamma^(1 - m) overflows on most of the grid: n0 = 0 gets no penalty and never 0 * inf,
+    # n0 > 0 a penalty of inf, each as its scalar path; one search covers both
+    m = 1.0 + 0.01 * np.arange(1, 204_701)
+    levels = np.array([[0.0], [0.1]])
+    with np.errstate(over="ignore", invalid="raise"):
+        values = _log_condition(m, _beam_term(m), 0.02, levels, 64.0, levels > 0)
+        for level, row in zip(levels[:, 0], values):
+            assert np.array_equal(row, _log_condition(m, _beam_term(m), 0.02, level, 64.0))
+    assert np.all(np.isfinite(values[0])) and np.isneginf(values[1, -1])
+    gammas = [0.02, 0.4, 0.9, 0.999]
+    with np.errstate(invalid="raise", divide="raise"):
+        for relax, b_max in ((True, 11), (False, 16)):
+            for n0 in (0.0, 0.1):
+                margins = spim_margin(gammas, n0, 64.0, b_max, relax)
+                assert margins == [_unpruned_margin(g, n0, 64.0, b_max, relax) for g in gammas]

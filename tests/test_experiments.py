@@ -533,6 +533,27 @@ def test_margin_map_matches_direct_margin_calls():
         assert row.method == "margin"
 
 
+@pytest.mark.parametrize("relax", [True, False])
+def test_margin_map_is_one_search_over_every_noise_level(relax, monkeypatch):
+    # noise-free and noisy levels share the search; each row is its level's spim_margin
+    searches = []
+
+    def counted(*args, _fn=experiments._margins):
+        searches.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(experiments, "_margins", counted)
+    gammas, levels = [0.02, 0.2, 0.45, 0.7, 0.9, 0.99], [0, 0.05, 0.5]
+    rows = run_experiment(spec_from_dict({
+        "experiment": "margin-map", "grid": gammas, "noise": {"n0": levels},
+        "margin": {"relax_integer": relax, "b_max": 9}}))
+    assert len(searches) == 1
+    expected = [(gamma, f"n0={n0:g}", float(margin)) for n0 in levels
+                for gamma, margin in zip(gammas, spim_margin(gammas, n0, 64.0, 9, relax))]
+    assert sorted((row.axis, row.variant, row.value) for row in rows) == sorted(expected)
+    assert len({row.value for row in rows}) > 3
+
+
 @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 30, 129])
 def test_rows_equal_per_point_statistics(trials):
     # one reduction over the trial axis gives each row the bits of its own 1-D calls,
