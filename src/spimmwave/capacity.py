@@ -29,7 +29,7 @@ spim_rate, the paper's general-M closed form on large-array beams, needs
 none of that machinery: its pair determinants depend on the beams only
 through a = w g / 2N0 and the Dirichlet overlap q of their angles, so it
 evaluates the pair formula elementwise on the one Dirichlet kernel,
-_overlap, which dirichlet_gain fronts for a single distance.
+_overlap, which dirichlet_gain fronts.
 total_rate_approx of asymptotic_covariances stays its independent oracle.
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import cholesky_logdet, require_in, require_integer
+from .numerics import _batch_shape, cholesky_logdet, require_in, require_integer
 
 LN2 = float(np.log(2.0))
 
@@ -67,6 +67,9 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
+        if np.ndim(self.n0) != 0:
+            raise ParameterError(f"n0 must be one noise level, got shape {np.shape(self.n0)}",
+                                 field="n0")
         require_in("n0", self.n0, 0)
         fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:
@@ -138,11 +141,8 @@ def _paths(w, g, theta):
     if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths of at least one path")
     require_in("theta", theta)
-    try:
-        return np.broadcast_arrays(w, g, theta)
-    except ValueError as exc:
-        raise DimensionError(f"w, g and theta have incompatible batch shapes {w.shape}, "
-                             f"{g.shape} and {theta.shape}") from exc
+    shape = _batch_shape(w=w.shape, g=g.shape, theta=theta.shape)
+    return tuple(np.broadcast_to(x, shape) for x in (w, g, theta))
 
 
 def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
@@ -224,15 +224,6 @@ def total_rate_approx(covs: CovarianceSet) -> float:
     return _bits(np.log2(covs.k) - covs.n_r * np.log2(2.0 * covs.n0) - inner / LN2)
 
 
-def _batch_shape(**shapes) -> tuple:
-    """The broadcast of the named shapes; a DimensionError names them where they do not broadcast."""
-    try:
-        return np.broadcast_shapes(*shapes.values())
-    except ValueError as exc:
-        raise DimensionError(f"{', '.join(shapes)} have incompatible batch shapes "
-                             f"{', '.join(map(str, shapes.values()))}") from exc
-
-
 def _too_small(n0, overflowed, reason: str) -> None:
     """Raise a ParameterError naming n0 unless no entry of overflowed is set.
 
@@ -285,16 +276,19 @@ def _overlap(d: np.ndarray, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return q, gap
 
 
-def dirichlet_gain(delta_theta: float, n_r: int) -> float:
+def dirichlet_gain(delta_theta, n_r: int):
     """Squared normalized steering inner product sin^2(pi n d)/(n^2 sin^2(pi d)) in [0, 1].
 
-    The scalar front of the one Dirichlet kernel that spim_rate also reads:
+    The checked front of the one Dirichlet kernel that spim_rate also reads:
     near its peak at whole d, the value is 1 minus a gap summed from
-    positive terms, so it follows its series there to the last bit.
+    positive terms, so it follows its series there to the last bit. An array
+    of distances gives the array of their gains, each equal to its scalar
+    call; a scalar gives a float.
     """
     require_integer("n_r", n_r, minimum=1)
     require_in("delta_theta", delta_theta)
-    return float(_overlap(np.array([delta_theta], dtype=np.float64), n_r)[0][0])
+    d = np.asarray(delta_theta, dtype=np.float64)
+    return _bits(_overlap(d.reshape(-1), n_r)[0].reshape(d.shape))
 
 
 def _pair_formula(w, g, gap, two_n0) -> np.ndarray:

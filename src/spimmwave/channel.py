@@ -62,7 +62,8 @@ class ChannelRealization:
 
 
 def normalized_from_physical(angle_rad: float) -> float:
-    """Map a physical angle in radians to the normalized form sin(angle)/2."""
+    """Map a finite physical angle in radians to the normalized form sin(angle)/2."""
+    require_in("angle_rad", angle_rad)
     return float(0.5 * np.sin(angle_rad))
 
 
@@ -89,7 +90,9 @@ def build_channel(real: ChannelRealization) -> np.ndarray:
 
 
 def min_angle_separation(n_tx: int, n_rx: int) -> float:
-    """Separation floor on pairwise angle distance, 1/(4 max(n_tx, n_rx))."""
+    """Separation floor on pairwise angle distance, 1/(4 max(n_tx, n_rx)), for array sizes >= 1."""
+    require_integer("n_tx", n_tx, minimum=1)
+    require_integer("n_rx", n_rx, minimum=1)
     return 1.0 / (4.0 * max(n_tx, n_rx))
 
 
@@ -161,7 +164,7 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     """
     require_integer("n_paths", n_paths, minimum=1)
     gains = np.asarray(gains, dtype=np.float64)
-    if len(gains) != n_paths:
-        raise ParameterError(f"expected {n_paths} gains, got {len(gains)}", field="gains")
+    if gains.shape != (n_paths,):
+        raise ParameterError(f"expected {n_paths} gains, got shape {gains.shape}", field="gains")
     (aod,), (aoa,) = _draw_angles([rng], n_paths, n_tx, n_rx, aod_range, aoa_range)
     return ChannelRealization(n_tx=n_tx, n_rx=n_rx, aod=aod, aoa=aoa, gains=gains)

@@ -20,10 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRootError, ParameterError
-from .numerics import require_in, require_integer
+from .numerics import _batch_shape, require_in, require_integer
 
 RELAXED_STEP = 0.01
-# the relaxed grid holds 100 * 2^b_max candidates: 6.6M at the cap
+# b_max's domain: 2^16 beams lies far past any array modelled here, and the search over the
+# relaxed grid's 100 (2^16 - 1) candidates at the cap takes 23 rounds
 _B_MAX_CAP = 16
 
 # the interval of each shared argument, as require_in takes it
@@ -127,39 +128,21 @@ def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float
         return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
 
 
-def _margins(gamma, n0, g1: float, b_max: int, relax_integer: bool):
-    """spim_margin's margins as floats, elementwise over gamma and n0, unchecked.
-
-    The wins are a prefix of the candidate grid (see spim_margin), so a
-    binary search finds the last in ceil(log2(N + 1)) rounds. Each round
-    tests one candidate per entry with the test an exhaustive scan makes, so
-    every margin has the scan's bits.
-    """
-    if relax_integer:
-        steps = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP))
-        candidates = 1.0 + RELAXED_STEP * np.arange(1, steps + 1)
-    else:
-        candidates = np.array([2.0 ** b for b in range(1, b_max + 1)])
-    gamma, n0 = np.broadcast_arrays(np.asarray(gamma, dtype=np.float64),
-                                    np.asarray(n0, dtype=np.float64))
-    count, beam_term, noisy = len(candidates), _beam_term(candidates), n0 > 0
-    known = np.zeros(gamma.shape, dtype=np.intp)  # the candidates before index known win
-    with np.errstate(over="ignore"):
-        for step in [1 << k for k in reversed(range(count.bit_length()))]:
-            probe = np.minimum(known + (step - 1), count - 1)
-            wins = _log_condition(candidates[probe], beam_term[probe], gamma, n0, g1, noisy) > 0.0
-            known += step * (wins & (known + step <= count))
-    return np.where(known > 0, candidates[known - 1] if count else 1.0, 1.0)
+def _candidate(k, relax_integer: bool):
+    """Beam count k of spim_margin's grid, 1 + 0.01 k or 2^k on the integer grid; k = 0 gives 1."""
+    return 1.0 + RELAXED_STEP * k if relax_integer else np.ldexp(1.0, k)
 
 
-def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool = False):
+def spim_margin(gamma, n0, g1: float, b_max: int = 6, relax_integer: bool = False):
     """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
 
     Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
     over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
-    integer in [0, 16]. gamma may be a sequence: the candidate grid is then
-    built once and every gamma scored in one search, and the margins come
-    back as a list, each equal to its scalar call.
+    integer in [0, 16]. gamma and n0 broadcast, and one search scores every
+    entry: two scalars give a number, anything else a list, nested as their
+    broadcast shape, each margin equal to its scalar call and an int on the
+    integer grid. Shapes that do not broadcast raise a DimensionError that
+    names gamma and n0.
 
     The log condition f(M) = g(M) + (M/2) L - c (gamma^(1-M) - gamma), with
     g(M) = M ln M / (M-1), L = ln gamma < 0 and c = 4 n0 / (g1 (1-gamma)) >= 0,
@@ -170,17 +153,25 @@ def spim_margin(gamma, n0: float, g1: float, b_max: int = 6, relax_integer: bool
     needs -L (1/2 + c) > 1, and then f'(1) < 0, so f falls from the start and
     nothing wins. Otherwise f(1) >= 0 and, by concavity, f > 0 on (1, M] for
     any winning M. Either way the winning candidates are a prefix of the grid,
-    and a binary search finds its end in about log2(N) evaluations, not N.
+    and a binary search finds its end in ceil(log2(N + 1)) rounds, not N. Each
+    round computes only the candidate it probes per entry, and tests it as an
+    exhaustive scan would, so every margin has the scan's bits.
     """
-    scalar = np.ndim(gamma) == 0
-    gammas = [gamma] if scalar else list(gamma)
-    _check(gamma=gammas, n0=n0, g1=g1)
+    _check(gamma=gamma, n0=n0, g1=g1)
     require_integer("b_max", b_max)
     require_in("b_max", b_max, 0, _B_MAX_CAP, open_low=False, open_high=False)
-    margins = _margins(gammas, n0, g1, b_max, relax_integer).tolist()
-    if not relax_integer:
-        margins = [int(margin) for margin in margins]
-    return margins[0] if scalar else margins
+    gamma, n0 = np.asarray(gamma, dtype=np.float64), np.asarray(n0, dtype=np.float64)
+    known = np.zeros(_batch_shape(gamma=gamma.shape, n0=n0.shape), dtype=np.intp)
+    count = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP)) if relax_integer else b_max
+    noisy = n0 > 0
+    with np.errstate(over="ignore"):  # known counts the candidates that win
+        for step in [1 << k for k in reversed(range(count.bit_length()))]:
+            ahead = known + step
+            m = _candidate(np.minimum(ahead, count), relax_integer)
+            wins = _log_condition(m, _beam_term(m), gamma, n0, g1, noisy) > 0.0
+            known = np.where(wins & (ahead <= count), ahead, known)
+    margins = _candidate(known, relax_integer)
+    return (margins if relax_integer else margins.astype(int)).tolist()
 
 
 def gamma_crossover(m: float, n0: float, g1: float) -> float:

@@ -12,11 +12,12 @@ spim_rate call over every (grid point, trial) pair, which takes the
 Dirichlet gaps once for the whole grid, and reduces each (method, variant)
 block to its rows in one pass over the trial axis; an snr or w1 sweep adds
 its shannon rows in one mmwave_rate call. A q-function grid is scored in
-one kernel call per array size. Monte-Carlo points share their draws
-along the sweep axis (common random numbers): a trial's beams are steered
-at every grid point by one batched channel, and one estimator call per trial
-and system covers every grid point, on the seed derived from (mc seed,
-trial, system), or from (mc seed, beam count, trial, 0) in gamma sweeps.
+one dirichlet_gain call per array size, and a margin map in one spim_margin
+call. Monte-Carlo points share their draws along the sweep axis (common
+random numbers): a trial's beams are steered at every grid point by one
+batched channel, and one estimator call per trial and system covers every
+grid point, on the seed derived from (mc seed, trial, system), or from
+(mc seed, beam count, trial, 0) in gamma sweeps.
 Trials keep independent streams, so a row's combined stderr still holds;
 rows along an axis are positively correlated, so their differences carry
 less Monte-Carlo error than their stderrs suggest.
@@ -34,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import build_abf, effective_channel
-from .capacity import CovarianceSet, _overlap, mmwave_rate, spim_rate
+from .capacity import CovarianceSet, dirichlet_gain, mmwave_rate, spim_rate
 from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, _draw_angles,
                       min_angle_separation)
-from .conditions import _B_MAX_CAP, _margins
+from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
 from .montecarlo import MonteCarloSpec, mc_mutual_information
 
@@ -262,7 +263,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
     elif kind == "q-function":
         _require(spec.noise is None, "noise", "q-function uses no noise model")
     if kind in ("snr-sweep", "w1-sweep", "gamma-sweep"):
-        # the test _draw_separated makes, so that every spec that validates can draw its angles
+        # the test channel._draw_angles makes, so every spec that validates can draw its angles
         floor = min_angle_separation(ch.n_tx, ch.n_rx)
         span = (max(_as_list(ch.m)) - 1) * floor
         for name in ("aod_range", "aoa_range"):
@@ -388,31 +389,23 @@ def _n0_label(n0: float) -> str:
 
 
 def _run_margin_map(spec: ExperimentSpec) -> list[ResultRow]:
-    """One margin search scores the whole (noise level, decay) map.
-
-    validate_spec has checked the decay values, the noise levels and b_max,
-    the checks spim_margin makes, so each margin is that of its spim_margin call.
-    """
+    """One spim_margin call scores the whole (noise level, decay) map."""
     gammas = [float(gamma) for gamma in spec.grid]
     levels = _as_list(spec.noise.n0)
-    margins = _margins(gammas, np.array(levels, dtype=np.float64)[:, None],
-                       float(spec.channel.n_tx), spec.margin.b_max, spec.margin.relax_integer)
-    return [ResultRow(gamma, METHOD_MARGIN, _n0_label(n0), margin, None, None, spec.seed, 1)
-            for n0, row in zip(levels, margins.tolist()) for gamma, margin in zip(gammas, row)]
+    margins = spim_margin(gammas, np.array(levels, dtype=np.float64)[:, None],
+                          float(spec.channel.n_tx), spec.margin.b_max, spec.margin.relax_integer)
+    return [ResultRow(gamma, METHOD_MARGIN, _n0_label(n0), float(margin), None, None, spec.seed, 1)
+            for n0, row in zip(levels, margins) for gamma, margin in zip(gammas, row)]
 
 
 def _run_q_function(spec: ExperimentSpec) -> list[ResultRow]:
-    """One Dirichlet kernel call per receive-array size scores the whole grid.
-
-    validate_spec has checked the sizes and the grid, the checks dirichlet_gain
-    makes, so each value is that of its scalar dirichlet_gain call.
-    """
+    """One dirichlet_gain call per receive-array size scores the whole grid."""
     grid = np.asarray(spec.grid, dtype=np.float64)
     rows = []
     for n_rx in _as_list(spec.channel.n_rx):
         rows += [ResultRow(float(delta), METHOD_Q_FUNCTION, f"nr={n_rx}", float(gain),
                            None, None, spec.seed, 1)
-                 for delta, gain in zip(grid, _overlap(grid, n_rx)[0])]
+                 for delta, gain in zip(grid, dirichlet_gain(grid, n_rx))]
     return rows
 
 

@@ -15,8 +15,8 @@ ids are independent. A stream is fully defined by its key and counter, so a
 loop that draws from many keys builds one Philox and re-keys it per key
 (_rekeyed), with the draws of make_rng(seed, stream); the Philox state
 layout lives in this module alone. The argument checks every module shares
-live here too: require_integer for counts and require_in for every interval
-domain.
+live here too: require_integer for counts, require_in for every interval
+domain and _batch_shape for arrays whose shapes must broadcast.
 """
 
 from __future__ import annotations
@@ -67,8 +67,19 @@ def require_in(name: str, value, low: float = -math.inf, high: float = math.inf,
         raise ParameterError(f"{name} must lie in {interval}, got {bad}", field=name)
 
 
+def _batch_shape(**shapes) -> tuple:
+    """The broadcast of the named shapes; a DimensionError names them where they do not broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes.values())
+    except ValueError as exc:
+        raise DimensionError(f"{', '.join(shapes)} have incompatible batch shapes "
+                             f"{', '.join(map(str, shapes.values()))}") from exc
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for the (seed, stream) pair of the splittable RNG contract."""
+    """Generator for the (seed, stream) pair of the splittable RNG contract; both are integers."""
+    require_integer("seed", seed)
+    require_integer("stream", stream)
     key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -28,7 +28,9 @@ from spimmwave import (
     hermitian_logdet,
     make_rng,
     mc_mutual_information,
+    min_angle_separation,
     mmwave_rate,
+    normalized_from_physical,
     pattern_alphabet,
     sample_channel,
     spim_margin,
@@ -225,6 +227,16 @@ NAN_CALLS = {
     "decay_condition_value-m-huge-int": (
         lambda: decay_condition_value(10**400, 0.5, 0.1, 64.0), "m"),
     "gamma_crossover-m-huge-int": (lambda: gamma_crossover(10**400, 0.1, 64.0), "m"),
+    # a set holds one noise level: an array n0 fails at construction, not in every consumer
+    "CovarianceSet-n0-array": (lambda: CovarianceSet(np.array([0.1, 0.2]), np.ones((2, 8, 1))),
+                               "n0"),
+    "covariances-n0-array": (
+        lambda: covariances(np.ones((8, 2)), pattern_alphabet(2, 1), np.array([0.1, 0.2])), "n0"),
+    "asymptotic_covariances-n0-array": (
+        lambda: asymptotic_covariances([0.5], [64.0], [0.0], 8, np.array([0.1, 0.2])), "n0"),
+    "sample_channel-gains-scalar": (
+        lambda: sample_channel(make_rng(0), 64, 8, 1, gains=0.6), "gains"),
+    "normalized_from_physical-angle_rad": (lambda: normalized_from_physical(NAN), "angle_rad"),
 }
 
 
@@ -268,6 +280,13 @@ FLOAT_COUNTS = {
     "steering_vector-n-zero": (lambda: steering_vector(0.1, 0), "n"),
     "dirichlet_gain-n_r-bool": (lambda: dirichlet_gain(0.3, True), "n_r"),
     "dirichlet_gain-n_r-zero": (lambda: dirichlet_gain(0.3, 0), "n_r"),
+    "min_angle_separation-n_tx-zero": (lambda: min_angle_separation(0, 0), "n_tx"),
+    "min_angle_separation-n_tx-negative": (lambda: min_angle_separation(-1, 8), "n_tx"),
+    "min_angle_separation-n_tx-float": (lambda: min_angle_separation(0.5, 1), "n_tx"),
+    "min_angle_separation-n_rx-zero": (lambda: min_angle_separation(8, 0), "n_rx"),
+    "make_rng-seed-float": (lambda: make_rng(1.5), "seed"),
+    "make_rng-seed-str": (lambda: make_rng("a"), "seed"),
+    "make_rng-stream-float": (lambda: make_rng(0, 2.5), "stream"),
 }
 
 
@@ -533,6 +552,21 @@ def test_overlap_gap_follows_its_series(n_r):
     # whole distances are the peak itself: no gap at all
     q, gap = _overlap(np.array([0.0, -0.0, 1.0, -3.0]), n_r)
     assert np.all(gap == 0.0) and np.all(q == 1.0)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 8, 64])
+def test_dirichlet_gain_on_an_array_equals_scalar_calls(n_r):
+    # an array of distances, whole ones and near-peak ones among them, is its scalar calls
+    d = np.concatenate([np.random.default_rng(n_r).uniform(-2.0, 2.0, 42),
+                        [0.0, -0.0, 1.0, -3.0, 1e-12, 0.5 - 1e-13, 1.0 / n_r]])
+    for shape in (d.shape, (d.size // 7, 7)):
+        gains = dirichlet_gain(d.reshape(shape), n_r)
+        assert isinstance(gains, np.ndarray) and gains.shape == shape
+        assert np.array_equal(gains.ravel(), [dirichlet_gain(float(x), n_r) for x in d])
+    assert isinstance(dirichlet_gain(np.float64(0.3), n_r), float)
+    with pytest.raises(ParameterError, match=r"\bdelta_theta\b") as info:
+        dirichlet_gain(np.array([0.1, NAN, 0.2]), n_r)
+    assert info.value.field == "delta_theta"
 
 
 def test_dirichlet_gain_in_unit_interval():

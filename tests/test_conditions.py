@@ -1,6 +1,7 @@
 """Superiority conditions, margin search, and the crossover root solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spimmwave import (
+    DimensionError,
     NoRootError,
     ParameterError,
     decay_condition_value,
@@ -202,7 +204,7 @@ def test_margin_validation():
         spim_margin(gamma=0.0, n0=0.1, g1=64.0)
     with pytest.raises(ParameterError):
         spim_margin(gamma=0.5, n0=-0.1, g1=64.0)
-    # b_max is an integer in [0, 16]; each bad value is rejected before any grid is built
+    # b_max is an integer in [0, 16]; each bad value is rejected before the search runs
     for b_max, relax in ((17, False), (17, True), (40, True), (-1, False), (2.5, False),
                          (2.5, True), (True, False)):
         with pytest.raises(ParameterError) as info:
@@ -267,7 +269,7 @@ def test_crossover_for_many_beams_does_not_overflow():
 @pytest.mark.parametrize("relax", [False, True])
 @pytest.mark.parametrize("b_max", [0, 6, 11])
 def test_batched_margins_equal_scalar_calls(b_max, relax):
-    # one call builds the candidate grid once and scores every gamma on it
+    # one call scores every gamma in one search
     gammas = [0.02, 0.3, 0.55, 0.8, 0.97]
     for n0 in (0.0, 0.1, 0.5):
         expected = [spim_margin(g, n0, 64.0, b_max, relax) for g in gammas]
@@ -279,6 +281,49 @@ def test_batched_margins_equal_scalar_calls(b_max, relax):
     with pytest.raises(ParameterError) as info:
         spim_margin([0.5, 1.0], 0.1, 64.0, b_max, relax)
     assert info.value.field == "gamma"
+
+
+def test_margins_broadcast_over_noise_levels():
+    # a scalar gamma with a list of levels gives one margin per level, each its scalar call
+    levels = [0.0, 0.1, 0.2, 0.5]
+    for relax in (False, True):
+        margins = spim_margin(0.5, levels, 64.0, 6, relax)
+        assert margins == [spim_margin(0.5, n0, 64.0, 6, relax) for n0 in levels]
+        assert len(set(margins)) > 1
+    assert spim_margin(0.5, [0.1], 64.0) == [spim_margin(0.5, 0.1, 64.0)]
+
+
+def test_margin_shape_mismatch_names_gamma_and_n0():
+    for gamma, n0 in (([0.3, 0.5, 0.7], [0.1, 0.2]), (np.full((2, 3), 0.5), [0.1, 0.2])):
+        with pytest.raises(DimensionError, match=r"\bgamma\b.*\bn0\b"):
+            spim_margin(gamma, n0, 64.0)
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_two_dimensional_gamma_gives_nested_margins(relax):
+    # a (levels, gammas) map comes back as nested lists, ints on the integer grid
+    gammas = np.array([[0.2, 0.5, 0.9], [0.3, 0.6, 0.99]])
+    levels = np.array([[0.0], [0.5]])
+    margins = spim_margin(gammas, levels, 64.0, 8, relax)
+    expected = [[spim_margin(float(g), float(n0), 64.0, 8, relax) for g in row]
+                for row, (n0,) in zip(gammas, levels)]
+    assert margins == expected
+    kind = float if relax else int
+    assert all(type(margin) is kind for row in margins for margin in row)
+
+
+def test_margin_search_memory_does_not_grow_with_the_grid():
+    # the relaxed grid at the cap holds 6.5M candidates; the search computes only those it probes
+    gamma = 0.999
+    spim_margin(gamma, 0.1, 64.0, 16, True)
+    tracemalloc.start()
+    try:
+        margin = spim_margin(gamma, 0.1, 64.0, 16, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert margin > 2.0
 
 
 def _reference_log_condition(m, gamma, n0, g1):

@@ -538,11 +538,11 @@ def test_margin_map_is_one_search_over_every_noise_level(relax, monkeypatch):
     # noise-free and noisy levels share the search; each row is its level's spim_margin
     searches = []
 
-    def counted(*args, _fn=experiments._margins):
+    def counted(*args, _fn=experiments.spim_margin):
         searches.append(args)
         return _fn(*args)
 
-    monkeypatch.setattr(experiments, "_margins", counted)
+    monkeypatch.setattr(experiments, "spim_margin", counted)
     gammas, levels = [0.02, 0.2, 0.45, 0.7, 0.9, 0.99], [0, 0.05, 0.5]
     rows = run_experiment(spec_from_dict({
         "experiment": "margin-map", "grid": gammas, "noise": {"n0": levels},
@@ -583,6 +583,20 @@ def test_q_function_runner_equals_scalar_dirichlet_gain_calls():
     assert len(rows) == 5 * len(grid)
     for row in rows:
         assert row.value == dirichlet_gain(row.axis, int(row.variant[3:]))
+
+
+def test_q_function_makes_one_dirichlet_gain_call_per_array_size(monkeypatch):
+    calls = []
+
+    def counted(delta_theta, n_r, _fn=experiments.dirichlet_gain):
+        calls.append(n_r)
+        return _fn(delta_theta, n_r)
+
+    monkeypatch.setattr(experiments, "dirichlet_gain", counted)
+    rows = run_experiment(spec_from_dict({"experiment": "q-function", "grid": [-0.5, 0.0, 0.3],
+                                          "channel": {"n_rx": [2, 4, 8]}}))
+    assert calls == [2, 4, 8]
+    assert len(rows) == 9
 
 
 def test_q_function_rows():
