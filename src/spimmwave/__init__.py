@@ -20,13 +20,11 @@ from .channel import (
     ChannelRealization,
     build_channel,
     min_angle_separation,
-    normalized_from_physical,
     sample_channel,
     steering_vector,
 )
 from .conditions import (
     ThresholdResult,
-    decay_condition_value,
     gamma_crossover,
     geometric_mean_threshold,
     spim_margin,
@@ -63,7 +61,6 @@ __all__ = [
     "build_channel",
     "conditional_symbol_rate",
     "covariances",
-    "decay_condition_value",
     "dirichlet_gain",
     "effective_channel",
     "gamma_crossover",
@@ -73,7 +70,6 @@ __all__ = [
     "mc_mutual_information",
     "min_angle_separation",
     "mmwave_rate",
-    "normalized_from_physical",
     "pattern_alphabet",
     "sample_channel",
     "spim_margin",

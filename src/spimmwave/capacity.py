@@ -43,7 +43,7 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import _batch_shape, cholesky_logdet, require_in, require_integer
+from .numerics import _as_real, _batch_shape, cholesky_logdet, require_in, require_integer
 
 LN2 = float(np.log(2.0))
 
@@ -137,7 +137,8 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
 
 def _paths(w, g, theta):
     """w, g and theta as float arrays of one shape: paths on the last axis, batch axes broadcast."""
-    w, g, theta = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (w, g, theta))
+    w, g, theta = (np.atleast_1d(_as_real(name, x))
+                   for name, x in (("w", w), ("g", g), ("theta", theta)))
     if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths of at least one path")
     require_in("theta", theta)

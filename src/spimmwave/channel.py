@@ -2,8 +2,7 @@
 
 Angles are kept in the normalized form a = sin(physical)/2 in [-0.5, 0.5],
 so a steering phase advances by 2*pi*a per array element. No function here
-takes radians: a caller holding physical angles converts them first with
-normalized_from_physical.
+takes radians: a caller holding physical angles converts them first.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import _rekeyed, require_in, require_integer
+from .numerics import _as_real, _rekeyed, require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -39,8 +38,8 @@ class ChannelRealization:
     def __post_init__(self):
         require_integer("n_tx", self.n_tx, minimum=1)
         require_integer("n_rx", self.n_rx, minimum=1)
-        arrays = [np.atleast_1d(np.asarray(x, dtype=np.float64))
-                  for x in (self.aod, self.aoa, self.gains)]
+        arrays = [np.atleast_1d(_as_real(name, getattr(self, name)))
+                  for name in ("aod", "aoa", "gains")]
         try:
             aod, aoa, gains = np.broadcast_arrays(*arrays)
             common = all(x.shape[-1] == gains.shape[-1] >= 1 for x in arrays)
@@ -61,12 +60,6 @@ class ChannelRealization:
         return self.gains.shape[-1]
 
 
-def normalized_from_physical(angle_rad: float) -> float:
-    """Map a finite physical angle in radians to the normalized form sin(angle)/2."""
-    require_in("angle_rad", angle_rad)
-    return float(0.5 * np.sin(angle_rad))
-
-
 def steering_vector(angle, n: int) -> np.ndarray:
     """Unit-norm array response; entry k is exp(-j2*pi*a*(k-(n-1)/2))/sqrt(n).
 
@@ -75,7 +68,7 @@ def steering_vector(angle, n: int) -> np.ndarray:
     the (m, n) array with one response per row.
     """
     require_integer("n", n, minimum=1)
-    angle = np.asarray(angle, dtype=np.float64)
+    angle = _as_real("angle", angle)
     require_in("angle", angle)
     offsets = np.arange(n) - (n - 1) / 2.0
     angle = angle[..., None]
@@ -163,7 +156,7 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     does not fit in a range fails at once with a ParameterError naming n_paths.
     """
     require_integer("n_paths", n_paths, minimum=1)
-    gains = np.asarray(gains, dtype=np.float64)
+    gains = _as_real("gains", gains)
     if gains.shape != (n_paths,):
         raise ParameterError(f"expected {n_paths} gains, got shape {gains.shape}", field="gains")
     (aod,), (aoa,) = _draw_angles([rng], n_paths, n_tx, n_rx, aod_range, aoa_range)

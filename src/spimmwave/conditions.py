@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRootError, ParameterError
-from .numerics import _batch_shape, require_in, require_integer
+from .numerics import _as_real, _batch_shape, require_in, require_integer
 
 RELAXED_STEP = 0.01
 # b_max's domain: 2^16 beams lies far past any array modelled here, and the search over the
@@ -37,6 +37,17 @@ def _check(**values) -> None:
         require_in(name, value, **_DOMAINS[name])
 
 
+def _require_number(**values) -> None:
+    """Raise a ParameterError naming the first of values that is not one real number.
+
+    A Python int or float passes on its type alone, before any numpy call.
+    """
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) and _as_real(name, value).ndim:
+            raise ParameterError(f"{name} must be one number, got shape {np.shape(value)}",
+                                 field=name)
+
+
 class ThresholdResult(NamedTuple):
     tau: float
     geo_mean: float
@@ -49,6 +60,7 @@ def two_path_margin(w1: float, w2: float) -> float:
     Positive means index modulation is guaranteed to win at high SNR, zero
     is the boundary, negative gives no guarantee.
     """
+    _require_number(w1=w1, w2=w2)
     require_in("w2", w2, 0)
     require_in("w1", w1, w2, open_low=False)
     return 4.0 * w2 - w1
@@ -61,8 +73,8 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     (strictly) when the geometric mean of w_2..w_M exceeds tau * w_1. A
     tau beyond the floating-point range is inf, and the condition fails.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
+    w = np.atleast_1d(_as_real("w", w))
+    g = np.atleast_1d(_as_real("g", g))
     m = len(w)
     if m < 2:
         raise ParameterError(f"need at least 2 paths, got {m}", field="w")
@@ -70,6 +82,7 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
         raise ParameterError("w and g must have equal lengths", field="g")
     require_in("w", w, 0)
     require_in("g", g, 0)
+    _require_number(n0=n0)
     _check(n0=n0)
     penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
     if n0 > 0:
@@ -91,16 +104,19 @@ def _beam_term(m):
 
 
 def _log_condition(m, beam_term, gamma, n0: float, g1: float, noisy=None):
-    """Natural log of the decay-condition value for m > 1, elementwise over m and gamma.
+    """The log decay condition for m > 1, elementwise over m and gamma; > 0 means M beams win.
 
-    beam_term is _beam_term(m), which a caller evaluating many gammas computes
-    once. gamma^(1-M) is evaluated as exp((1-M) ln gamma): where it overflows,
-    the penalty is infinite and the log is -inf (a value of 0) instead of an
-    OverflowError. The caller enters np.errstate(over="ignore") once around
-    all its evaluations. With n0 = 0 there is no penalty at all, never 0 * inf.
-    n0 may also be an array of levels broadcasting with m and gamma, passed
-    with noisy = n0 > 0: an entry with n0 = 0 then gets its gain sum zeroed
-    before the product, so it has no penalty either, and never 0 * inf.
+    It is the log of M^(M/(M-1)) gamma^(M/2) exp(-4 n0 (gamma^(1-M) - gamma) /
+    (g1 (1-gamma))), the geo_mean / tau of geometric_mean_threshold on the
+    gains gamma^(n-1), n = 1..M, with M allowed to be non-integer (relaxed
+    search grids). beam_term is _beam_term(m), which a caller evaluating many
+    gammas computes once. gamma^(1-M) is evaluated as exp((1-M) ln gamma):
+    where it overflows, the penalty is infinite and the log is -inf instead
+    of an OverflowError. The caller enters np.errstate(over="ignore") once
+    around all its evaluations. With n0 = 0 there is no penalty at all, never
+    0 * inf. n0 may also be an array of levels broadcasting with m and gamma,
+    passed with noisy = n0 > 0: an entry with n0 = 0 then gets its gain sum
+    zeroed before the product, so it has no penalty either, and never 0 * inf.
     """
     log_gamma = np.log(gamma)
     lead = beam_term + m / 2.0 * log_gamma
@@ -112,29 +128,13 @@ def _log_condition(m, beam_term, gamma, n0: float, g1: float, noisy=None):
     return lead - 4.0 * n0 * inverse_gain_sum / g1
 
 
-def decay_condition_value(m: float, gamma: float, n0: float, g1: float) -> float:
-    """Value of the decaying-gain superiority expression; > 1 means M beams win.
-
-    M^(M/(M-1)) gamma^(M/2) exp(-4 n0 (gamma^(1-M) - gamma) / (g1 (1-gamma))).
-    m may be non-integer (relaxed search grids); m = 1 is defined as exactly 1,
-    the system compared against itself. Evaluated in logs, so a value below
-    the floating-point range is 0.
-    """
-    _check(gamma=gamma, n0=n0, g1=g1)
-    require_in("m", m, 1, sys.float_info.max, open_low=False, open_high=False)
-    if m == 1:
-        return 1.0
-    with np.errstate(over="ignore"):
-        return float(np.exp(_log_condition(m, _beam_term(m), gamma, n0, g1)))
-
-
 def _candidate(k, relax_integer: bool):
     """Beam count k of spim_margin's grid, 1 + 0.01 k or 2^k on the integer grid; k = 0 gives 1."""
     return 1.0 + RELAXED_STEP * k if relax_integer else np.ldexp(1.0, k)
 
 
 def spim_margin(gamma, n0, g1: float, b_max: int = 6, relax_integer: bool = False):
-    """Largest beam count whose decay-condition value exceeds 1; 1 when none does.
+    """Largest beam count whose log decay condition is positive; 1 when none is.
 
     Candidates are the powers of two 2^b, b <= b_max, or a 0.01-step grid
     over [1, 2^b_max] when the integer requirement is relaxed. b_max is an
@@ -158,6 +158,7 @@ def spim_margin(gamma, n0, g1: float, b_max: int = 6, relax_integer: bool = Fals
     exhaustive scan would, so every margin has the scan's bits.
     """
     _check(gamma=gamma, n0=n0, g1=g1)
+    _require_number(g1=g1)
     require_integer("b_max", b_max)
     require_in("b_max", b_max, 0, _B_MAX_CAP, open_low=False, open_high=False)
     gamma, n0 = np.asarray(gamma, dtype=np.float64), np.asarray(n0, dtype=np.float64)
@@ -175,11 +176,17 @@ def spim_margin(gamma, n0, g1: float, b_max: int = 6, relax_integer: bool = Fals
 
 
 def gamma_crossover(m: float, n0: float, g1: float) -> float:
-    """Root gamma of decay_condition_value(m, gamma, n0, g1) = 1 inside (0, 1).
+    """Root gamma inside (0, 1) of the log decay condition for m >= 2 beams.
 
+    The log condition is M/(M-1) ln M + (M/2) ln gamma - 4 n0 (gamma^(1-M) -
+    gamma) / (g1 (1-gamma)); M beams win exactly where it is positive, which
+    for whole M is geometric_mean_threshold on the gains gamma^(n-1). It never
+    falls as gamma grows, so the verdict is gamma > gamma_crossover(m, n0, g1).
     The bracket (1e-9, 1 - 1e-9) is sign-checked on every call, then halved
     on the sign of the log condition until its midpoint is one of its ends.
+    m, n0 and g1 are single numbers.
     """
+    _require_number(m=m, n0=n0, g1=g1)
     require_in("m", m, 2, sys.float_info.max, open_low=False, open_high=False)
     _check(n0=n0, g1=g1)
     lo, hi = 1e-9, 1.0 - 1e-9

@@ -42,23 +42,39 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}", field=name)
 
 
+def _as_real(name: str, value) -> np.ndarray:
+    """value read once as a float64 array; a ParameterError names the field where it is not real.
+
+    Whatever numpy reads as real numbers passes, an array of them included.
+    A string, a complex value, a ragged list or an integer beyond the float
+    range does not. None reads as NaN, which require_in then refuses.
+    """
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "biufO":  # strings would parse, complex values lose a part
+            raise TypeError(f"dtype {array.dtype}")
+        return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be real numbers, got {value!r}", field=name) from exc
+
+
 def require_in(name: str, value, low: float = -math.inf, high: float = math.inf, *,
                open_low: bool = True, open_high: bool = True) -> None:
     """Raise a ParameterError naming the field unless every entry of value lies in the interval.
 
-    The one domain rule of the package: value is a scalar or an array, the
-    interval runs from low to high, each end open unless open_low or
-    open_high is False, and NaN lies in no interval, so the default
-    (-inf, inf) asks for finite entries. The message names the interval
-    and the first entry outside it.
+    The one domain rule of the package: value is a real scalar or array (any
+    other value fails as _as_real says), the interval runs from low to high,
+    each end open unless open_low or open_high is False, and NaN lies in no
+    interval, so the default (-inf, inf) asks for finite entries. The message
+    names the interval and the first entry outside it.
     """
     # The runners check many scalars and small arrays, so each check is kept cheap: a Python
     # number compares as it is, to a bool, at a tenth of a 0-d array's cost, and numpy compares
-    # an array to a float bound at half an int's cost. value itself is not cast, so an int
-    # beyond the float range still compares.
+    # an array to a float bound at half an int's cost. A Python int is not cast, so one beyond
+    # the float range still compares.
     lo, hi = float(low), float(high)
     if not isinstance(value, (int, float)):
-        value = np.asarray(value)
+        value = _as_real(name, value)
     inside = ((value > lo) if open_low else (value >= lo)) & (
         (value < hi) if open_high else (value <= hi))
     if not (inside if isinstance(inside, bool) else inside.all()):

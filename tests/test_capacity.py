@@ -20,7 +20,6 @@ from spimmwave import (
     build_abf,
     conditional_symbol_rate,
     covariances,
-    decay_condition_value,
     dirichlet_gain,
     effective_channel,
     gamma_crossover,
@@ -30,7 +29,6 @@ from spimmwave import (
     mc_mutual_information,
     min_angle_separation,
     mmwave_rate,
-    normalized_from_physical,
     pattern_alphabet,
     sample_channel,
     spim_margin,
@@ -145,7 +143,6 @@ NAN_CALLS = {
     # the spim_margin cases keep the ids they had when it took a MarginQuery
     "MarginQuery-n0": (lambda: spim_margin(0.5, NAN, 64.0), "n0"),
     "MarginQuery-g1": (lambda: spim_margin(0.5, 0.1, NAN), "g1"),
-    "decay_condition_value-n0": (lambda: decay_condition_value(4, 0.5, NAN, 64.0), "n0"),
     "geometric_mean_threshold-w": (
         lambda: geometric_mean_threshold([0.6, NAN], [64, 64], 0.1), "w"),
     "gamma_crossover-n0": (lambda: gamma_crossover(2, NAN, 64.0), "n0"),
@@ -173,9 +170,6 @@ NAN_CALLS = {
     "MarginQuery-n0-inf": (lambda: spim_margin(0.5, INF, 64.0), "n0"),
     "MarginQuery-g1-inf": (lambda: spim_margin(0.5, 0.1, INF), "g1"),
     "MarginQuery-b_max-inf": (lambda: spim_margin(0.5, 0.1, 64.0, INF), "b_max"),
-    "decay_condition_value-n0-inf": (lambda: decay_condition_value(4, 0.5, INF, 64.0), "n0"),
-    "decay_condition_value-g1-inf": (lambda: decay_condition_value(4, 0.5, 0.1, INF), "g1"),
-    "decay_condition_value-m-inf": (lambda: decay_condition_value(INF, 0.5, 0.1, 64.0), "m"),
     "geometric_mean_threshold-n0-inf": (
         lambda: geometric_mean_threshold([0.6, 0.4], [64, 64], INF), "n0"),
     "geometric_mean_threshold-w-inf": (
@@ -224,8 +218,6 @@ NAN_CALLS = {
     "hermitian_logdet-m": (lambda: hermitian_logdet(np.array([[1.0, 2.0], [0.0, 1.0]])), "m"),
     "reproduce-preset": (lambda: reproduce("nope", "unused"), "preset"),
     # an integer beam count beyond the float range fails by name, not as an OverflowError
-    "decay_condition_value-m-huge-int": (
-        lambda: decay_condition_value(10**400, 0.5, 0.1, 64.0), "m"),
     "gamma_crossover-m-huge-int": (lambda: gamma_crossover(10**400, 0.1, 64.0), "m"),
     # a set holds one noise level: an array n0 fails at construction, not in every consumer
     "CovarianceSet-n0-array": (lambda: CovarianceSet(np.array([0.1, 0.2]), np.ones((2, 8, 1))),
@@ -236,7 +228,33 @@ NAN_CALLS = {
         lambda: asymptotic_covariances([0.5], [64.0], [0.0], 8, np.array([0.1, 0.2])), "n0"),
     "sample_channel-gains-scalar": (
         lambda: sample_channel(make_rng(0), 64, 8, 1, gains=0.6), "gains"),
-    "normalized_from_physical-angle_rad": (lambda: normalized_from_physical(NAN), "angle_rad"),
+    # a value that is not real numbers fails by name, not as a raw numpy error: a string, a
+    # ragged list, a complex value, None, or an integer beyond the float range in a list
+    "spim_margin-gamma-str": (lambda: spim_margin("a", 0.1, 64.0), "gamma"),
+    "spim_margin-gamma-ragged": (lambda: spim_margin([[0.5, 0.6], [0.5]], 0.1, 64.0), "gamma"),
+    "mmwave_rate-n0-str": (lambda: mmwave_rate(0.5, 64, "0.1"), "n0"),
+    "mmwave_rate-w1-complex": (lambda: mmwave_rate(0.5 + 1j, 64, 0.1), "w1"),
+    "mmwave_rate-w1-none": (lambda: mmwave_rate(None, 64, 0.1), "w1"),
+    "mmwave_rate-w1-huge-int-list": (lambda: mmwave_rate([10**400], 64, 0.1), "w1"),
+    "spim_rate-w-ragged": (
+        lambda: spim_rate([0.5, [0.4]], [64, 64], [0.1, 0.2], 8, 0.1), "w"),
+    "steering_vector-angle-str": (lambda: steering_vector("a", 4), "angle"),
+    "geometric_mean_threshold-w-str": (
+        lambda: geometric_mean_threshold(["a", 0.4], [64, 64], 0.1), "w"),
+    "geometric_mean_threshold-g-ragged": (
+        lambda: geometric_mean_threshold([0.6, 0.4], [64, [64]], 0.1), "g"),
+    "ChannelRealization-gains-str": (
+        lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=["a"]), "gains"),
+    "sample_channel-gains-str": (
+        lambda: sample_channel(make_rng(0), 64, 8, 1, gains=["a"]), "gains"),
+    # the condition functions other than spim_margin take single numbers, checked by name
+    "gamma_crossover-n0-array": (lambda: gamma_crossover(2, np.array([0.1, 0.2]), 64.0), "n0"),
+    "gamma_crossover-m-array": (lambda: gamma_crossover(np.array([2, 3]), 0.1, 64.0), "m"),
+    "geometric_mean_threshold-n0-array": (
+        lambda: geometric_mean_threshold([0.6, 0.4], [64, 64], np.array([0.1, 0.2])), "n0"),
+    "two_path_margin-w2-array": (lambda: two_path_margin(0.9, np.array([0.1, 0.2])), "w2"),
+    "spim_margin-g1-array": (
+        lambda: spim_margin([0.5, 0.6, 0.7], 0.1, np.array([64.0, 2.0])), "g1"),
 }
 
 

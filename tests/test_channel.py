@@ -11,19 +11,11 @@ from spimmwave import (
     build_channel,
     make_rng,
     min_angle_separation,
-    normalized_from_physical,
     sample_channel,
     steering_vector,
 )
 from spimmwave.channel import DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, _draw_angles, _separate
 from spimmwave.experiments import spec_from_dict
-
-
-def test_normalized_angle_conversion():
-    assert normalized_from_physical(0.0) == 0.0
-    assert normalized_from_physical(np.pi / 2) == pytest.approx(0.5)
-    assert normalized_from_physical(-np.pi / 2) == pytest.approx(-0.5)
-    assert normalized_from_physical(np.pi / 6) == pytest.approx(0.25)
 
 
 def test_steering_zero_angle():

@@ -12,7 +12,6 @@ from spimmwave import (
     DimensionError,
     NoRootError,
     ParameterError,
-    decay_condition_value,
     gamma_crossover,
     geometric_mean_threshold,
     spim_margin,
@@ -120,45 +119,44 @@ def test_two_path_margin_consistent_with_high_snr_check():
         assert (two_path_margin(w1, w2) > 0) == high_snr_superiority([w1, w2])
 
 
-def test_decay_value_conventions_and_validation():
-    assert decay_condition_value(1, 0.5, 0.1, 64.0) == 1.0
-    with pytest.raises(ParameterError):
-        decay_condition_value(2, 1.5, 0.1, 64.0)
-    with pytest.raises(ParameterError):
-        decay_condition_value(2, 0.5, 0.1, 0.0)
-    with pytest.raises(ParameterError):
-        decay_condition_value(0.5, 0.5, 0.1, 64.0)
+def _log_value(m, gamma, n0, g1):
+    """The package's log decay condition with its beam term and overflow guard; 0 * inf raises."""
+    with np.errstate(over="ignore", invalid="raise"):
+        return _log_condition(m, _beam_term(m), gamma, n0, g1)
 
 
 def test_decay_value_noise_free_two_beam_boundary():
-    # with m = 2 the noise-free expression is 4 * gamma, so gamma = 1/4 sits on 1
-    assert decay_condition_value(2, 0.25, 0.0, 64.0) == pytest.approx(1.0, rel=1e-15)
-    assert decay_condition_value(2, 0.3, 0.0, 64.0) > 1.0
-    assert decay_condition_value(2, 0.2, 0.0, 64.0) < 1.0
+    # with m = 2 the noise-free condition is 4 * gamma > 1, so gamma = 1/4 sits on the boundary
+    assert _log_value(2, 0.25, 0.0, 64.0) == pytest.approx(0.0, abs=1e-15)
+    assert _log_value(2, 0.3, 0.0, 64.0) > 0.0
+    assert _log_value(2, 0.2, 0.0, 64.0) < 0.0
 
 
 def test_decay_value_limit_near_unit_decay():
-    # gamma -> 1 with small noise approaches m^(m/(m-1))
+    # gamma -> 1 with small noise approaches m^(m/(m-1)), so the log approaches m/(m-1) ln m
     for m in (2, 4, 8):
-        limit = m ** (m / (m - 1.0))
-        assert decay_condition_value(m, 0.9999, 1e-6, 64.0) == pytest.approx(limit, rel=1e-3)
+        limit = m / (m - 1.0) * math.log(m)
+        assert _log_value(m, 0.9999, 1e-6, 64.0) == pytest.approx(limit, abs=1e-3)
 
 
 def test_decay_value_monotone_in_gamma():
-    # strictly increasing once above the exp underflow floor, never decreasing
-    grid = np.arange(0.05, 0.951, 0.05)
-    for m in (2, 4, 8):
-        values = [decay_condition_value(m, g, 0.1, 64.0) for g in grid]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert all(b > a for a, b in zip(values, values[1:]) if a > 1e-300)
+    # gamma_crossover's bisection, and the verdict gamma > gamma_crossover(m, n0, g1), rest on
+    # the log condition never stepping down as gamma grows, -inf entries included: 216 cases
+    m = np.array([1.01, 1.5, 2.0, 3.0, 4.37, 8.0, 64.0, 1000.5, 2.0 ** 16])[:, None]
+    gamma = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
+    for g1 in (1.0, 16.0, 256.0, 4096.0):
+        for n0 in (0.0, 1e-4, 0.01, 0.1, 1.0, 10.0):
+            values = _log_value(m, gamma, n0, g1)
+            assert np.all(values[:, 1:] >= values[:, :-1]), (n0, g1)
 
 
 def test_decay_value_many_weak_beams_is_zero_not_overflow():
-    # gamma^(1 - m) = 100^499 overflows a double; the condition value underflows to 0
-    assert decay_condition_value(500, 0.01, 0.1, 64.0) == 0.0
+    # gamma^(1 - m) = 100^499 overflows a double: the penalty is inf, so the log condition is
+    # -inf and the condition's value exp(-inf) is 0
+    assert _log_value(500, 0.01, 0.1, 64.0) == -math.inf
     # without noise there is no penalty term, so no 0 * inf
-    noise_free = decay_condition_value(500, 0.5, 0.0, 64.0)
-    assert noise_free == pytest.approx(500 ** (500 / 499) * 0.5 ** 250, rel=1e-12)
+    noise_free = _log_value(500, 0.5, 0.0, 64.0)
+    assert noise_free == pytest.approx(500 / 499 * math.log(500) + 250 * math.log(0.5), rel=1e-12)
 
 
 def test_margin_small_decay_prefers_single_beam():
@@ -168,11 +166,11 @@ def test_margin_small_decay_prefers_single_beam():
 def test_margin_matches_bruteforce_scan():
     for gamma, n0 in ((0.9, 0.01), (0.5, 0.1), (0.3, 0.05), (0.97, 0.2)):
         feasible = [2 ** b for b in range(0, 7)
-                    if b == 0 or decay_condition_value(2 ** b, gamma, n0, 64.0) > 1.0]
+                    if b == 0 or _reference_log_condition(2 ** b, gamma, n0, 64.0) > 0.0]
         assert spim_margin(gamma, n0, 64.0, b_max=6) == max(feasible)
         assert spim_margin(gamma, n0, 64.0, b_max=6) in {2 ** b for b in range(7)}
         grid = [1.0 + 0.01 * i for i in range(1, 6301)]
-        best = max([1.0] + [m for m in grid if decay_condition_value(m, gamma, n0, 64.0) > 1.0])
+        best = max([1.0] + [m for m in grid if _reference_log_condition(m, gamma, n0, 64.0) > 0.0])
         relaxed = spim_margin(gamma, n0, 64.0, b_max=6, relax_integer=True)
         assert relaxed == pytest.approx(best, abs=1e-9)
 
@@ -221,7 +219,7 @@ def test_crossover_reference_points():
 def test_crossover_residual_is_tiny():
     for m in (2, 4, 8):
         root = gamma_crossover(m, 0.1, 64.0)
-        assert abs(decay_condition_value(m, root, 0.1, 64.0) - 1.0) <= 1e-12
+        assert abs(_reference_log_condition(m, root, 0.1, 64.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 2.5, 3, 4, 7.3, 8, 16, 64])
@@ -238,16 +236,16 @@ def test_crossover_root_or_no_root(m, n0, g1):
         root = gamma_crossover(m, n0, g1)
     except NoRootError:
         return
-    assert abs(decay_condition_value(m, root, n0, g1) - 1.0) <= 1e-12
+    assert abs(_reference_log_condition(m, root, n0, g1)) <= 1e-12
 
 
 def test_decay_value_is_the_threshold_test_on_decaying_gains():
-    # for integer m the scalar condition is geo_mean / tau of the gains gamma^(n-1)
+    # for integer m the condition's value is geo_mean / tau of the gains gamma^(n-1)
     for m in (2, 3, 4, 8, 16):
         for gamma in (0.2, 0.5, 0.9):
             for n0 in (0.0, 0.01, 0.1):
                 res = geometric_mean_threshold(gamma ** np.arange(m), [64.0] * m, n0)
-                value = decay_condition_value(m, gamma, n0, 64.0)
+                value = math.exp(_log_value(m, gamma, n0, 64.0))
                 assert value == pytest.approx(res.geo_mean / res.tau, rel=1e-12)
 
 
@@ -257,13 +255,15 @@ def test_crossover_no_root_detection():
         gamma_crossover(2, 50.0, 64.0)
     with pytest.raises(ParameterError):
         gamma_crossover(1, 0.1, 64.0)
+    with pytest.raises(ParameterError):
+        gamma_crossover(2, 0.1, 0.0)
 
 
 def test_crossover_for_many_beams_does_not_overflow():
     # the bracket end gamma = 1e-9 puts gamma^(1 - 64) far beyond the double range
     root = gamma_crossover(64, 0.1, 64.0)
     assert 0.0 < root < 1.0
-    assert math.isclose(decay_condition_value(64, root, 0.1, 64.0), 1.0, abs_tol=1e-4)
+    assert abs(_reference_log_condition(64, root, 0.1, 64.0)) <= 1e-4
 
 
 @pytest.mark.parametrize("relax", [False, True])
