@@ -43,7 +43,8 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import _as_real, _batch_shape, cholesky_logdet, require_in, require_integer
+from .numerics import (_as_real, _batch_shape, _require_number, cholesky_logdet, require_in,
+                       require_integer)
 
 LN2 = float(np.log(2.0))
 
@@ -67,9 +68,7 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
-        if np.ndim(self.n0) != 0:
-            raise ParameterError(f"n0 must be one noise level, got shape {np.shape(self.n0)}",
-                                 field="n0")
+        _require_number(n0=self.n0)
         require_in("n0", self.n0, 0)
         fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:

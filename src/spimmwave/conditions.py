@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRootError, ParameterError
-from .numerics import _as_real, _batch_shape, require_in, require_integer
+from .numerics import _as_real, _batch_shape, _require_number, require_in, require_integer
 
 RELAXED_STEP = 0.01
 # b_max's domain: 2^16 beams lies far past any array modelled here, and the search over the
@@ -35,17 +35,6 @@ def _check(**values) -> None:
     """Raise a ParameterError naming the first of gamma, n0, g1 outside its domain."""
     for name, value in values.items():
         require_in(name, value, **_DOMAINS[name])
-
-
-def _require_number(**values) -> None:
-    """Raise a ParameterError naming the first of values that is not one real number.
-
-    A Python int or float passes on its type alone, before any numpy call.
-    """
-    for name, value in values.items():
-        if not isinstance(value, (int, float)) and _as_real(name, value).ndim:
-            raise ParameterError(f"{name} must be one number, got shape {np.shape(value)}",
-                                 field=name)
 
 
 class ThresholdResult(NamedTuple):

@@ -16,7 +16,8 @@ loop that draws from many keys builds one Philox and re-keys it per key
 (_rekeyed), with the draws of make_rng(seed, stream); the Philox state
 layout lives in this module alone. The argument checks every module shares
 live here too: require_integer for counts, require_in for every interval
-domain and _batch_shape for arrays whose shapes must broadcast.
+domain, _require_number for arguments that take one number and _batch_shape
+for arrays whose shapes must broadcast.
 """
 
 from __future__ import annotations
@@ -47,15 +48,29 @@ def _as_real(name: str, value) -> np.ndarray:
 
     Whatever numpy reads as real numbers passes, an array of them included.
     A string, a complex value, a ragged list or an integer beyond the float
-    range does not. None reads as NaN, which require_in then refuses.
+    range does not, nor a string inside an object array. None reads as NaN,
+    which require_in then refuses.
     """
     try:
         array = np.asarray(value)
-        if array.dtype.kind not in "biufO":  # strings would parse, complex values lose a part
+        # the cast would parse a string and drop a complex value's imaginary part
+        if array.dtype.kind not in "biufO" or (
+                array.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in array.flat)):
             raise TypeError(f"dtype {array.dtype}")
         return array.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be real numbers, got {value!r}", field=name) from exc
+
+
+def _require_number(**values) -> None:
+    """Raise a ParameterError naming the first of values that is not one real number.
+
+    A Python int or float passes on its type alone, before any numpy call.
+    """
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) and _as_real(name, value).ndim:
+            raise ParameterError(f"{name} must be one number, got shape {np.shape(value)}",
+                                 field=name)
 
 
 def require_in(name: str, value, low: float = -math.inf, high: float = math.inf, *,

@@ -247,6 +247,9 @@ NAN_CALLS = {
         lambda: ChannelRealization(64, 8, aod=[0.1], aoa=[0.1], gains=["a"]), "gains"),
     "sample_channel-gains-str": (
         lambda: sample_channel(make_rng(0), 64, 8, 1, gains=["a"]), "gains"),
+    # an object array (a pandas object column, say) is not parsed: its string fails too
+    "mmwave_rate-w1-object-str": (lambda: mmwave_rate(np.array(["0.5"], dtype=object), 64, 0.1),
+                                  "w1"),
     # the condition functions other than spim_margin take single numbers, checked by name
     "gamma_crossover-n0-array": (lambda: gamma_crossover(2, np.array([0.1, 0.2]), 64.0), "n0"),
     "gamma_crossover-m-array": (lambda: gamma_crossover(np.array([2, 3]), 0.1, 64.0), "m"),
