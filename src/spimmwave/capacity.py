@@ -43,8 +43,8 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import (_as_real, _batch_shape, _require_number, cholesky_logdet, require_in,
-                       require_integer)
+from .numerics import (_batch_shape, cholesky_logdet, require_in, require_integer,
+                       require_number)
 
 LN2 = float(np.log(2.0))
 
@@ -68,8 +68,7 @@ class CovarianceSet:
     source: str = "exact"
 
     def __post_init__(self):
-        _require_number(n0=self.n0)
-        require_in("n0", self.n0, 0)
+        object.__setattr__(self, "n0", require_number("n0", self.n0, 0))
         fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
         if fac.ndim < 3 or fac.shape[-3] < 1:
             raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
@@ -134,13 +133,16 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
     return CovarianceSet(n0=n0, factors=factors, source=source)
 
 
-def _paths(w, g, theta):
-    """w, g and theta as float arrays of one shape: paths on the last axis, batch axes broadcast."""
-    w, g, theta = (np.atleast_1d(_as_real(name, x))
-                   for name, x in (("w", w), ("g", g), ("theta", theta)))
+def _paths(w, g, theta, open_low: bool):
+    """w, g and theta read as float arrays of one shape: paths on the last axis, batch axes broadcast.
+
+    w and g lie in (0, inf), or in [0, inf) if not open_low, and theta is finite.
+    """
+    w, g = (np.atleast_1d(require_in(name, x, 0, open_low=open_low))
+            for name, x in (("w", w), ("g", g)))
+    theta = np.atleast_1d(require_in("theta", theta))
     if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
         raise DimensionError("w, g and theta must have equal lengths of at least one path")
-    require_in("theta", theta)
     shape = _batch_shape(w=w.shape, g=g.shape, theta=theta.shape)
     return tuple(np.broadcast_to(x, shape) for x in (w, g, theta))
 
@@ -151,9 +153,7 @@ def asymptotic_covariances(w, g, theta, n_r: int, n0: float) -> CovarianceSet:
     Leading axes of w, g and theta broadcast into a batch of sets.
     """
     require_integer("n_r", n_r, minimum=1)
-    w, g, theta = _paths(w, g, theta)
-    require_in("w", w, 0, open_low=False)
-    require_in("g", g, 0, open_low=False)
+    w, g, theta = _paths(w, g, theta, open_low=False)
     beams = large_array_beams(w, g, theta, n_r)
     return CovarianceSet(n0=n0, factors=beams[..., None], source="asymptotic")
 
@@ -240,14 +240,13 @@ def mmwave_rate(w1, g1, n0) -> float:
 
     Array gains and noise levels broadcast and give one rate per element.
     """
-    require_in("n0", n0, 0)
-    require_in("w1", w1, 0, open_low=False)
-    require_in("g1", g1, 0, open_low=False)
-    w1, g1 = np.asarray(w1, dtype=np.float64), np.asarray(g1, dtype=np.float64)
-    _batch_shape(w1=w1.shape, g1=g1.shape, n0=np.shape(n0))
+    n0 = require_in("n0", n0, 0)
+    w1 = require_in("w1", w1, 0, open_low=False)
+    g1 = require_in("g1", g1, 0, open_low=False)
+    _batch_shape(w1=np.shape(w1), g1=np.shape(g1), n0=np.shape(n0))
     with np.errstate(over="ignore"):
         snr = w1 * g1 / n0
-    _too_small(n0, ~(snr < np.inf), ": w1 g1 / n0 overflows")
+    _too_small(n0, np.logical_not(snr < np.inf), ": w1 g1 / n0 overflows")
     return _bits(np.log1p(snr) / LN2)
 
 
@@ -286,9 +285,8 @@ def dirichlet_gain(delta_theta, n_r: int):
     call; a scalar gives a float.
     """
     require_integer("n_r", n_r, minimum=1)
-    require_in("delta_theta", delta_theta)
-    d = np.asarray(delta_theta, dtype=np.float64)
-    return _bits(_overlap(d.reshape(-1), n_r)[0].reshape(d.shape))
+    d = require_in("delta_theta", delta_theta)
+    return _bits(_overlap(np.reshape(d, -1), n_r)[0].reshape(np.shape(d)))
 
 
 def _pair_formula(w, g, gap, two_n0) -> np.ndarray:
@@ -328,13 +326,10 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     slice. The slices share one np.errstate, entered once per call, and each
     takes its log-sum-exp of -P as min(P) - P, without a negated copy of P.
     """
-    w, g, theta = _paths(w, g, theta)
-    require_in("w", w, 0)
-    require_in("g", g, 0)
+    w, g, theta = _paths(w, g, theta, open_low=True)
     require_integer("n_r", n_r, minimum=1)
-    require_in("n0", n0, 0)
     # 2 n0 of every set, taken once, on a trailing axis the paths broadcast along
-    two_n0 = 2.0 * np.asarray(n0, dtype=np.float64)[..., None]
+    two_n0 = 2.0 * np.expand_dims(require_in("n0", n0, 0), -1)
     batch = _batch_shape(w=w.shape[:-1], n0=two_n0.shape[:-1])
     if batch != w.shape[:-1]:  # n0 adds batch axes
         w, g, theta = (np.broadcast_to(x, batch + x.shape[-1:]) for x in (w, g, theta))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import _as_real, _rekeyed, require_in, require_integer
+from .numerics import _rekeyed, require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -38,19 +38,18 @@ class ChannelRealization:
     def __post_init__(self):
         require_integer("n_tx", self.n_tx, minimum=1)
         require_integer("n_rx", self.n_rx, minimum=1)
-        arrays = [np.atleast_1d(_as_real(name, getattr(self, name)))
-                  for name in ("aod", "aoa", "gains")]
+        gains = np.atleast_1d(require_in("gains", self.gains, 0, open_low=False))
+        aod, aoa = (np.atleast_1d(require_in(name, getattr(self, name), -0.5, 0.5,
+                                             open_low=False, open_high=False))
+                    for name in ("aod", "aoa"))
         try:
-            aod, aoa, gains = np.broadcast_arrays(*arrays)
-            common = all(x.shape[-1] == gains.shape[-1] >= 1 for x in arrays)
+            common = all(x.shape[-1] == gains.shape[-1] >= 1 for x in (aod, aoa))
+            aod, aoa, gains = np.broadcast_arrays(aod, aoa, gains)
         except ValueError:
             common = False
         if not common:
             raise ParameterError("aod, aoa and gains must share a common length >= 1 on their "
                                  "last axis, and broadcast along the others", field="gains")
-        require_in("gains", gains, 0, open_low=False)
-        for name, angles in (("aod", aod), ("aoa", aoa)):
-            require_in(name, angles, -0.5, 0.5, open_low=False, open_high=False)
         order = np.argsort(-gains, axis=-1, kind="stable")
         for name, values in (("aod", aod), ("aoa", aoa), ("gains", gains)):
             object.__setattr__(self, name, np.take_along_axis(values, order, axis=-1))
@@ -68,10 +67,8 @@ def steering_vector(angle, n: int) -> np.ndarray:
     the (m, n) array with one response per row.
     """
     require_integer("n", n, minimum=1)
-    angle = _as_real("angle", angle)
-    require_in("angle", angle)
+    angle = np.expand_dims(require_in("angle", angle), -1)
     offsets = np.arange(n) - (n - 1) / 2.0
-    angle = angle[..., None]
     return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
 
 
@@ -156,8 +153,9 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     does not fit in a range fails at once with a ParameterError naming n_paths.
     """
     require_integer("n_paths", n_paths, minimum=1)
-    gains = _as_real("gains", gains)
-    if gains.shape != (n_paths,):
-        raise ParameterError(f"expected {n_paths} gains, got shape {gains.shape}", field="gains")
+    gains = require_in("gains", gains)
+    if np.shape(gains) != (n_paths,):
+        raise ParameterError(f"expected {n_paths} gains, got shape {np.shape(gains)}",
+                             field="gains")
     (aod,), (aoa,) = _draw_angles([rng], n_paths, n_tx, n_rx, aod_range, aoa_range)
     return ChannelRealization(n_tx=n_tx, n_rx=n_rx, aod=aod, aoa=aoa, gains=gains)

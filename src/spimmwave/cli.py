@@ -73,8 +73,7 @@ def _flag_value(flag: str, text, open_low: bool = True) -> float:
         value = float(text)
     except ValueError:
         raise ParameterError(f"{flag}: {text.strip()!r} is not a number", field=flag) from None
-    require_in(flag, value, 0, open_low=open_low)
-    return value
+    return require_in(flag, value, 0, open_low=open_low)
 
 
 def _cmd_check_conditions(args) -> int:

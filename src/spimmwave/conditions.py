@@ -20,21 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoRootError, ParameterError
-from .numerics import _as_real, _batch_shape, _require_number, require_in, require_integer
+from .numerics import _batch_shape, require_in, require_integer, require_number
 
 RELAXED_STEP = 0.01
 # b_max's domain: 2^16 beams lies far past any array modelled here, and the search over the
 # relaxed grid's 100 (2^16 - 1) candidates at the cap takes 23 rounds
 _B_MAX_CAP = 16
-
-# the interval of each shared argument, as require_in takes it
-_DOMAINS = {"gamma": dict(low=0, high=1), "n0": dict(low=0, open_low=False), "g1": dict(low=0)}
-
-
-def _check(**values) -> None:
-    """Raise a ParameterError naming the first of gamma, n0, g1 outside its domain."""
-    for name, value in values.items():
-        require_in(name, value, **_DOMAINS[name])
 
 
 class ThresholdResult(NamedTuple):
@@ -49,9 +40,8 @@ def two_path_margin(w1: float, w2: float) -> float:
     Positive means index modulation is guaranteed to win at high SNR, zero
     is the boundary, negative gives no guarantee.
     """
-    _require_number(w1=w1, w2=w2)
-    require_in("w2", w2, 0)
-    require_in("w1", w1, w2, open_low=False)
+    w2 = require_number("w2", w2, 0)
+    w1 = require_number("w1", w1, w2, open_low=False)
     return 4.0 * w2 - w1
 
 
@@ -62,17 +52,14 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     (strictly) when the geometric mean of w_2..w_M exceeds tau * w_1. A
     tau beyond the floating-point range is inf, and the condition fails.
     """
-    w = np.atleast_1d(_as_real("w", w))
-    g = np.atleast_1d(_as_real("g", g))
+    w = np.atleast_1d(require_in("w", w, 0))
+    g = np.atleast_1d(require_in("g", g, 0))
     m = len(w)
     if m < 2:
         raise ParameterError(f"need at least 2 paths, got {m}", field="w")
     if len(g) != m:
         raise ParameterError("w and g must have equal lengths", field="g")
-    require_in("w", w, 0)
-    require_in("g", g, 0)
-    _require_number(n0=n0)
-    _check(n0=n0)
+    n0 = require_number("n0", n0, 0, open_low=False)
     penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
     if n0 > 0:
         # a subnormal gain makes 1 / (w g) inf, and so the penalty
@@ -146,12 +133,12 @@ def spim_margin(gamma, n0, g1: float, b_max: int = 6, relax_integer: bool = Fals
     round computes only the candidate it probes per entry, and tests it as an
     exhaustive scan would, so every margin has the scan's bits.
     """
-    _check(gamma=gamma, n0=n0, g1=g1)
-    _require_number(g1=g1)
+    gamma = require_in("gamma", gamma, 0, 1)
+    n0 = require_in("n0", n0, 0, open_low=False)
+    g1 = require_number("g1", g1, 0)
     require_integer("b_max", b_max)
     require_in("b_max", b_max, 0, _B_MAX_CAP, open_low=False, open_high=False)
-    gamma, n0 = np.asarray(gamma, dtype=np.float64), np.asarray(n0, dtype=np.float64)
-    known = np.zeros(_batch_shape(gamma=gamma.shape, n0=n0.shape), dtype=np.intp)
+    known = np.zeros(_batch_shape(gamma=np.shape(gamma), n0=np.shape(n0)), dtype=np.intp)
     count = int(round((2.0 ** b_max - 1.0) / RELAXED_STEP)) if relax_integer else b_max
     noisy = n0 > 0
     with np.errstate(over="ignore"):  # known counts the candidates that win
@@ -175,9 +162,9 @@ def gamma_crossover(m: float, n0: float, g1: float) -> float:
     on the sign of the log condition until its midpoint is one of its ends.
     m, n0 and g1 are single numbers.
     """
-    _require_number(m=m, n0=n0, g1=g1)
-    require_in("m", m, 2, sys.float_info.max, open_low=False, open_high=False)
-    _check(n0=n0, g1=g1)
+    m = require_number("m", m, 2, sys.float_info.max, open_low=False, open_high=False)
+    n0 = require_number("n0", n0, 0, open_low=False)
+    g1 = require_number("g1", g1, 0)
     lo, hi = 1e-9, 1.0 - 1e-9
     beam_term = _beam_term(m)
     with np.errstate(over="ignore"):

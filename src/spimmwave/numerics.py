@@ -15,9 +15,13 @@ ids are independent. A stream is fully defined by its key and counter, so a
 loop that draws from many keys builds one Philox and re-keys it per key
 (_rekeyed), with the draws of make_rng(seed, stream); the Philox state
 layout lives in this module alone. The argument checks every module shares
-live here too: require_integer for counts, require_in for every interval
-domain, _require_number for arguments that take one number and _batch_shape
-for arrays whose shapes must broadcast.
+live here too. require_in is the one read of a numeric argument: it checks
+the value against an interval and returns what it read, a float for a
+Python number and a float64 array otherwise, so no caller casts an
+argument again after checking it. require_number is that read for an
+argument that takes one number, require_integer checks counts (their
+minimum through require_in) and _batch_shape arrays whose shapes must
+broadcast.
 """
 
 from __future__ import annotations
@@ -35,67 +39,64 @@ _UINT64_MASK = (1 << 64) - 1
 def require_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise a ParameterError naming the field unless value is an integer (a bool is not).
 
-    A given minimum is checked too, under the same field.
+    A given minimum is checked too, under the same field, by require_in, so a
+    count beyond the float range fails by name as well.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}", field=name)
-    if minimum is not None and value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}", field=name)
-
-
-def _as_real(name: str, value) -> np.ndarray:
-    """value read once as a float64 array; a ParameterError names the field where it is not real.
-
-    Whatever numpy reads as real numbers passes, an array of them included.
-    A string, a complex value, a ragged list or an integer beyond the float
-    range does not, nor a string inside an object array. None reads as NaN,
-    which require_in then refuses.
-    """
-    try:
-        array = np.asarray(value)
-        # the cast would parse a string and drop a complex value's imaginary part
-        if array.dtype.kind not in "biufO" or (
-                array.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in array.flat)):
-            raise TypeError(f"dtype {array.dtype}")
-        return array.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{name} must be real numbers, got {value!r}", field=name) from exc
-
-
-def _require_number(**values) -> None:
-    """Raise a ParameterError naming the first of values that is not one real number.
-
-    A Python int or float passes on its type alone, before any numpy call.
-    """
-    for name, value in values.items():
-        if not isinstance(value, (int, float)) and _as_real(name, value).ndim:
-            raise ParameterError(f"{name} must be one number, got shape {np.shape(value)}",
-                                 field=name)
+    if minimum is not None:
+        require_in(name, value, minimum, open_low=False)
 
 
 def require_in(name: str, value, low: float = -math.inf, high: float = math.inf, *,
-               open_low: bool = True, open_high: bool = True) -> None:
-    """Raise a ParameterError naming the field unless every entry of value lies in the interval.
+               open_low: bool = True, open_high: bool = True):
+    """value read once as real numbers, checked to lie in the interval, and returned.
 
-    The one domain rule of the package: value is a real scalar or array (any
-    other value fails as _as_real says), the interval runs from low to high,
+    The one domain rule of the package. A Python int or float comes back as a
+    float, any other value as a float64 array. A value that does not read as
+    real numbers raises a ParameterError naming the field: a string (also
+    inside an object array), a complex value, a ragged list, or an int beyond
+    the float range. None reads as NaN. The interval runs from low to high,
     each end open unless open_low or open_high is False, and NaN lies in no
     interval, so the default (-inf, inf) asks for finite entries. The message
     names the interval and the first entry outside it.
     """
     # The runners check many scalars and small arrays, so each check is kept cheap: a Python
-    # number compares as it is, to a bool, at a tenth of a 0-d array's cost, and numpy compares
-    # an array to a float bound at half an int's cost. A Python int is not cast, so one beyond
-    # the float range still compares.
+    # number is compared as a float, to a bool, at a tenth of a 0-d array's cost, and numpy
+    # compares an array to a float bound at half an int's cost.
     lo, hi = float(low), float(high)
-    if not isinstance(value, (int, float)):
-        value = _as_real(name, value)
-    inside = ((value > lo) if open_low else (value >= lo)) & (
-        (value < hi) if open_high else (value <= hi))
+    try:
+        if isinstance(value, (int, float)):
+            read = float(value)
+        else:
+            read = np.asarray(value)
+            # the cast would parse a string and drop a complex value's imaginary part
+            if read.dtype.kind not in "biufO" or (
+                    read.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in read.flat)):
+                raise TypeError(f"dtype {read.dtype}")
+            read = read.astype(np.float64, copy=False)
+    except OverflowError as exc:  # an int beyond the float range, alone or in a list
+        raise ParameterError(f"{name} must lie within the float range", field=name) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be real numbers, got {value!r}", field=name) from exc
+    inside = ((read > lo) if open_low else (read >= lo)) & (
+        (read < hi) if open_high else (read <= hi))
     if not (inside if isinstance(inside, bool) else inside.all()):
         interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
-        bad = np.asarray(value)[~np.asarray(inside)].flat[0]
+        bad = value if isinstance(read, float) else read[~inside].flat[0]
         raise ParameterError(f"{name} must lie in {interval}, got {bad}", field=name)
+    return read
+
+
+def require_number(name: str, value, *bounds, **ends) -> float:
+    """require_in(name, value, *bounds, **ends) for an argument that takes one number, as a float.
+
+    An array of any shape but () raises a ParameterError naming the field.
+    """
+    read = require_in(name, value, *bounds, **ends)
+    if np.ndim(read):
+        raise ParameterError(f"{name} must be one number, got shape {np.shape(read)}", field=name)
+    return float(read)
 
 
 def _batch_shape(**shapes) -> tuple:

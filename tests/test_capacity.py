@@ -258,6 +258,20 @@ NAN_CALLS = {
     "two_path_margin-w2-array": (lambda: two_path_margin(0.9, np.array([0.1, 0.2])), "w2"),
     "spim_margin-g1-array": (
         lambda: spim_margin([0.5, 0.6, 0.7], 0.1, np.array([64.0, 2.0])), "g1"),
+    # a Python int beyond the float range is read as a float once, where it is checked, so it
+    # fails by name there instead of as an OverflowError at a later cast; counts too
+    "mmwave_rate-w1-huge-int": (lambda: mmwave_rate(10**400, 64, 0.1), "w1"),
+    "mmwave_rate-g1-huge-int": (lambda: mmwave_rate(0.5, 10**400, 0.1), "g1"),
+    "spim_rate-n0-huge-int": (lambda: spim_rate([0.5], [64], [0.1], 8, 10**400), "n0"),
+    "spim_margin-g1-huge-int": (lambda: spim_margin(0.5, 0.1, 10**400), "g1"),
+    "gamma_crossover-n0-huge-int": (lambda: gamma_crossover(2, 10**400, 64.0), "n0"),
+    "gamma_crossover-g1-huge-int": (lambda: gamma_crossover(2, 0.1, 10**400), "g1"),
+    "geometric_mean_threshold-n0-huge-int": (
+        lambda: geometric_mean_threshold([0.6, 0.4], [64, 64], 10**400), "n0"),
+    "dirichlet_gain-delta_theta-huge-int": (lambda: dirichlet_gain(10**400, 8), "delta_theta"),
+    "two_path_margin-w1-huge-int": (lambda: two_path_margin(10**400, 0.1), "w1"),
+    "min_angle_separation-n_tx-huge-int": (lambda: min_angle_separation(10**400, 8), "n_tx"),
+    "steering_vector-n-huge-int": (lambda: steering_vector(0.1, 10**400), "n"),
 }
 
 
