@@ -40,7 +40,7 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
     the alphabet is deterministic; for n_s = 1 all choices are symmetric
     anyway.
     """
-    require_integer("m", m)
+    require_integer("m", m, minimum=1)
     require_integer("n_s", n_s)
     require_in("n_s", n_s, 1, m, open_low=False, open_high=False)
     total = math.comb(m, n_s)
@@ -52,12 +52,20 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
     return PatternAlphabet(m=m, n_s=n_s, patterns=patterns)
 
 
+def _require_channel(channel) -> None:
+    """Raise a ParameterError naming channel unless it is a ChannelRealization."""
+    if not isinstance(channel, ChannelRealization):
+        raise ParameterError(f"channel must be a ChannelRealization, got {channel!r}",
+                             field="channel")
+
+
 def build_abf(channel: ChannelRealization, m: int) -> np.ndarray:
     """Analog matrices (..., n_tx, m) steering one column along each of the m strongest paths.
 
     Columns are sqrt(n_tx) * a_tx(phi_j), which keeps every entry at unit
     modulus; the coherent array gain per beam is n_tx.
     """
+    _require_channel(channel)
     require_integer("m", m)
     require_in("m", m, 1, channel.n_paths, open_low=False, open_high=False)
     return np.sqrt(channel.n_tx) * steering_vector(channel.aod[..., :m],
@@ -75,8 +83,9 @@ def effective_channel(channel: ChannelRealization, abf: np.ndarray,
 
     mode "exact" multiplies the full channel matrix; mode "asymptotic" takes
     the large-array limit where beam j collapses to sqrt(w_j n_tx) a_rx(theta_j)
-    with no cross-path leakage.
+    with no cross-path leakage. abf is taken as build_abf returns it.
     """
+    _require_channel(channel)
     if mode == "exact":
         return build_channel(channel) @ abf
     if mode == "asymptotic":

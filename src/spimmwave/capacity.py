@@ -43,8 +43,8 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import (_batch_shape, cholesky_logdet, require_in, require_integer,
-                       require_number)
+from .numerics import (_batch_shape, _require_paths, cholesky_logdet, require_in,
+                       require_integer, require_number)
 
 LN2 = float(np.log(2.0))
 
@@ -137,12 +137,13 @@ def _paths(w, g, theta, open_low: bool):
     """w, g and theta read as float arrays of one shape: paths on the last axis, batch axes broadcast.
 
     w and g lie in (0, inf), or in [0, inf) if not open_low, and theta is finite.
+    An argument with no paths, or with a path count the others do not share,
+    raises a DimensionError naming it.
     """
     w, g = (np.atleast_1d(require_in(name, x, 0, open_low=open_low))
             for name, x in (("w", w), ("g", g)))
     theta = np.atleast_1d(require_in("theta", theta))
-    if not 1 <= w.shape[-1] == g.shape[-1] == theta.shape[-1]:
-        raise DimensionError("w, g and theta must have equal lengths of at least one path")
+    _require_paths(DimensionError, w=w, g=g, theta=theta)
     shape = _batch_shape(w=w.shape, g=g.shape, theta=theta.shape)
     return tuple(np.broadcast_to(x, shape) for x in (w, g, theta))
 
@@ -298,7 +299,8 @@ def _pair_formula(w, g, gap, two_n0) -> np.ndarray:
     return.
     """
     a = w * g / two_n0
-    if not a.max() ** 2 < math.inf:  # coincident beams would give inf * 0 there
+    # coincident beams would give inf * 0 there; a > 0, so the floor counts only for no sets
+    if not a.max(initial=0.0) ** 2 < math.inf:
         _too_small(two_n0 / 2.0, ~(a.max(axis=-1, keepdims=True) ** 2 < math.inf),
                    " for these gains: (w g / 2 n0)^2 overflows")
     a_n, a_t = a[..., :, None], a[..., None, :]
@@ -325,6 +327,7 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     them, and a theta that varies along the batch has its gaps taken slice by
     slice. The slices share one np.errstate, entered once per call, and each
     takes its log-sum-exp of -P as min(P) - P, without a negated copy of P.
+    An empty batch, an empty n0 say, gives an empty array, as in mmwave_rate.
     """
     w, g, theta = _paths(w, g, theta, open_low=True)
     require_integer("n_r", n_r, minimum=1)

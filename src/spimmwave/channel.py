@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import _rekeyed, require_in, require_integer
+from .numerics import _rekeyed, _require_paths, require_in, require_integer
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -27,6 +27,8 @@ class ChannelRealization:
     below returns one result per leading index. Paths are stored
     strongest-first: construction sorts each realization's (gain, aod, aoa)
     triples jointly by descending gain, ties keeping their original order.
+    An array with no paths, or with a path count the other two do not share,
+    fails naming it.
     """
 
     n_tx: int
@@ -42,14 +44,12 @@ class ChannelRealization:
         aod, aoa = (np.atleast_1d(require_in(name, getattr(self, name), -0.5, 0.5,
                                              open_low=False, open_high=False))
                     for name in ("aod", "aoa"))
+        _require_paths(ParameterError, gains=gains, aod=aod, aoa=aoa)
         try:
-            common = all(x.shape[-1] == gains.shape[-1] >= 1 for x in (aod, aoa))
             aod, aoa, gains = np.broadcast_arrays(aod, aoa, gains)
         except ValueError:
-            common = False
-        if not common:
-            raise ParameterError("aod, aoa and gains must share a common length >= 1 on their "
-                                 "last axis, and broadcast along the others", field="gains")
+            raise ParameterError("aod, aoa and gains must broadcast along their leading axes",
+                                 field="gains") from None
         order = np.argsort(-gains, axis=-1, kind="stable")
         for name, values in (("aod", aod), ("aoa", aoa), ("gains", gains)):
             object.__setattr__(self, name, np.take_along_axis(values, order, axis=-1))
@@ -112,14 +112,20 @@ def _draw_angles(rngs, n_paths: int, n_tx: int, n_rx: int, aod_range, aoa_range)
     Philox (numerics._rekeyed). Each stream draws its departures' n_paths
     uniforms and permutation of range(n_paths), then its arrivals'; _separate
     turns every stream's draws into angles at once. The angles do not depend
-    on the path gains. A range fails under its own name: lo must lie in
-    [-0.5, 0.5), then hi in (lo, 0.5]; a separation that does not fit in it
-    fails under n_paths.
+    on the path gains. A range is a (lo, hi) pair and fails under its own
+    name: lo must lie in [-0.5, 0.5), then hi in (lo, 0.5]; a separation that
+    does not fit in it fails under n_paths.
     """
-    ranges = (tuple(aod_range), tuple(aoa_range))
-    for name, (lo, hi) in zip(("aod_range", "aoa_range"), ranges):
+    ranges = []
+    for name, pair in (("aod_range", aod_range), ("aoa_range", aoa_range)):
+        pair = require_in(name, pair)
+        if np.shape(pair) != (2,):
+            raise ParameterError(f"{name} must be a (lo, hi) pair, got shape {np.shape(pair)}",
+                                 field=name)
+        lo, hi = pair.tolist()
         require_in(name, lo, -0.5, 0.5, open_low=False)
         require_in(name, hi, lo, 0.5, open_high=False)
+        ranges.append((lo, hi))
     floor = min_angle_separation(n_tx, n_rx)
     span = (n_paths - 1) * floor
     for lo, hi in ranges:
@@ -151,7 +157,10 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     streams, so a sweep's trial t holds the angles of
     sample_channel(make_rng(seed, t), ...), bit for bit. A separation that
     does not fit in a range fails at once with a ParameterError naming n_paths.
+    rng is a numpy Generator; anything else fails by name.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy Generator, got {rng!r}", field="rng")
     require_integer("n_paths", n_paths, minimum=1)
     gains = require_in("gains", gains)
     if np.shape(gains) != (n_paths,):

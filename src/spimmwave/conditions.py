@@ -53,12 +53,13 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     tau beyond the floating-point range is inf, and the condition fails.
     """
     w = np.atleast_1d(require_in("w", w, 0))
+    if w.ndim != 1 or len(w) < 2:
+        raise ParameterError(f"w must be one row of at least 2 path gains, got shape {w.shape}",
+                             field="w")
     g = np.atleast_1d(require_in("g", g, 0))
+    if g.shape != w.shape:
+        raise ParameterError(f"g must have the shape of w, {w.shape}, got {g.shape}", field="g")
     m = len(w)
-    if m < 2:
-        raise ParameterError(f"need at least 2 paths, got {m}", field="w")
-    if len(g) != m:
-        raise ParameterError("w and g must have equal lengths", field="g")
     n0 = require_number("n0", n0, 0, open_low=False)
     penalty = 1.0  # with n0 = 0 there is no penalty, never 0 * inf
     if n0 > 0:

@@ -2,15 +2,18 @@
 
 
 class SpimmwaveError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class ParameterError(SpimmwaveError, ValueError):
-    """An argument is outside its documented domain; `field` names it where the raiser knows it."""
+    `field` names the argument at fault where the raiser knows it, else it is None.
+    """
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(message)
+
+
+class ParameterError(SpimmwaveError, ValueError):
+    """An argument is outside its documented domain."""
 
 
 class DimensionError(SpimmwaveError, ValueError):
@@ -29,5 +32,4 @@ class SpecValidationError(SpimmwaveError, ValueError):
     """An experiment spec file is invalid; message carries the field path."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}", field)

@@ -99,6 +99,18 @@ def require_number(name: str, value, *bounds, **ends) -> float:
     return float(read)
 
 
+def _require_paths(error: type, **arrays) -> None:
+    """Raise error naming the first of arrays whose last axis is empty or of a length no other shares.
+
+    The arrays hold paths on their last axis, and all must hold the same number.
+    """
+    counts = [x.shape[-1] for x in arrays.values()]
+    for name, count in zip(arrays, counts):
+        if not count or counts.count(count) == 1:
+            raise error(f"{', '.join(arrays)} must hold the same number of paths, at least one, "
+                        f"on their last axis; {name} holds {count}", field=name)
+
+
 def _batch_shape(**shapes) -> tuple:
     """The broadcast of the named shapes; a DimensionError names them where they do not broadcast."""
     try:

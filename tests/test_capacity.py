@@ -272,6 +272,12 @@ NAN_CALLS = {
     "two_path_margin-w1-huge-int": (lambda: two_path_margin(10**400, 0.1), "w1"),
     "min_angle_separation-n_tx-huge-int": (lambda: min_angle_separation(10**400, 8), "n_tx"),
     "steering_vector-n-huge-int": (lambda: steering_vector(0.1, 10**400), "n"),
+    # the threshold test takes one row of path gains, and g of the same shape
+    "geometric_mean_threshold-w-2d": (
+        lambda: geometric_mean_threshold([[0.6, 0.4], [0.5, 0.3]], [[64, 64], [64, 64]], 0.1),
+        "w"),
+    "geometric_mean_threshold-g-2d": (
+        lambda: geometric_mean_threshold([0.6, 0.4], [[64, 64], [64, 64]], 0.1), "g"),
 }
 
 
@@ -330,6 +336,13 @@ def test_non_integer_count_raises_named_parameter_error(call, name):
     with pytest.raises(ParameterError, match=rf"\b{name}\b") as info:
         call()
     assert info.value.field == name
+
+
+def test_empty_noise_batch_gives_empty_rates():
+    # an empty batch of noise levels is scored like any other batch: no rates, not an error
+    assert mmwave_rate(0.6, 64.0, []).shape == (0,)
+    assert spim_rate([0.6, 0.4], [64.0, 64.0], [0.1, -0.1], 8, []).shape == (0,)
+    assert spim_rate([0.6], [64.0], [0.1], 8, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_mismatched_path_counts_raise_dimension_error():
