@@ -55,7 +55,7 @@ def pattern_alphabet(m: int, n_s: int) -> PatternAlphabet:
 def _require_channel(channel) -> None:
     """Raise a ParameterError naming channel unless it is a ChannelRealization."""
     if not isinstance(channel, ChannelRealization):
-        raise ParameterError(f"channel must be a ChannelRealization, got {channel!r}",
+        raise ParameterError(f"channel must be a ChannelRealization, got {type(channel).__name__}",
                              field="channel")
 
 

@@ -134,7 +134,7 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
 
 
 def _paths(w, g, theta, open_low: bool):
-    """w, g and theta read as float arrays of one shape: paths on the last axis, batch axes broadcast.
+    """w, g and theta read once, as float arrays of one shape: paths last, batch axes broadcast.
 
     w and g lie in (0, inf), or in [0, inf) if not open_low, and theta is finite.
     An argument with no paths, or with a path count the others do not share,
@@ -247,6 +247,7 @@ def mmwave_rate(w1, g1, n0) -> float:
     _batch_shape(w1=np.shape(w1), g1=np.shape(g1), n0=np.shape(n0))
     with np.errstate(over="ignore"):
         snr = w1 * g1 / n0
+    # not ~: for three Python numbers, snr < inf is a bool, and ~True is -2
     _too_small(n0, np.logical_not(snr < np.inf), ": w1 g1 / n0 overflows")
     return _bits(np.log1p(snr) / LN2)
 
@@ -332,7 +333,7 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     w, g, theta = _paths(w, g, theta, open_low=True)
     require_integer("n_r", n_r, minimum=1)
     # 2 n0 of every set, taken once, on a trailing axis the paths broadcast along
-    two_n0 = 2.0 * np.expand_dims(require_in("n0", n0, 0), -1)
+    two_n0 = 2.0 * np.asarray(require_in("n0", n0, 0))[..., None]
     batch = _batch_shape(w=w.shape[:-1], n0=two_n0.shape[:-1])
     if batch != w.shape[:-1]:  # n0 adds batch axes
         w, g, theta = (np.broadcast_to(x, batch + x.shape[-1:]) for x in (w, g, theta))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import _rekeyed, _require_paths, require_in, require_integer
+from .numerics import _rekeyed, _require_paths, require_in, require_integer, require_number
 
 DEFAULT_AOD_RANGE = (-0.35, 0.35)
 DEFAULT_AOA_RANGE = (-0.25, 0.25)
@@ -67,7 +67,7 @@ def steering_vector(angle, n: int) -> np.ndarray:
     the (m, n) array with one response per row.
     """
     require_integer("n", n, minimum=1)
-    angle = np.expand_dims(require_in("angle", angle), -1)
+    angle = np.asarray(require_in("angle", angle))[..., None]
     offsets = np.arange(n) - (n - 1) / 2.0
     return np.exp(-2j * np.pi * angle * offsets) / np.sqrt(n)
 
@@ -118,14 +118,12 @@ def _draw_angles(rngs, n_paths: int, n_tx: int, n_rx: int, aod_range, aoa_range)
     """
     ranges = []
     for name, pair in (("aod_range", aod_range), ("aoa_range", aoa_range)):
-        pair = require_in(name, pair)
-        if np.shape(pair) != (2,):
-            raise ParameterError(f"{name} must be a (lo, hi) pair, got shape {np.shape(pair)}",
-                                 field=name)
-        lo, hi = pair.tolist()
-        require_in(name, lo, -0.5, 0.5, open_low=False)
-        require_in(name, hi, lo, 0.5, open_high=False)
-        ranges.append((lo, hi))
+        try:
+            lo, hi = pair
+        except (TypeError, ValueError):
+            raise ParameterError(f"{name} must be a (lo, hi) pair", field=name) from None
+        lo = require_number(name, lo, -0.5, 0.5, open_low=False)
+        ranges.append((lo, require_number(name, hi, lo, 0.5, open_high=False)))
     floor = min_angle_separation(n_tx, n_rx)
     span = (n_paths - 1) * floor
     for lo, hi in ranges:
@@ -160,7 +158,7 @@ def sample_channel(rng: np.random.Generator, n_tx: int, n_rx: int, n_paths: int,
     rng is a numpy Generator; anything else fails by name.
     """
     if not isinstance(rng, np.random.Generator):
-        raise ParameterError(f"rng must be a numpy Generator, got {rng!r}", field="rng")
+        raise ParameterError(f"rng must be a Generator, got {type(rng).__name__}", field="rng")
     require_integer("n_paths", n_paths, minimum=1)
     gains = require_in("gains", gains)
     if np.shape(gains) != (n_paths,):

@@ -54,8 +54,7 @@ def geometric_mean_threshold(w, g, n0: float) -> ThresholdResult:
     """
     w = np.atleast_1d(require_in("w", w, 0))
     if w.ndim != 1 or len(w) < 2:
-        raise ParameterError(f"w must be one row of at least 2 path gains, got shape {w.shape}",
-                             field="w")
+        raise ParameterError(f"w must be one row of 2 or more gains, got {w.shape}", field="w")
     g = np.atleast_1d(require_in("g", g, 0))
     if g.shape != w.shape:
         raise ParameterError(f"g must have the shape of w, {w.shape}, got {g.shape}", field="g")

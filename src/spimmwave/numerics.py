@@ -20,7 +20,8 @@ the value against an interval and returns what it read, a float for a
 Python number and a float64 array otherwise, so no caller casts an
 argument again after checking it. require_number is that read for an
 argument that takes one number, require_integer checks counts (their
-minimum through require_in) and _batch_shape arrays whose shapes must
+minimum through require_in), _require_paths the path counts of arrays that
+hold paths on their last axis, and _batch_shape arrays whose shapes must
 broadcast.
 """
 
@@ -94,13 +95,13 @@ def require_number(name: str, value, *bounds, **ends) -> float:
     An array of any shape but () raises a ParameterError naming the field.
     """
     read = require_in(name, value, *bounds, **ends)
-    if np.ndim(read):
-        raise ParameterError(f"{name} must be one number, got shape {np.shape(read)}", field=name)
+    if not isinstance(read, float) and read.ndim:
+        raise ParameterError(f"{name} must be one number, got shape {read.shape}", field=name)
     return float(read)
 
 
 def _require_paths(error: type, **arrays) -> None:
-    """Raise error naming the first of arrays whose last axis is empty or of a length no other shares.
+    """Raise error naming the first of arrays with no paths or a path count no other shares.
 
     The arrays hold paths on their last axis, and all must hold the same number.
     """

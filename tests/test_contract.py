@@ -2,12 +2,14 @@
 
 Each row of ROWS holds one public callable and the keyword arguments of a
 valid call. Its numeric arguments map to the malformed kinds that are valid
-values for them: an empty list and a second entry where the argument
-broadcasts or holds paths, an int beyond the float range where it is an
-integer with no bound. The test replaces one argument at a time by each
-kind of MALFORMED: the call either returns, which only a valid kind may,
-or raises a SpimmwaveError whose field is that argument. Any other
-exception escapes and fails the test. Object arguments take the values of
+values for them: an empty list or a two-entry array where the argument
+broadcasts, a two-entry array where the valid call holds two paths, and an
+int beyond the float range where the argument is an integer with no bound.
+The valid calls with paths hold one path where they can, so a two-entry
+array there is a path count the other arguments do not share. The test
+replaces one argument at a time by each kind of MALFORMED: the call either
+returns, which only a valid kind may, or raises a SpimmwaveError whose
+field is that argument. Any other exception escapes and fails the test. Object arguments take the values of
 OBJECTS, none of them valid. The complex arrays (factors, eff, abf and a
 matrix to factor) and the objects the package builds for its own closed
 forms (a CovarianceSet, a MonteCarloSpec) are taken as given, as README
@@ -59,7 +61,7 @@ MALFORMED = {
 }
 OBJECTS = {"none": None, "tuple": (1, 2), "str": "a"}
 
-SCALAR = frozenset()  # every malformed kind must fail; so must a pair where one path is valid
+SCALAR = frozenset()  # every malformed kind must fail
 PATHS = frozenset({"pair"})  # two paths are valid where the valid call holds two
 ARRAY = frozenset({"empty", "pair"})  # an empty or two-entry batch is valid
 SEED = frozenset({"huge-int"})  # an integer with no bound
