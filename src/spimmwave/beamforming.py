@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization, build_channel, steering_vector
 from .errors import ParameterError
-from .numerics import require_in, require_integer
+from .numerics import _shown, require_in, require_integer
 
 
 @dataclass(frozen=True)
@@ -92,4 +92,4 @@ def effective_channel(channel: ChannelRealization, abf: np.ndarray,
         m = abf.shape[-1]
         return large_array_beams(channel.gains[..., :m], float(channel.n_tx),
                                  channel.aoa[..., :m], channel.n_rx).swapaxes(-1, -2)
-    raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {mode!r}", field="mode")
+    raise ParameterError(f"mode must be 'exact' or 'asymptotic', got {_shown(mode)}", field="mode")

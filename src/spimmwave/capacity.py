@@ -43,8 +43,8 @@ import numpy as np
 
 from .beamforming import PatternAlphabet, large_array_beams
 from .errors import DimensionError, ParameterError
-from .numerics import (_batch_shape, _require_paths, cholesky_logdet, require_in,
-                       require_integer, require_number)
+from .numerics import (_batch_shape, _require_paths, cholesky_logdet, require_complex,
+                       require_in, require_integer, require_number)
 
 LN2 = float(np.log(2.0))
 
@@ -69,9 +69,10 @@ class CovarianceSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n0", require_number("n0", self.n0, 0))
-        fac = np.ascontiguousarray(self.factors, dtype=np.complex128)
+        fac = np.ascontiguousarray(require_complex("factors", self.factors))
         if fac.ndim < 3 or fac.shape[-3] < 1:
-            raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}")
+            raise DimensionError(f"factors must be (..., k, n_r, s) with k >= 1, got {fac.shape}",
+                                 field="factors")
         object.__setattr__(self, "factors", fac)
 
     @property
@@ -124,9 +125,10 @@ def covariances(eff: np.ndarray, alphabet: PatternAlphabet, n0: float,
     The factor of pattern k is G_k = HA B_k / sqrt(n_s): its selection of
     the steered beams under the digital stage I/sqrt(n_s).
     """
-    eff = np.asarray(eff, dtype=np.complex128)
+    eff = require_complex("eff", eff)
     if eff.ndim != 2 or eff.shape[1] != alphabet.m:
-        raise DimensionError(f"effective channel must be (n_r, {alphabet.m}), got {eff.shape}")
+        raise DimensionError(f"effective channel must be (n_r, {alphabet.m}), got {eff.shape}",
+                             field="eff")
     if not np.isfinite(eff).all():
         raise ParameterError("effective channel eff must be finite", field="eff")
     factors = eff @ alphabet.patterns / np.sqrt(alphabet.n_s)

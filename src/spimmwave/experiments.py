@@ -15,9 +15,15 @@ its shannon rows in one mmwave_rate call. A q-function grid is scored in
 one dirichlet_gain call per array size, and a margin map in one spim_margin
 call. Monte-Carlo points share their draws along the sweep axis (common
 random numbers): a trial's beams are steered at every grid point by one
-batched channel, and one estimator call per trial and system covers every
-grid point, on the seed derived from (mc seed, trial, system), or from
-(mc seed, beam count, trial, 0) in gamma sweeps.
+batched channel. The trials go in blocks of n_tx // m, m the sweep's
+largest beam count, so a block's beams hold no more entries than one
+trial's channel and memory does not grow with the trial count. A system
+whose sets need no draws (one pattern, or two rank-one patterns:
+montecarlo._seed_free) is answered in one estimator call per block; any
+other takes one call per trial. Each call covers every grid point, on the
+seed derived from (mc seed, trial, system), or from (mc seed, beam count,
+trial, 0) in gamma sweeps; a block's call passes its first trial's seed,
+which the exact answer never reads, so no random stream changes.
 Trials keep independent streams, so a row's combined stderr still holds;
 rows along an axis are positively correlated, so their differences carry
 less Monte-Carlo error than their stderrs suggest.
@@ -40,7 +46,7 @@ from .channel import (DEFAULT_AOA_RANGE, DEFAULT_AOD_RANGE, ChannelRealization, 
                       min_angle_separation)
 from .conditions import _B_MAX_CAP, spim_margin
 from .errors import ParameterError, SpecValidationError
-from .montecarlo import MonteCarloSpec, mc_mutual_information
+from .montecarlo import MonteCarloSpec, _seed_free, mc_mutual_information
 
 METHOD_SHANNON = "shannon"
 METHOD_GENERAL_M = "general-m"
@@ -325,10 +331,15 @@ def _sweep_rows(spec: ExperimentSpec, axes, w, n0, beam_counts: tuple,
     beam_counts gives one monte-carlo block: switching among the first count
     steered beams, each one equiprobable pattern, the system spim_rate scores.
     A trial's beams are steered at every point at once, by one batched
-    channel, and all points of one trial and beam count are estimated in one
-    call, on the draws of the seed _mix_seed(mc.seed, *key, t, i) of pair i.
-    The sets of one call share a noise floor, so each point's beams are scaled
-    by 1/sqrt(N0) and sampled at n0 = 1: the rate depends only on G G^H / N0.
+    channel, and kept in a (points, block, m, n_r) array for a block of
+    max(1, n_tx // m) trials, no more entries than that (points, n_r, n_tx)
+    channel. A count whose sets need no draws (_seed_free) estimates all
+    points of the block's trials in one call, on the seed of its first
+    trial, which it never reads; any other count estimates all points of one
+    trial in one call, on the draws of the seed _mix_seed(mc.seed, *key, t, i)
+    of pair i. The sets of one call share a noise floor, so each point's
+    beams are scaled by 1/sqrt(N0) and sampled at n0 = 1: the rate depends
+    only on G G^H / N0.
     """
     ch = spec.channel
     m = w.shape[-1]
@@ -343,14 +354,21 @@ def _sweep_rows(spec: ExperimentSpec, axes, w, n0, beam_counts: tuple,
     mode = "asymptotic" if ch.asymptotic else "exact"
     scale = np.sqrt(n0)[:, None, None]
     out = np.empty((len(beam_counts), 2, len(n0), spec.trials))
-    for t in range(spec.trials):
-        chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
-        eff = effective_channel(chan, build_abf(chan, m), mode) / scale
-        beams_first = eff.swapaxes(1, 2)  # (points, beams, n_r)
-        for i, (beams, _) in enumerate(beam_counts):
-            covs = CovarianceSet(1.0, beams_first[:, :beams, :, None])
-            out[i, :, :, t] = mc_mutual_information(covs, MonteCarloSpec(
-                spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i))).T
+    size = max(1, ch.n_tx // m)  # a block's beams hold no more entries than one channel
+    for start in range(0, spec.trials, size):
+        block = out[..., start:start + size]  # a view: the calls write their trials' pairs
+        trials = range(start, start + block.shape[-1])
+        beams = np.empty((len(n0), len(trials), m, ch.n_rx), dtype=np.complex128)
+        for j, t in enumerate(trials):
+            chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
+            beams[:, j] = (effective_channel(chan, build_abf(chan, m), mode) / scale).swapaxes(1, 2)
+        for i, (count, _) in enumerate(beam_counts):
+            # a seed-free set reads no seed, so one call answers the whole block
+            calls = [(slice(None), start)] if _seed_free(count, 1) else enumerate(trials)
+            for j, t in calls:
+                covs = CovarianceSet(1.0, beams[:, j, :count, :, None])
+                block[i, :, :, j] = np.moveaxis(mc_mutual_information(covs, MonteCarloSpec(
+                    spec.mc.n_samples, seed=_mix_seed(spec.mc.seed, *key, t, i))), -1, 0)
     for (_, variant), (values, stderrs) in zip(beam_counts, out):
         rows += _rows(spec, axes, METHOD_MONTE_CARLO, variant, values, stderrs)
     return rows

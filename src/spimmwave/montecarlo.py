@@ -11,12 +11,14 @@ ln sum_j exp(E_j - E_c - ld_j) - ln K, and the rate in nats is minus the
 mean. Its own term is exactly exp(-ld_c): E_c and |y|^2 / N0 - n_r have the
 same exact mean tr A_cc, so both are integrated out.
 
-Two cases need no draws and report stderr 0. One pattern (K = 1) leaves
-nothing random: the answer is ld_1. Two rank-one patterns (K = 2, s = 1)
-leave one random scalar per component, Z = E_o - E_c, an indefinite
-Hermitian form of a complex Gaussian 2-vector, so Z = lam_+ X + lam_- Y with
-X, Y i.i.d. Exp(1). The rate is then a function of x_j = A_jj and
-delta = det A alone, and one 1-D quadrature gives it (_two_pattern_rate).
+Two cases need no draws, read no seed and report stderr 0; _seed_free
+decides which, and the sweeps answer such sets for a whole block of trials
+in one call. One pattern (K = 1) leaves nothing random: the answer is ld_1.
+Two rank-one patterns (K = 2, s = 1) leave one random scalar per component,
+Z = E_o - E_c, an indefinite Hermitian form of a complex Gaussian 2-vector,
+so Z = lam_+ X + lam_- Y with X, Y i.i.d. Exp(1). The rate is then a
+function of x_j = A_jj and delta = det A alone, and one 1-D quadrature
+gives it (_two_pattern_rate).
 delta is read off the R of the pair W = Q R that the closed forms' pair
 determinants read too (capacity._pair_factors), so it keeps its digits for
 near-parallel beams.
@@ -229,23 +231,31 @@ def _estimates(out: np.ndarray) -> McEstimate | np.ndarray:
     return McEstimate(float(out[0]), float(out[1])) if out.ndim == 1 else out
 
 
+def _seed_free(k: int, s: int) -> bool:
+    """Whether sets of k patterns of s columns are answered exactly: no draws, no seed read.
+
+    One pattern, or two rank-one patterns. mc_mutual_information dispatches
+    on it, and the sweeps answer such sets in one call per block of trials.
+    """
+    return k == 1 or (k == 2 and s == 1)
+
+
 def mc_mutual_information(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate | np.ndarray:
     """The total rate h(y) - N_r log2(pi e N0) in bits, with the stderr of its estimate.
 
     An unbatched set gives an McEstimate of floats. Leading axes before
     (k, n_r, s) give a (..., 2) array of (estimate, stderr) pairs, every set
     estimated on the same draws; a set's pair equals its own unbatched call.
-    One pattern, or two rank-one patterns, are answered exactly with stderr
-    0; every other set is sampled. An n0 too small for the factors fails in
-    covs.gram, as for the closed forms.
+    One pattern, or two rank-one patterns (_seed_free), are answered exactly
+    with stderr 0, and spec.seed is never read; every other set is sampled.
+    An n0 too small for the factors fails in covs.gram, as for the closed
+    forms.
     """
     k, s = covs.k, covs.factors.shape[-1]
-    if k == 1:
-        rate = covs.cholesky[1][..., 0] / LN2
-    elif k == 2 and s == 1:
-        rate = _two_pattern_rate(*_two_pattern_inputs(covs))
-    else:
+    if not _seed_free(k, s):
         return _sampled(covs, spec)
+    rate = (covs.cholesky[1][..., 0] / LN2 if k == 1
+            else _two_pattern_rate(*_two_pattern_inputs(covs)))
     return _estimates(np.stack([rate, np.zeros_like(rate)], axis=-1))
 
 

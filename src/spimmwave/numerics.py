@@ -18,11 +18,12 @@ layout lives in this module alone. The argument checks every module shares
 live here too. require_in is the one read of a numeric argument: it checks
 the value against an interval and returns what it read, a float for a
 Python number and a float64 array otherwise, so no caller casts an
-argument again after checking it. require_number is that read for an
-argument that takes one number, require_integer checks counts (their
-minimum through require_in), _require_paths the path counts of arrays that
-hold paths on their last axis, and _batch_shape arrays whose shapes must
-broadcast.
+argument again after checking it; require_complex is its twin for the
+complex arrays. require_number is that read for an argument that takes one
+number, require_integer checks counts (their minimum through require_in),
+_require_paths the path counts of arrays that hold paths on their last
+axis, and _batch_shape arrays whose shapes must broadcast. An error message
+shows a value through _shown, which never lets repr raise.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
 _UINT64_MASK = (1 << 64) - 1
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or its type's name where repr fails.
+
+    repr raises for an int of more digits than Python prints (4300 by
+    default), alone or inside a list, and it runs the value's own __repr__,
+    which may raise anything; a message about a bad value must still be made.
+    """
+    try:
+        return repr(value)
+    except Exception:
+        return f"a value of type {type(value).__name__}"
+
+
 def require_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise a ParameterError naming the field unless value is an integer (a bool is not).
 
@@ -44,7 +58,7 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
     count beyond the float range fails by name as well.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}", field=name)
+        raise ParameterError(f"{name} must be an integer, got {_shown(value)}", field=name)
     if minimum is not None:
         require_in(name, value, minimum, open_low=False)
 
@@ -79,7 +93,8 @@ def require_in(name: str, value, low: float = -math.inf, high: float = math.inf,
     except OverflowError as exc:  # an int beyond the float range, alone or in a list
         raise ParameterError(f"{name} must lie within the float range", field=name) from exc
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be real numbers, got {value!r}", field=name) from exc
+        raise ParameterError(f"{name} must be real numbers, got {_shown(value)}",
+                             field=name) from exc
     inside = ((read > lo) if open_low else (read >= lo)) & (
         (read < hi) if open_high else (read <= hi))
     if not (inside if isinstance(inside, bool) else inside.all()):
@@ -87,6 +102,28 @@ def require_in(name: str, value, low: float = -math.inf, high: float = math.inf,
         bad = value if isinstance(read, float) else read[~inside].flat[0]
         raise ParameterError(f"{name} must lie in {interval}, got {bad}", field=name)
     return read
+
+
+def require_complex(name: str, value) -> np.ndarray:
+    """value read once as a complex128 array, the complex twin of require_in.
+
+    The read is the cast the callers made before, plus one dtype test, so an
+    array on the hot path costs what it did. A value that does not read as
+    complex numbers raises a ParameterError naming the field: a string (also
+    inside an object array), a ragged list, or an int beyond the float range.
+    Shapes and finiteness are the caller's to check.
+    """
+    try:
+        read = value if isinstance(value, np.ndarray) else np.asarray(value)
+        kind = read.dtype.kind
+        # the cast would parse a string
+        if kind not in "biufc" and (kind != "O" or any(isinstance(x, (str, bytes))
+                                                       for x in read.flat)):
+            raise TypeError(f"dtype {read.dtype}")
+        return np.asarray(read, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be complex numbers, got {_shown(value)}",
+                             field=name) from exc
 
 
 def require_number(name: str, value, *bounds, **ends) -> float:
@@ -159,9 +196,9 @@ def hermitian_logdet(m: np.ndarray):
     the array of their log-determinants. Raises if any matrix is not square,
     not Hermitian or not positive definite.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = require_complex("m", m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {m.shape}")
+        raise DimensionError(f"expected square matrices, got shape {m.shape}", field="m")
     # tolerance scales with entry magnitude; matrices formed as G^H G are
     # Hermitian to rounding, so this only catches misuse (and NaN)
     tol = 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))

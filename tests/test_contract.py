@@ -9,11 +9,13 @@ The valid calls with paths hold one path where they can, so a two-entry
 array there is a path count the other arguments do not share. The test
 replaces one argument at a time by each kind of MALFORMED: the call either
 returns, which only a valid kind may, or raises a SpimmwaveError whose
-field is that argument. Any other exception escapes and fails the test. Object arguments take the values of
-OBJECTS, none of them valid. The complex arrays (factors, eff, abf and a
-matrix to factor) and the objects the package builds for its own closed
-forms (a CovarianceSet, a MonteCarloSpec) are taken as given, as README
-says.
+field is that argument. Any other exception escapes and fails the test.
+The complex arrays factors, eff and hermitian_logdet's m are numeric
+arguments too, read by numerics.require_complex; none of the kinds has
+their rank, so every kind must fail. Object arguments take the values of
+OBJECTS, none of them valid. effective_channel's abf and the objects the
+package builds for its own closed forms (a CovarianceSet, a MonteCarloSpec)
+are taken as given, as README says.
 """
 
 from typing import Callable, NamedTuple
@@ -58,6 +60,7 @@ MALFORMED = {
     "complex": 0.5 + 0.5j,
     "empty": [],
     "pair": np.array([0.5, 0.5]),
+    "unprintable": [10**5000, [1]],  # unreadable, and repr raises: too many digits to print
 }
 OBJECTS = {"none": None, "tuple": (1, 2), "str": "a"}
 
@@ -86,9 +89,9 @@ ROWS = {
     "asymptotic_covariances": Row(asymptotic_covariances, PATH_ARGS,
                                   dict(w=SCALAR, g=SCALAR, theta=SCALAR, n_r=SCALAR, n0=SCALAR)),
     "CovarianceSet": Row(CovarianceSet, dict(n0=0.1, factors=np.ones((2, 8, 1))),
-                         dict(n0=SCALAR)),
+                         dict(n0=SCALAR, factors=SCALAR)),
     "covariances": Row(covariances, dict(eff=np.ones((8, 2)), alphabet=pattern_alphabet(2, 1),
-                                         n0=0.1), dict(n0=SCALAR)),
+                                         n0=0.1), dict(eff=SCALAR, n0=SCALAR)),
     "dirichlet_gain": Row(dirichlet_gain, dict(delta_theta=0.1, n_r=8),
                           dict(delta_theta=ARRAY, n_r=SCALAR)),
     "spim_margin": Row(spim_margin, dict(gamma=0.5, n0=0.1, g1=64.0, b_max=6),
@@ -118,9 +121,9 @@ ROWS = {
     "build_abf": Row(build_abf, dict(channel=CHANNEL, m=2), dict(m=SCALAR), ("channel",)),
     "effective_channel": Row(effective_channel, dict(channel=CHANNEL, abf=np.ones((64, 2))),
                              objects=("channel",)),
+    "hermitian_logdet": Row(hermitian_logdet, dict(m=np.eye(2)), dict(m=SCALAR)),
     # no numeric argument: each takes only objects of the package, as README says
     "build_channel": Row(build_channel, dict(real=CHANNEL)),
-    "hermitian_logdet": Row(hermitian_logdet, dict(m=np.eye(2))),
     "conditional_symbol_rate": Row(conditional_symbol_rate, dict(covs=COVS)),
     "total_rate_approx": Row(total_rate_approx, dict(covs=COVS)),
     "mc_mutual_information": Row(mc_mutual_information, dict(covs=COVS, spec=MonteCarloSpec())),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -321,17 +322,27 @@ def test_monte_carlo_rows_sample_the_beams_the_closed_form_scores():
      "channel": {"asymptotic": True}},
     {"experiment": "gamma-sweep", "grid": [0.2, 0.6, 0.9], "channel": {"m": [1, 3]},
      "noise": {"n0": 0.1}},
+    # trials in blocks of n_tx // m, the last one short: 4 + 4 + 2, and at m = 1, 2 and 3
+    # blocks of 8, 4 and 2 over 9 trials
+    {"experiment": "snr-sweep", "grid": [-5.0, 15.0], "trials": 10,
+     "channel": {"n_tx": 8, "gains": [0.6, 0.4]}},
+    {"experiment": "gamma-sweep", "grid": [0.3, 0.8], "trials": 9,
+     "channel": {"n_tx": 8, "m": [1, 2, 3]}, "noise": {"n0": 0.1}},
 ])
 def test_monte_carlo_rows_equal_per_point_calls(data, monkeypatch):
-    # one batched call per (trial, beam count) over all grid points, on the seed
-    # _mix_seed(mc.seed, t, i), or _mix_seed(mc.seed, m, t, 0) in gamma sweeps; each row
-    # equals the estimator called point by point on those seeds, with beams scaled to n0 = 1;
-    # a 700-draw chunk makes every call pool several chunks
+    # a beam count that needs no draws (m <= 2) takes one call per block of trials over all
+    # grid points, any other one call per trial, on the seed _mix_seed(mc.seed, t, i), or
+    # _mix_seed(mc.seed, m, t, 0) in gamma sweeps; each row equals the estimator called point
+    # by point and trial by trial on those seeds, with beams scaled to n0 = 1; a 700-draw
+    # chunk makes every sampled call pool several chunks
     monkeypatch.setattr(montecarlo, "_CHUNK", 700)
-    spec = spec_from_dict(dict(data, trials=2, seed=3, mc={"n_samples": 2000, "seed": 9}))
+    spec = spec_from_dict(dict({"trials": 2}, **data, seed=3,
+                               mc={"n_samples": 2000, "seed": 9}))
     rows = [r for r in run_experiment(spec) if r.method == "monte-carlo"]
     mode = "asymptotic" if spec.channel.asymptotic else "exact"
-    assert len(rows) == 2 * len(spec.grid)
+    n_tx = spec.channel.n_tx
+    systems = len(spec.channel.m) if spec.experiment == "gamma-sweep" else 2
+    assert len(rows) == systems * len(spec.grid)
     for row in rows:
         if spec.experiment == "gamma-sweep":
             m = beams = int(row.variant[2:])
@@ -342,7 +353,7 @@ def test_monte_carlo_rows_equal_per_point_calls(data, monkeypatch):
             n0 = 10.0 ** (-row.axis / 10.0) if spec.experiment == "snr-sweep" else 0.1
         estimates = []
         for t in range(spec.trials):
-            chan = sample_channel(make_rng(3, t), 64, 8, m, gains=gains)
+            chan = sample_channel(make_rng(3, t), n_tx, 8, m, gains=gains)
             eff = effective_channel(chan, build_abf(chan, m), mode) / math.sqrt(n0)
             key = (m, t, 0) if spec.experiment == "gamma-sweep" else (t, 2 - beams)
             covs = CovarianceSet(1.0, eff[:, :beams].T[:, :, None])
@@ -399,15 +410,38 @@ def test_sweeps_make_one_call_per_sweep_whatever_the_grid(grid, monkeypatch):
     run_experiment(spec_from_dict({"experiment": "snr-sweep", "grid": grid, "trials": 3,
                                    "channel": {"gains": [0.6, 0.4]}, "mc": mc}))
     # one closed-form call per system over every point; the Monte-Carlo beams of both
-    # systems are steered once per trial, and estimated once per (trial, system)
-    assert [len(log) for log in calls.values()] == [1, 1, 3, 3 * 2]
+    # systems are steered once per trial, and both systems need no draws (K <= 2 rank-one
+    # patterns), so each is estimated once per block of 64 // 2 = 32 trials: here one block
+    assert [len(log) for log in calls.values()] == [1, 1, 3, 2]
     for log in calls.values():
         log.clear()
     gammas = [0.2 * (i + 1) for i in range(len(grid))]
     run_experiment(spec_from_dict({"experiment": "gamma-sweep", "grid": gammas,
                                    "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1},
                                    "trials": 2, "mc": mc}))
-    assert [len(log) for log in calls.values()] == [3, 0, 2 * 3, 2 * 3]
+    # m = 1 and m = 2 need no draws, one call per block; m = 4 samples, one call per trial
+    assert [len(log) for log in calls.values()] == [3, 0, 2 * 3, 1 + 1 + 2]
+
+
+def test_monte_carlo_memory_stays_that_of_one_block():
+    # a block of n_tx // m = 32 trials keeps its beams, (points, 32, 2, n_rx), no more entries
+    # than one trial's (points, n_rx, n_tx) channel; at n_rx = 256 the beams dominate, and
+    # ten blocks' worth of trials must peak as one block's worth does
+    def spec(trials):
+        return spec_from_dict({"experiment": "snr-sweep", "grid": [0.0, 10.0], "trials": trials,
+                               "channel": {"n_rx": 256, "gains": [0.6, 0.4]},
+                               "mc": {"n_samples": 1000}})
+
+    run_experiment(spec(32))  # untraced: warms numpy's caches
+    peaks = []
+    for trials in (32, 320):
+        tracemalloc.start()
+        try:
+            run_experiment(spec(trials))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("normalize", [False, True])
