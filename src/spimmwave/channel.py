@@ -58,6 +58,19 @@ class ChannelRealization:
     def n_paths(self) -> int:
         return self.gains.shape[-1]
 
+    def _take(self, index) -> ChannelRealization:
+        """The realizations at index of the leading axes, without checking or sorting them again.
+
+        The arrays were checked and sorted when self was built, and indexing
+        the leading axes keeps every path row whole, so the result holds what
+        the constructor would make of it, for the cost of three index reads.
+        index is any numpy index that leaves the last (path) axis alone.
+        """
+        out = object.__new__(ChannelRealization)
+        vars(out).update(n_tx=self.n_tx, n_rx=self.n_rx, aod=self.aod[index],
+                         aoa=self.aoa[index], gains=self.gains[index])
+        return out
+
 
 def steering_vector(angle, n: int) -> np.ndarray:
     """Unit-norm array response; entry k is exp(-j2*pi*a*(k-(n-1)/2))/sqrt(n).

@@ -14,13 +14,19 @@ block to its rows in one pass over the trial axis; an snr or w1 sweep adds
 its shannon rows in one mmwave_rate call. A q-function grid is scored in
 one dirichlet_gain call per array size, and a margin map in one spim_margin
 call. Monte-Carlo points share their draws along the sweep axis (common
-random numbers): a trial's beams are steered at every grid point by one
-batched channel. The trials go in blocks of n_tx // m, m the sweep's
-largest beam count, so a block's beams hold no more entries than one
-trial's channel and memory does not grow with the trial count. A system
-whose sets need no draws (one pattern, or two rank-one patterns:
-montecarlo._seed_free) is answered in one estimator call per block; any
-other takes one call per trial. Each call covers every grid point, on the
+random numbers). A sweep builds and checks one batched ChannelRealization
+of all its trials and steers them in groups of points // (gain rows)
+trials, at least one, each group at every grid point by one build_abf and
+one effective_channel call: an snr sweep shares one gain row across its
+points, so a group holds up to points trials, and a w1 or gamma sweep,
+whose gains change along the grid, steers one trial per call. A group's
+channels then hold no more entries than one trial's channel at every
+point. The trials go in blocks of n_tx // m, m the sweep's largest beam
+count, so a block's beams hold no more entries than that channel either,
+and memory does not grow with the trial count. A system whose sets need
+no draws (one pattern, or two rank-one patterns: montecarlo._seed_free) is
+answered in one estimator call per block; any other takes one call per
+trial. Each call covers every grid point, on the
 seed derived from (mc seed, trial, system), or from (mc seed, beam count,
 trial, 0) in gamma sweeps; a block's call passes its first trial's seed,
 which the exact answer never reads, so no random stream changes.
@@ -330,14 +336,20 @@ def _sweep_rows(spec: ExperimentSpec, axes, w, n0, beam_counts: tuple,
     take the variant of beam_counts[0]. Each (count, variant) pair of
     beam_counts gives one monte-carlo block: switching among the first count
     steered beams, each one equiprobable pattern, the system spim_rate scores.
-    A trial's beams are steered at every point at once, by one batched
-    channel, and kept in a (points, block, m, n_r) array for a block of
+    The sweep's channels are one ChannelRealization of shape (trials, W, m),
+    W the gain rows of w, built and checked once; the drawn angles and the
+    validated gains need no second check. Its trials are steered in groups of
+    max(1, points // W), each group at every point by one build_abf and one
+    effective_channel call on the realization's _take of those trials, so a
+    call's channels hold at most (points, n_r, n_tx) entries: an snr sweep
+    steers up to points trials a call, a w1 or gamma sweep one. The beams
+    are kept in a (points, block, m, n_r) array for a block of
     max(1, n_tx // m) trials, no more entries than that (points, n_r, n_tx)
-    channel. A count whose sets need no draws (_seed_free) estimates all
-    points of the block's trials in one call, on the seed of its first
-    trial, which it never reads; any other count estimates all points of one
-    trial in one call, on the draws of the seed _mix_seed(mc.seed, *key, t, i)
-    of pair i. The sets of one call share a noise floor, so each point's
+    channel, and a group never crosses a block's end. A count whose sets
+    need no draws (_seed_free) estimates all points of the block's trials in
+    one call, on the seed of its first trial, which it never reads; any other
+    count estimates all points of one trial in one call, on the draws of the
+    seed _mix_seed(mc.seed, *key, t, i) of pair i. The sets of one call share a noise floor, so each point's
     beams are scaled by 1/sqrt(N0) and sampled at n0 = 1: the rate depends
     only on G G^H / N0.
     """
@@ -355,13 +367,16 @@ def _sweep_rows(spec: ExperimentSpec, axes, w, n0, beam_counts: tuple,
     scale = np.sqrt(n0)[:, None, None]
     out = np.empty((len(beam_counts), 2, len(n0), spec.trials))
     size = max(1, ch.n_tx // m)  # a block's beams hold no more entries than one channel
+    group = max(1, len(n0) // len(w))  # nor do a group's channels: group * len(w) <= points
+    real = ChannelRealization(ch.n_tx, ch.n_rx, aod[:, None], aoa[:, None], w)
     for start in range(0, spec.trials, size):
         block = out[..., start:start + size]  # a view: the calls write their trials' pairs
         trials = range(start, start + block.shape[-1])
         beams = np.empty((len(n0), len(trials), m, ch.n_rx), dtype=np.complex128)
-        for j, t in enumerate(trials):
-            chan = ChannelRealization(ch.n_tx, ch.n_rx, aod[t], aoa[t], w)
-            beams[:, j] = (effective_channel(chan, build_abf(chan, m), mode) / scale).swapaxes(1, 2)
+        for j in range(0, len(trials), group):
+            chan = real._take(slice(start + j, start + min(j + group, len(trials))))
+            eff = effective_channel(chan, build_abf(chan, m), mode) / scale
+            beams[:, j:j + group] = eff.transpose(1, 0, 3, 2)
         for i, (count, _) in enumerate(beam_counts):
             # a seed-free set reads no seed, so one call answers the whole block
             calls = [(slice(None), start)] if _seed_free(count, 1) else enumerate(trials)

@@ -28,6 +28,7 @@ shows a value through _shown, which never lets repr raise.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 
@@ -158,34 +159,57 @@ def _batch_shape(**shapes) -> tuple:
                              f"{', '.join(map(str, shapes.values()))}") from exc
 
 
+@functools.cache
+def _fixed_seed_sequence() -> np.random.SeedSequence:
+    """The one SeedSequence every make_rng Philox is built from before its key is set.
+
+    Philox(key=...) builds a SeedSequence from OS entropy and ignores it. Only
+    the key and counter define a stream, so this shared sequence reaches no
+    draw; Generator.spawn would read it, and is outside the RNG contract,
+    whose further streams are new stream ids. It is made on first use, so
+    importing the package does not load numpy.random.
+    """
+    return np.random.SeedSequence(0)
+
+
+def _philox_state(seed: int, stream: int) -> dict:
+    """The state a new Philox keyed by (seed, stream) starts in, each masked to 64 bits.
+
+    A zero counter, an empty buffer (its four words used up) and no buffered
+    uint32: this module alone knows the layout.
+    """
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed & _UINT64_MASK, stream & _UINT64_MASK]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for the (seed, stream) pair of the splittable RNG contract; both are integers."""
+    """Generator for the (seed, stream) pair of the splittable RNG contract; both are integers.
+
+    It draws as Generator(Philox(key=[seed, stream])) with both masked to 64
+    bits, without the OS entropy that constructor reads and ignores.
+    """
     require_integer("seed", seed)
     require_integer("stream", stream)
-    key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(_fixed_seed_sequence())
+    bits.state = _philox_state(seed, stream)
+    return np.random.Generator(bits)
 
 
 def _rekeyed(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
     """One Generator per (seed, stream) key in turn, each drawing as make_rng(seed, stream).
 
     The Generator of the first key is built by make_rng; every later key
-    restarts it by setting its Philox state to the masked key, a zero counter,
-    an empty buffer (its four words used up) and no buffered uint32: the
-    state a new Philox starts in. Building a Philox costs far more, most of it
-    a SeedSequence drawing OS entropy that the key then overrides. Every key
-    yields the same object, valid until the next key is taken.
+    restarts it by setting its Philox state to _philox_state(seed, stream),
+    the state a new Philox starts in, which costs far less than building one.
+    Every key yields the same object, valid until the next key is taken.
     """
     rng = None
     for seed, stream in keys:
         if rng is None:
             rng = make_rng(seed, stream)
         else:
-            rng.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0, 0, 0, 0],
-                          "key": [seed & _UINT64_MASK, stream & _UINT64_MASK]},
-                "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            rng.bit_generator.state = _philox_state(seed, stream)
         yield rng
 
 

@@ -201,6 +201,18 @@ def test_batched_channel_equals_per_realization_calls():
             assert _same_bits(abf[index], build_abf(one, m))
             for mode, eff in effs.items():
                 assert _same_bits(eff[index], effective_channel(one, build_abf(one, m), mode))
+    # _take reads the checked, sorted rows at an index of the leading axes without checking
+    # them again: the realization the constructor makes of those rows, steered alike
+    for index in (1, (0, slice(1, 3)), slice(None), (slice(1, 2), 3)):
+        part = batch._take(index)
+        rows = (aod[index], np.broadcast_to(aoa, aod.shape)[index], gains[index])
+        again = ChannelRealization(32, 8, *rows)
+        assert (part.n_tx, part.n_rx) == (32, 8)
+        for name in ("aod", "aoa", "gains"):
+            assert _same_bits(getattr(part, name), getattr(again, name))
+        for mode in ("exact", "asymptotic"):
+            assert _same_bits(effective_channel(part, build_abf(part, 2), mode),
+                              effective_channel(batch, build_abf(batch, 2), mode)[index])
     # the tied row keeps its order, the out-of-order rows are sorted strongest-first
     assert list(batch.gains[0, 2]) == [0.5, 0.2, 0.2]
     assert list(batch.aod[0, 1]) == list(aod[0, 1])

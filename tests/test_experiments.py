@@ -328,6 +328,15 @@ def test_monte_carlo_rows_sample_the_beams_the_closed_form_scores():
      "channel": {"n_tx": 8, "gains": [0.6, 0.4]}},
     {"experiment": "gamma-sweep", "grid": [0.3, 0.8], "trials": 9,
      "channel": {"n_tx": 8, "m": [1, 2, 3]}, "noise": {"n0": 0.1}},
+    # an snr sweep steers groups of points // 1 trials within a block: blocks of 4 split
+    # into groups of 3 + 1, and the short last block of 2 is one group; a w1 sweep, whose
+    # gains change along the grid, steers one trial per call
+    {"experiment": "snr-sweep", "grid": [-5.0, 5.0, 15.0], "trials": 10,
+     "channel": {"n_tx": 8, "gains": [0.6, 0.4]}},
+    {"experiment": "snr-sweep", "grid": [-5.0, 5.0, 15.0], "trials": 10,
+     "channel": {"n_tx": 8, "gains": [0.6, 0.4], "asymptotic": True}},
+    {"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9], "trials": 9, "noise": {"n0": 0.1},
+     "channel": {"n_tx": 8}},
 ])
 def test_monte_carlo_rows_equal_per_point_calls(data, monkeypatch):
     # a beam count that needs no draws (m <= 2) takes one call per block of trials over all
@@ -410,9 +419,10 @@ def test_sweeps_make_one_call_per_sweep_whatever_the_grid(grid, monkeypatch):
     run_experiment(spec_from_dict({"experiment": "snr-sweep", "grid": grid, "trials": 3,
                                    "channel": {"gains": [0.6, 0.4]}, "mc": mc}))
     # one closed-form call per system over every point; the Monte-Carlo beams of both
-    # systems are steered once per trial, and both systems need no draws (K <= 2 rank-one
-    # patterns), so each is estimated once per block of 64 // 2 = 32 trials: here one block
-    assert [len(log) for log in calls.values()] == [1, 1, 3, 2]
+    # systems are steered in groups of len(grid) trials, the 3 trials here in 3 calls or in
+    # 1, and both systems need no draws (K <= 2 rank-one patterns), so each is estimated
+    # once per block of 64 // 2 = 32 trials: here one block
+    assert [len(log) for log in calls.values()] == [1, 1, math.ceil(3 / len(grid)), 2]
     for log in calls.values():
         log.clear()
     gammas = [0.2 * (i + 1) for i in range(len(grid))]
@@ -421,6 +431,46 @@ def test_sweeps_make_one_call_per_sweep_whatever_the_grid(grid, monkeypatch):
                                    "trials": 2, "mc": mc}))
     # m = 1 and m = 2 need no draws, one call per block; m = 4 samples, one call per trial
     assert [len(log) for log in calls.values()] == [3, 0, 2 * 3, 1 + 1 + 2]
+
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "snr-sweep", "grid": [-5.0, 5.0, 15.0], "trials": 10,
+     "channel": {"gains": [0.6, 0.4]}},
+    {"experiment": "snr-sweep", "grid": [-5.0, 5.0, 15.0], "trials": 10,
+     "channel": {"n_tx": 8, "gains": [0.6, 0.4], "asymptotic": True}},
+    {"experiment": "w1-sweep", "grid": [0.5, 0.7, 0.9], "trials": 9, "noise": {"n0": 0.1}},
+    {"experiment": "gamma-sweep", "grid": [0.3, 0.8], "trials": 5,
+     "channel": {"m": [1, 2, 4]}, "noise": {"n0": 0.1}},
+])
+def test_monte_carlo_steers_no_more_realizations_than_grid_points(data, monkeypatch):
+    # each sweep builds and checks one realization; each effective_channel call steers at
+    # most as many realizations as the grid has points, so its (..., n_rx, n_tx) channel holds
+    # no more entries than one trial's channel at every point: whole blocks of trials would
+    # hold up to n_tx // m times that. A w1 or gamma sweep, whose gains change along the grid,
+    # steers one trial per call
+    built, steered = [], []
+    post_init = channel.ChannelRealization.__post_init__
+
+    def counted_init(real):
+        built.append(real)
+        post_init(real)
+
+    def counted_steer(chan, *args):
+        steered.append(math.prod(chan.gains.shape[:-1]))
+        return effective_channel(chan, *args)
+
+    monkeypatch.setattr(channel.ChannelRealization, "__post_init__", counted_init)
+    monkeypatch.setattr(experiments, "effective_channel", counted_steer)
+    spec = spec_from_dict(dict(data, mc={"n_samples": 1000}))
+    run_experiment(spec)
+    sweeps = len(spec.channel.m) if spec.experiment == "gamma-sweep" else 1
+    points = len(spec.grid)
+    assert len(built) == sweeps
+    assert max(steered) == points
+    if spec.experiment == "snr-sweep":  # one gain row: groups of up to points trials
+        assert sum(steered) == spec.trials
+    else:
+        assert steered == [points] * (sweeps * spec.trials)
 
 
 def test_monte_carlo_memory_stays_that_of_one_block():

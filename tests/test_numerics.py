@@ -156,6 +156,25 @@ def test_rekeyed_streams_equal_fresh_generators():
             assert np.array_equal(rng.permutation(2), fresh.permutation(2))
 
 
+@pytest.mark.parametrize("key", REKEYED + [(0, 0), (-1, -1), (1 << 64, 1 << 65), (-(1 << 70), 7),
+                                     ((1 << 64) - 1, (1 << 63) + 5)])
+def test_make_rng_draws_as_philox_keyed_by_the_masked_pair(key, monkeypatch):
+    # the keyed Philox reads OS entropy and ignores it; make_rng must read none and draw the same
+    seed, stream = key
+    expected = np.random.Generator(np.random.Philox(
+        key=np.array([seed & ((1 << 64) - 1), stream & ((1 << 64) - 1)], dtype=np.uint64)))
+
+    def no_entropy(*args):
+        raise AssertionError("make_rng read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    rng = make_rng(seed, stream)
+    assert _plain(rng.bit_generator.state) == _plain(expected.bit_generator.state)
+    assert np.array_equal(rng.uniform(-0.3, 0.2, size=5), expected.uniform(-0.3, 0.2, size=5))
+    assert np.array_equal(rng.permutation(7), expected.permutation(7))
+    assert np.array_equal(rng.standard_normal(9), expected.standard_normal(9))
+
+
 def test_rekeyed_streams_reuse_one_generator():
     rngs = {id(rng) for rng in _rekeyed(REKEYED)}
     assert len(rngs) == 1
