@@ -29,7 +29,9 @@ spim_rate, the paper's general-M closed form on large-array beams, needs
 none of that machinery: its pair determinants depend on the beams only
 through a = w g / 2N0 and the Dirichlet overlap q of their angles, so it
 evaluates the pair formula elementwise on the one Dirichlet kernel,
-_overlap, which dirichlet_gain fronts.
+_overlap, which dirichlet_gain fronts. A batch is scored in blocks of whole
+rows of its last batch axis, up to _BLOCK pair entries a block, each block
+copied C-contiguous so every rate keeps the bits of its own call.
 total_rate_approx of asymptotic_covariances stays its independent oracle.
 """
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from .numerics import (_batch_shape, _require_paths, cholesky_logdet, require_co
                        require_in, require_integer, require_number)
 
 LN2 = float(np.log(2.0))
+# (sets, M, M) entries one spim_rate block may hold, the size of montecarlo._CHUNK
+_BLOCK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +204,10 @@ def _mean_logsumexp_neg(p: np.ndarray) -> np.ndarray:
 
     min(p) - p is the peak-shifted -p bit for bit, without negating p first,
     and the mean is the sum over rows divided by their count, as np.mean takes it.
+    The row minima are exact in any order, so they are taken column against
+    column, one elementwise np.minimum per column, not one short reduction per row.
     """
-    low = p.min(axis=-1)
+    low = reduce(np.minimum, p.T).T
     return (np.log(np.exp(low[..., None] - p).sum(axis=-1)) - low).sum(axis=-1) / p.shape[-1]
 
 
@@ -293,13 +299,14 @@ def dirichlet_gain(delta_theta, n_r: int):
     return _bits(_overlap(np.reshape(d, -1), n_r)[0].reshape(np.shape(d)))
 
 
-def _pair_formula(w, g, gap, two_n0) -> np.ndarray:
-    """spim_rate of one validated (sets, M) slice, given its (sets, M, M) Dirichlet gaps.
+def _pair_formula(gap, w, g, two_n0) -> np.ndarray:
+    """spim_rate of one validated (rows, sets, M) block, given its Dirichlet gaps.
 
-    two_n0 holds the slice's (sets, 1) values of 2 n0, which halve back to n0
-    exactly. It runs under spim_rate's np.errstate(over="ignore"), and fails
-    a slice whose a overflows, or whose a^2 would. Its arrays are freed on
-    return.
+    The operands are C-contiguous; gap is (rows, sets, M, M), or (sets, M, M)
+    when every row shares its angles, and two_n0 holds the block's
+    (rows, sets, 1) values of 2 n0, which halve back to n0 exactly. It runs
+    under spim_rate's np.errstate(over="ignore"), and fails a block whose a
+    overflows, or whose a^2 would. Its arrays are freed on return.
     """
     a = w * g / two_n0
     # coincident beams would give inf * 0 there; a > 0, so the floor counts only for no sets
@@ -321,34 +328,43 @@ def spim_rate(w, g, theta, n_r: int, n0) -> float:
     asymptotic_covariances without forming a beam. On the diagonal 1 - q is
     0 exactly, so M = 1 gives mmwave_rate's bits. Paths run along the last
     axis; their leading axes and those of n0 broadcast into a batch, validated
-    once and scored one (sets, M) slice along the last batch axis at a time, so
-    a (grid, trials, M) theta gives one rate per (grid point, trial), each
-    equal to its own unbatched call, in the memory of one (trials, M) call.
-    A (grid, 1) n0 gives each grid point its own noise level. The Dirichlet gaps
-    depend on the angles alone: slices whose theta is one broadcast array, as
-    a (trials, M) theta under a (grid, 1, M) w is, share one evaluation of
-    them, and a theta that varies along the batch has its gaps taken slice by
-    slice. The slices share one np.errstate, entered once per call, and each
-    takes its log-sum-exp of -P as min(P) - P, without a negated copy of P.
-    An empty batch, an empty n0 say, gives an empty array, as in mmwave_rate.
+    once and scored in blocks of whole (sets, M) rows along the last batch
+    axis, as many rows as keep a block's (sets, M, M) entries within _BLOCK,
+    one row if a row alone exceeds it. So a (grid, trials, M) theta gives one
+    rate per (grid point, trial), each equal to its own unbatched call, in the
+    memory of one block and the rates it returns. A (grid, 1) n0
+    gives each grid point its own noise level. The Dirichlet gaps depend on
+    the angles alone: a theta broadcast along every leading axis, as a
+    (trials, M) theta under a (grid, 1, M) w is, has them taken once for all
+    blocks, and any other theta block by block. The blocks share one
+    np.errstate, entered once per call, and each takes its log-sum-exp of -P
+    as min(P) - P, without a negated copy of P. An empty batch, an empty n0
+    say, gives an empty array, as in mmwave_rate.
     """
     w, g, theta = _paths(w, g, theta, open_low=True)
     require_integer("n_r", n_r, minimum=1)
     # 2 n0 of every set, taken once, on a trailing axis the paths broadcast along
     two_n0 = 2.0 * np.asarray(require_in("n0", n0, 0))[..., None]
     batch = _batch_shape(w=w.shape[:-1], n0=two_n0.shape[:-1])
-    if batch != w.shape[:-1]:  # n0 adds batch axes
-        w, g, theta = (np.broadcast_to(x, batch + x.shape[-1:]) for x in (w, g, theta))
-    two_n0 = np.broadcast_to(two_n0, batch + (1,))
-    rates = np.empty(batch)
-    # a zero stride marks an axis theta was broadcast along: its slices hold the same angles
-    moving = [stride != 0 for stride in theta.strides[:-2]]
-    key = gap = None
-    with np.errstate(over="ignore"):  # entered once; _pair_formula checks each slice's a
-        for row in np.ndindex(w.shape[:-2]):
-            angles = tuple(i for i, moves in zip(row, moving) if moves)
-            if angles != key:
-                key, gap = angles, None  # the old gaps are freed before the new ones are made
-                gap = _overlap(theta[row][..., :, None] - theta[row][..., None, :], n_r)[1]
-            rates[row] = _pair_formula(w[row], g[row], gap, two_n0[row])
-    return _bits(rates)
+    pad = (None,) * max(0, 2 - len(batch))  # at least (rows, sets, M): unit axes are views
+    w, g, theta, two_n0 = (np.broadcast_to(x, batch + x.shape[-1:])[pad]
+                           for x in (w, g, theta, two_n0))
+    *lead, sets, m = w.shape
+    rows = math.prod(lead)
+    per = max(1, _BLOCK // max(1, sets * m * m))
+    moving = any(theta.strides[:-2])  # a zero stride on every leading axis: rows share angles
+    rates = np.empty((rows, sets))
+    gap = None
+    with np.errstate(over="ignore"):  # entered once; _pair_formula checks each block's a
+        for start in range(0, rows, per):
+            block = np.unravel_index(np.arange(start, min(start + per, rows)), lead)
+            # each operand is copied C-contiguous: numpy's sums along the last axis take an
+            # order that depends on the layout, and only a fixed one keeps every rate the
+            # bits of its own unbatched call
+            if moving or gap is None:
+                gap = None  # the old gaps are freed before the new ones are made
+                angles = np.ascontiguousarray(theta[block] if moving else theta[(0,) * len(lead)])
+                gap = _overlap(angles[..., :, None] - angles[..., None, :], n_r)[1]
+            rates[start:start + per] = _pair_formula(
+                gap, *(np.ascontiguousarray(x[block]) for x in (w, g, two_n0)))
+    return _bits(rates.reshape(batch))

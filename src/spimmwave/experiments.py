@@ -9,9 +9,10 @@ _sweep_rows: an snr or w1 sweep calls it once, with its spim and single-beam
 (mmwave) systems, and a gamma sweep once per beam count. Each call draws the
 angles once, by channel._draw_angles on the trial streams, makes one
 spim_rate call over every (grid point, trial) pair, which takes the
-Dirichlet gaps once for the whole grid, and reduces each (method, variant)
-block to its rows in one pass over the trial axis; an snr or w1 sweep adds
-its shannon rows in one mmwave_rate call. A q-function grid is scored in
+Dirichlet gaps once for the whole grid and scores it in blocks of whole
+grid points, and reduces each (method, variant) block to its rows in one
+pass over the trial axis; an snr or w1 sweep adds its shannon rows in one
+mmwave_rate call. A q-function grid is scored in
 one dirichlet_gain call per array size, and a margin map in one spim_margin
 call. Monte-Carlo points share their draws along the sweep axis (common
 random numbers). A sweep builds and checks one batched ChannelRealization

@@ -187,7 +187,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair of the splittable RNG contract; both are integers.
 
     It draws as Generator(Philox(key=[seed, stream])) with both masked to 64
-    bits, without the OS entropy that constructor reads and ignores.
+    bits, without the OS entropy that constructor reads and ignores. Its
+    Generator.spawn is outside that contract: every make_rng generator shares
+    one fixed SeedSequence, so spawned children ignore (seed, stream) and
+    depend on how many spawns came before them in the process. A further
+    stream is make_rng(seed, new stream id).
     """
     require_integer("seed", seed)
     require_integer("stream", stream)

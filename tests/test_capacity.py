@@ -38,7 +38,7 @@ from spimmwave import (
     total_rate_approx,
 )
 from spimmwave.beamforming import large_array_beams
-from spimmwave.capacity import _overlap, _pair_logdets
+from spimmwave.capacity import _BLOCK, _overlap, _pair_logdets
 from spimmwave.experiments import reproduce
 
 from oracles import LOG2E, dense_covariances, pattern_rate_bound
@@ -371,15 +371,20 @@ def test_batched_rates_equal_per_row_calls(m):
     assert isinstance(spim_rate(w, g, theta[0], 8, 0.1), float)
 
 
-def _decay_grid(m):
-    """(19, 1, m) decaying gains of the paper's gamma grid and (30, m) angles."""
-    w = np.array([gamma ** np.arange(m) for gamma in np.linspace(0.05, 0.95, 19)])
+def _decay_grid(m, points=19):
+    """(points, 1, m) decaying gains, the paper's 19-point gamma grid by default; (30, m) angles."""
+    w = np.array([gamma ** np.arange(m) for gamma in np.linspace(0.05, 0.95, points)])
     return w[:, None, :], make_rng(5, m).uniform(-0.5, 0.5, (30, m))
+
+
+def _block_points(m):
+    """Grid points of 30 trials that one spim_rate block holds: whole rows within _BLOCK entries."""
+    return max(1, _BLOCK // (30 * m * m))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
 def test_grid_rates_equal_per_point_calls(m):
-    # a (19, 30, m) batch is scored slice by slice; each grid point is its own call
+    # a (19, 30, m) batch is scored in blocks of whole points; each grid point is its own call
     w, theta = _decay_grid(m)
     g = np.full(m, 64.0)
     batched = spim_rate(w, g, theta, 8, 0.1)
@@ -437,26 +442,43 @@ def test_per_point_noise_overflow_names_the_failing_scalar_in_one_line():
         mmwave_rate([0.6, 0.7], 64.0, np.full(3, 0.1))
 
 
-@pytest.mark.parametrize("n_r", [8, 64])
-@pytest.mark.parametrize("m", [2, 8])
-def test_grid_memory_stays_that_of_one_point(m, n_r):
-    w, theta = _decay_grid(m)
+def _grid_peaks(m, n_r, grids, moving):
+    """tracemalloc peaks of spim_rate on (points, 1, m) decay grids, one per entry of grids.
+
+    A grid of one point passes its gains unbatched; moving angles give every
+    grid point its own copy of the (30, m) angles.
+    """
     g = np.full(m, 64.0)
     peaks = []
-    for gains in (w[0, 0], w):  # one point's (30, m) sets, then all (19, 30, m)
+    for points in grids:
+        w, theta = _decay_grid(m, points)
+        gains = w[0, 0] if points == 1 else w
+        angles = np.broadcast_to(theta, (points, 30, m)).copy() if moving else theta
         tracemalloc.start()
         try:
-            spim_rate(gains, g, theta, n_r, 0.1)
+            spim_rate(gains, g, angles, n_r, 0.1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("n_r", [8, 64])
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_grid_memory_stays_that_of_one_point(m, n_r):
+    # memory is that of one block: a grid at least five blocks and 19 points wide peaks as
+    # one block's worth of points does. The returned rates grow with the grid, a quarter of
+    # a block's entries per block at m = 2; at m = 64 one point exceeds a block and is a
+    # block alone, so the grid peaks as one unbatched point does
+    per = _block_points(m)
+    peaks = _grid_peaks(m, n_r, (per, max(19, 5 * per)), moving=False)
     assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_grid_varying_angles_equal_per_point_calls(m):
-    # a theta that moves along the grid has its gaps taken slice by slice, and a theta
-    # broadcast along one batch axis but moving along another shares them only along the first
+    # a theta that moves along the grid has its gaps taken block by block, and so does a
+    # theta broadcast along one batch axis but moving along another
     w, _ = _decay_grid(m)
     g = np.full(m, 64.0)
     theta = make_rng(6, m).uniform(-0.5, 0.5, (19, 30, m))
@@ -469,20 +491,49 @@ def test_grid_varying_angles_equal_per_point_calls(m):
 
 
 @pytest.mark.parametrize("n_r", [8, 64])
-@pytest.mark.parametrize("m", [2, 8])
+@pytest.mark.parametrize("m", [2, 8, 64])
 def test_grid_memory_with_grid_varying_angles_stays_that_of_one_point(m, n_r):
-    w, theta = _decay_grid(m)
-    full = np.broadcast_to(theta, (19, 30, m)).copy()  # every grid point holds its own angles
-    g = np.full(m, 64.0)
-    peaks = []
-    for gains, angles in ((w[0, 0], theta), (w, full)):
-        tracemalloc.start()
-        try:
-            spim_rate(gains, g, angles, n_r, 0.1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # as above, with every grid point holding its own angles: the gaps are taken block by block
+    per = _block_points(m)
+    peaks = _grid_peaks(m, n_r, (per, max(19, 5 * per)), moving=True)
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_rates_across_block_boundaries_equal_per_point_calls(m):
+    # two full blocks and a short one (8 + 8 + 3 points at m = 8); at m = 64 a point
+    # exceeds a block and is scored alone
+    points = 2 * _block_points(m) + 3
+    w, theta = _decay_grid(m, points)
+    g = np.full(m, 64.0)
+    moving = make_rng(6, m).uniform(-0.5, 0.5, (points, 30, m))
+    assert np.array_equal(spim_rate(w, g, theta, 8, 0.1),
+                          [spim_rate(row[0], g, theta, 8, 0.1) for row in w])
+    assert np.array_equal(spim_rate(w, g, moving, 8, 0.1),
+                          [spim_rate(row[0], g, angles, 8, 0.1) for row, angles in zip(w, moving)])
+    # two leading batch axes, (2, points, 30): at m = 2 and 8 the block holding the first
+    # noise level's last points runs on into the second level's
+    n0 = np.array([0.1, 0.3])[:, None, None]
+    for angles in (theta, moving):
+        batched = spim_rate(w, g, angles, 8, n0)
+        assert batched.shape == (2, points, 30)
+        angles = np.broadcast_to(angles, moving.shape)
+        assert np.array_equal(batched, [[spim_rate(row[0], g, angles[p], 8, level)
+                                         for p, row in enumerate(w)] for level in n0[:, 0, 0]])
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_overflow_in_a_later_block_names_the_first_bad_level_in_one_line(m):
+    per = _block_points(m)
+    points = 2 * per + 3
+    w, theta = _decay_grid(m, points)
+    n0 = np.full(points, 0.1)
+    n0[per + 1], n0[-1] = 1e-320, 1e-321  # the first bad level sits in the second block
+    with pytest.raises(ParameterError) as info:
+        spim_rate(w, np.full(m, 64.0), theta, 8, n0[:, None])
+    message = str(info.value)
+    assert info.value.field == "n0"
+    assert message.startswith("n0 = 1e-320 is too small") and "\n" not in message, message
 
 
 def test_symbol_rate_zero_channel():
