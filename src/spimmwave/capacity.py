@@ -314,7 +314,12 @@ def _pair_formula(gap, w, g, two_n0) -> np.ndarray:
         _too_small(two_n0 / 2.0, ~(a.max(axis=-1, keepdims=True) ** 2 < math.inf),
                    " for these gains: (w g / 2 n0)^2 overflows")
     a_n, a_t = a[..., :, None], a[..., None, :]
-    inner = _mean_logsumexp_neg(np.log1p(a_n + a_t + a_n * a_t * gap))
+    # P = ln(1 + a_n + a_t + a_n a_t gap), built in place in that order of operations
+    p = a_n + a_t
+    cross = a_n * a_t
+    cross *= gap
+    p += cross
+    inner = _mean_logsumexp_neg(np.log1p(p, out=p))
     return math.log2(a.shape[-1]) - inner / LN2
 
 

@@ -23,26 +23,37 @@ delta is read off the R of the pair W = Q R that the closed forms' pair
 determinants read too (capacity._pair_factors), so it keeps its digits for
 near-parallel beams.
 
-Every other set (K >= 3, or s > 1) is sampled. Under component c, q is
-CN(0, B_c) with B_c = A + A_c A_c^H, A_c the s columns of block c. B_c may
-be singular (a zero channel, identical beams, K s > n_r), so its root comes
-from its eigenvalues clipped at zero. Every set draws K s complex normals,
-ceil(N/K) draws per component, and reports the stratified stderr
-sqrt(sum_c var_c / n_c) / K. At very high SNR a pattern confusion can be
-rarer than one per ceil(N/K) draws; the draws then all sit at one value, and
-a tiny stderr is rounding, not convergence.
+Every other set (K >= 3, or s > 1) is sampled. Under component c a draw is
+q = C z + A_c x: the noise W^H n / N0 through a root C of A, and the
+pattern's own symbol x ~ CN(0, I_s) through A_c, the s columns of block c.
+A may be singular (a zero channel, identical beams, K s > n_r), so C comes
+from its eigenvalues clipped at zero, one eigendecomposition per set. z and
+x_2..x_s are plain complex normals; x_1 is drawn by Box-Muller with a
+stratified radius. Most of a draw's value rides on |x_1|^2 ~ Exp(1), so a
+chunk of count draws splits it into count strata of equal probability, one
+draw each, under a uniform phase. Draws i and i + count / 2 take adjacent
+strata, and each such pair enters the variance of its component's pooled
+mean as (v_a - v_b)^2 / n_c^2: the collapsed-strata estimator, which can
+read high by the squared gaps between adjacent strata's means but is
+otherwise unbiased. Each component draws n_c = ceil(N/K) rounded up to
+even, and the stderr is sqrt(sum_c var_c) / K. At very high SNR a pattern
+confusion can be rarer than one per n_c draws, or confined to a sliver of
+the stratum nearest |x_1| = 0; the draws then mostly miss it, and a small
+stderr is not convergence.
 
-A component's draws come in fixed chunks of _CHUNK = 16384, each on its
-own stream keyed by (component, chunk), so results do not depend on the
-schedule; one Philox is re-keyed for every stream (numerics._rekeyed).
-The chunk bounds the work buffers, allocated once per call so the hot
-loop allocates no arrays. A batch of sets (leading axes of the
-factors, one noise floor) shares these common random numbers: each stream
-is drawn once per call and mapped through every set's whitening blocks,
-one set at a time, so memory does not grow with the batch.
-Every set gets the same answer as its own unbatched call, bit for bit,
-whatever the memory layout the caller's factors had: a CovarianceSet
-stores them C-contiguous.
+A component's draws come in chunks of _CHUNK = 16384, rounded down to
+even so that every chunk holds whole pairs, each chunk on its own stream
+keyed by (component, chunk), so results do not depend on the schedule; one
+Philox is re-keyed for every stream (numerics._rekeyed). A stream gives the
+plain normals first, then count uniforms for the strata and count for the
+phases. The work buffers are allocated once per call, sized for one pass
+of up to _PASS = 2048 draws or one set's chunk, so the hot loop allocates
+no arrays. A batch of sets (leading axes of the factors, one noise floor)
+shares these common random numbers: each stream is drawn once per call and
+mapped through the whitening blocks of as many sets as one pass holds, so
+memory does not grow with the batch. Every set gets the same answer as its
+own unbatched call, bit for bit, whatever the memory layout the caller's
+factors had: a CovarianceSet stores them C-contiguous.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ from .numerics import _rekeyed, require_integer
 MIN_SAMPLES = 1_000
 
 _CHUNK = 16_384
+_PASS = 2_048
 _STREAM_SPAN = 1 << 32
 
 # the smooth part of the two-pattern integrand is integrated over 45 decay lengths of its
@@ -106,33 +118,35 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _shaped(buffer: np.ndarray, rows: int, count: int) -> np.ndarray:
-    """The first rows * count entries of a flat work buffer as a contiguous (rows, count) array."""
-    return buffer[:rows * count].reshape(rows, count)
+def _shaped(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of a flat work buffer as a contiguous array of that shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _draw_values(mix: np.ndarray, normals: np.ndarray, comp: int, logdets: np.ndarray,
-                 work: tuple) -> np.ndarray:
-    """ln sum_j exp(E_j - E_c - ld_j) - ln K for each draw of component c = comp.
+                 work: list) -> np.ndarray:
+    """ln sum_j exp(E_j - E_c - ld_j) - ln K for each draw of component c = comp, per set.
 
-    mix (2 k s, 2 k s) holds the real blocks of L_j^-1 (R_c)_j / sqrt(2), with
-    I + A_jj = L_j L_j^H and R_c a root of B_c; the own term is exp(-ld_c).
-    work holds the flat buffers of x, the energies, the terms, their peak
-    and the values, which are returned as a view valid until the next call.
+    mix (sets, 2 k s, 2 (k s + s)) holds each set's real rows of component
+    c's map from the real inputs to the whitened draws (see _sampled), and
+    logdets (sets, k) its ld_j; the own term is exp(-ld_c). work holds the
+    flat buffers of x, the energies, the terms, their peak and the values,
+    which are returned as a (sets, count) view valid until the next call.
     """
-    k, count = len(logdets), normals.shape[1]
+    sets, rows, _ = mix.shape
+    k, count = logdets.shape[1], normals.shape[1]
     x_buf, energy_buf, terms_buf, peak_buf, values_buf = work
-    x = _shaped(x_buf, len(mix), count)  # (2 k s, count), component-major rows
-    energy, terms = _shaped(energy_buf, k, count), _shaped(terms_buf, k, count)
-    peak, values = peak_buf[:count], values_buf[:count]
+    x = _shaped(x_buf, sets, rows, count)  # component-major rows per set
+    energy, terms = _shaped(energy_buf, sets, k, count), _shaped(terms_buf, sets, k, count)
+    peak, values = _shaped(peak_buf, sets, count), _shaped(values_buf, sets, count)
     np.matmul(mix, normals, out=x)
-    np.sum(np.square(x, out=x).reshape(k, -1, count), axis=1, out=energy)
-    np.subtract(energy, energy[comp], out=terms)
-    terms -= logdets[:, None]
-    terms[comp] = -logdets[comp]
-    np.max(terms, axis=0, out=peak)
-    terms -= peak
-    np.sum(np.exp(terms, out=terms), axis=0, out=values)
+    np.sum(np.square(x, out=x).reshape(sets, k, -1, count), axis=2, out=energy)
+    np.subtract(energy, energy[:, comp, None], out=terms)
+    terms -= logdets[..., None]
+    terms[:, comp] = -logdets[:, comp, None]
+    np.max(terms, axis=1, out=peak)
+    terms -= peak[:, None]
+    np.sum(np.exp(terms, out=terms), axis=1, out=values)
     np.log(values, out=values)
     values += peak
     values -= math.log(k)
@@ -269,43 +283,75 @@ def _sampled(covs: CovarianceSet, spec: MonteCarloSpec) -> McEstimate | np.ndarr
     ks, sets = k * s, math.prod(batch)
     chol, logdets = covs.cholesky[0].reshape(sets, k, s, s), covs.cholesky[1].reshape(sets, k)
     a = covs.gram.reshape(sets, ks, ks) / covs.n0
-    cols = a.reshape(sets, ks, k, s).swapaxes(1, 2)  # A_c, (sets, k, k s, s)
-    cov = a[:, None] + cols @ cols.conj().swapaxes(-1, -2)  # B_c, (sets, k, k s, k s)
-    lam, vec = np.linalg.eigh(cov)
-    root = vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]  # B_c = R_c R_c^H
-    # mix[p, c] block j maps unit normals to the draws of c whitened by I + A_jj,
-    # L_j^-1 (R_c)_j / sqrt(2), as the real rows [[Re, -Im], [Im, Re]] acting on
-    # the stacked (re, im) normals
-    mix = np.linalg.solve(chol[:, None], root.reshape(sets, k, k, s, ks)) / np.sqrt(2.0)
-    mix = np.block([[mix.real, -mix.imag],
-                    [mix.imag, mix.real]]).reshape(sets, k, 2 * ks, 2 * ks)
+    lam, vec = np.linalg.eigh(a)
+    root = vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]  # the noise root, A = C C^H
+    # block j of L_j^-1 [C, A], with I + A_jj = L_j L_j^H
+    white = np.linalg.solve(chol, np.concatenate([root, a], axis=-1).reshape(sets, k, s, 2 * ks))
+    own = white[..., ks:].reshape(sets, k, s, k, s).transpose(0, 3, 1, 2, 4)  # [p, c, j]: L_j^-1 A_jc
+    # mix[p, c] maps component c's real inputs to the real rows, real then imaginary part of
+    # each pattern j's block, of its whitened draws. The inputs are the plain normals of the
+    # complex z and x_2..x_s, real parts then imaginary, then Re x_1 and Im x_1; a unit
+    # complex normal is a pair of plain ones over sqrt(2), and x_1 comes whole
+    plain = ks + s - 1
+    n_plain = 2 * plain
+    mix = np.empty((sets, k, k, 2, s, n_plain + 2))
+    for m, re, im in ((white[:, None, ..., :ks] / np.sqrt(2.0), 0, plain),
+                      (own[..., 1:] / np.sqrt(2.0), ks, plain + ks),
+                      (own[..., :1], n_plain, n_plain + 1)):
+        width = m.shape[-1]
+        mix[..., 0, :, re:re + width] = m.real
+        mix[..., 0, :, im:im + width] = -m.imag
+        mix[..., 1, :, re:re + width] = m.imag
+        mix[..., 1, :, im:im + width] = m.real
+    mix = mix.reshape(sets, k, 2 * ks, n_plain + 2)
     per_component = math.ceil(spec.n_samples / k)
-    counts = np.diff([*range(0, per_component, _CHUNK), per_component])
-    means = np.empty((sets, k, len(counts)))
-    squares = np.empty_like(means)
-    # flat work buffers sized for the largest chunk, the first; every chunk,
-    # component and set reuses them
+    per_component += per_component % 2  # whole pairs of strata
+    step = max(2, _CHUNK - _CHUNK % 2)
+    counts = np.diff([*range(0, per_component, step), per_component])
+    sums = np.empty((sets, k, len(counts)))
+    squares = np.empty_like(sums)
+    # flat work buffers, carved from one allocation, sized for one pass: a group of sets
+    # that holds up to _PASS draws of the largest chunk, the first, or that chunk of one set,
+    # whatever the batch; every chunk, component and group reuses them. offsets[count]
+    # holds h + 1 for the stratum h of each draw of a chunk: draws i and i + count / 2 take
+    # the adjacent strata 2 i and 2 i + 1
     size = counts[0]
-    all_normals = np.empty(2 * ks * size)
-    work = (np.empty(2 * ks * size), np.empty(k * size), np.empty(k * size),
-            np.empty(size), np.empty(size))
+    group = max(1, _PASS // size)
+    lengths = [(n_plain + 2) * size, 2 * size, group * 2 * ks * size, group * k * size,
+               group * k * size, group * size, group * size, group * size // 2]
+    normals, uniforms, *work, pairs = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
+    offsets = {count: np.concatenate([np.arange(1.0, count, 2), np.arange(2.0, count + 1, 2)])
+               for count in set(counts)}
     streams = _rekeyed((spec.seed, comp * _STREAM_SPAN + chunk)
                        for comp in range(k) for chunk in range(len(counts)))
     for comp in range(k):
         for chunk, count in enumerate(counts):
-            rng = next(streams)
-            draw = _shaped(work[0], count, ks)  # x's buffer is free until _draw_values
-            normals = _shaped(all_normals, 2 * ks, count)  # real parts, then imaginary
-            for half in (slice(None, ks), slice(ks, None)):
-                normals[half] = rng.standard_normal(out=draw).T
-            for p in range(sets):  # one set's (2 k s, count) block at a time
-                values = _draw_values(mix[p, comp], normals, comp, logdets[p], work)
-                means[p, comp, chunk] = mean = values.mean()
-                values -= mean
-                squares[p, comp, chunk] = values @ values
-    # per component: pooled mean and sample variance of its chunks
-    mean = (means * counts).sum(axis=-1) / per_component
-    spread = squares.sum(axis=-1) + (np.square(means - mean[..., None]) * counts).sum(axis=-1)
-    stderr = np.sqrt((spread / (per_component - 1)).sum(axis=-1) / per_component) / k
+            rng, half = next(streams), count // 2
+            inputs = _shaped(normals, n_plain + 2, count)
+            rng.standard_normal(out=inputs[:n_plain])
+            radius, phase = draws = _shaped(uniforms, 2, count)
+            rng.random(out=draws)
+            # |x_1|^2 = ln(count / (h + 1 - u)), an Exp(1) draw within the stratum of probability
+            # (h, h + 1] / count; both divisions round monotonically, so the logarithm's
+            # argument is never below 1
+            np.subtract(offsets[count], radius, out=radius)
+            np.divide(count, radius, out=radius)
+            np.log(radius, out=radius)
+            np.sqrt(radius, out=radius)
+            phase *= 2.0 * math.pi
+            np.cos(phase, out=inputs[n_plain])
+            np.sin(phase, out=inputs[n_plain + 1])
+            inputs[n_plain:] *= radius
+            for p in range(0, sets, group):  # up to group sets, (2 k s, count) each, a pass
+                values = _draw_values(mix[p:p + group, comp], inputs, comp,
+                                      logdets[p:p + group], work)
+                np.sum(values, axis=-1, out=sums[p:p + group, comp, chunk])
+                diff = _shaped(pairs, len(values), half)
+                np.square(np.subtract(values[:, :half], values[:, half:], out=diff), out=diff)
+                np.sum(diff, axis=-1, out=squares[p:p + group, comp, chunk])
+    # per component: the pooled mean, and the variance of that mean from its pairs of
+    # adjacent strata, sum (v_a - v_b)^2 / n_c^2
+    mean = sums.sum(axis=-1) / per_component
+    stderr = np.sqrt(squares.sum(axis=(-1, -2))) / per_component / k
     out = np.stack([-mean.mean(axis=-1), stderr], axis=-1) / LN2
     return _estimates(out.reshape(*batch, 2))

@@ -110,53 +110,69 @@ def test_projected_stderr_not_above_dense(oracle_grid):
 
 
 def rebuilt_draws(covs, spec):
-    """Oracle: every per-draw value of the sampler, (K, ceil(N/K)), with no chunk pooling.
+    """Oracle: every per-draw value of the sampler, (K, n_c), and the differences of its pairs.
 
-    Component c's chunk j of montecarlo._CHUNK draws comes from the stream
-    make_rng(seed, c 2^32 + j), real parts then imaginary parts. All draws of
-    a component are mapped at once through the eigenvalue root of B_c and
-    whitened block by block, and each value is
-    ln sum_j exp(E_j - E_c - ld_j) - ln K with own term -ld_c.
+    n_c is ceil(N/K) rounded up to even, split into chunks of montecarlo._CHUNK
+    rounded down to even. Under component c, a draw is q = C z + A_c x, C the
+    eigenvalue root of A = W^H W / N0 clipped at zero and A_c the s columns
+    of block c. Chunk j of c comes from the stream make_rng(seed, c 2^32 + j):
+    first the real then the imaginary parts of the unit complex normals z and
+    x_2..x_s, then count uniforms u that stratify |x_1|^2 ~ Exp(1) into count
+    strata of equal probability, draws i and i + count / 2 in the adjacent
+    strata 2 i and 2 i + 1, then count uniforms for x_1's phase. Each value
+    is ln sum_j exp(E_j - E_c - ld_j) - ln K with own term -ld_c, and each
+    pair's difference is v_i - v_(i + count / 2).
     """
     k, s = covs.k, covs.factors.shape[-1]
+    ks = k * s
     a = covs.gram / covs.n0
+    lam, vec = np.linalg.eigh(a)
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
     chol, ld = covs.cholesky
-    per_component = math.ceil(spec.n_samples / k)
+    per_component = 2 * math.ceil(math.ceil(spec.n_samples / k) / 2)
+    step = montecarlo._CHUNK // 2 * 2
     values = np.empty((k, per_component))
+    pairs = []
     for c in range(k):
-        a_c = a[:, c * s:(c + 1) * s]
-        lam, vec = np.linalg.eigh(a + a_c @ a_c.conj().T)
-        root = vec * np.sqrt(np.maximum(lam, 0.0))
-        z = []
-        for chunk, start in enumerate(range(0, per_component, montecarlo._CHUNK)):
-            count = min(montecarlo._CHUNK, per_component - start)
+        drawn = []
+        for chunk, start in enumerate(range(0, per_component, step)):
+            count = min(step, per_component - start)
+            half = count // 2
             rng = make_rng(spec.seed, stream=c * (1 << 32) + chunk)
-            z.append(rng.standard_normal((count, k * s)) + 1j * rng.standard_normal((count, k * s)))
-        q = root @ np.concatenate(z).T / np.sqrt(2.0)  # (k s, per_component) ~ CN(0, B_c)
-        energy = np.stack([
-            np.sum(np.abs(solve_triangular(chol[j], q[j * s:(j + 1) * s], lower=True)) ** 2,
-                   axis=0) for j in range(k)])
-        terms = energy - energy[c] - ld[:, None]
-        terms[c] = -ld[c]
-        values[c] = logsumexp(terms, axis=0) - np.log(k)
-    return values
+            plain = rng.standard_normal((2, ks + s - 1, count))
+            z = (plain[0] + 1j * plain[1]) / np.sqrt(2.0)
+            u, phase = rng.random((2, count))
+            stratum = 2 * (np.arange(count) % half) + (np.arange(count) >= half)
+            energy = -np.log((stratum + 1 - u) / count)
+            x = np.concatenate([[np.sqrt(energy) * np.exp(2j * np.pi * phase)], z[ks:]])
+            q = root @ z[:ks] + a[:, c * s:(c + 1) * s] @ x  # (k s, count) ~ CN(0, A + A_c A_c^H)
+            energy = np.stack([
+                np.sum(np.abs(solve_triangular(chol[j], q[j * s:(j + 1) * s], lower=True)) ** 2,
+                       axis=0) for j in range(k)])
+            terms = energy - energy[c] - ld[:, None]
+            terms[c] = -ld[c]
+            drawn.append(logsumexp(terms, axis=0) - np.log(k))
+            pairs.append(drawn[-1][:half] - drawn[-1][half:])
+        values[c] = np.concatenate(drawn)
+    return values, np.concatenate(pairs).reshape(k, -1)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_pooled_chunks_equal_plain_moments_of_every_draw(k, monkeypatch):
-    # chunks of 300 split ceil(2000 / k) draws into full chunks and a short last one; the
-    # pooled mean is the plain mean of every draw, and the stderr the stratified one with
-    # ddof 1, sqrt(sum_c var_c / n_c) / K
-    monkeypatch.setattr(montecarlo, "_CHUNK", 300)
+    # chunks of 300, or of an odd 257 that hold 256 strata, split n_c draws into full chunks
+    # and a short last one; the pooled mean is the plain mean of every draw, and the stderr
+    # sqrt(sum_c sum_pairs (v_a - v_b)^2 / n_c^2) / K over the pairs of adjacent strata
     covs = asymptotic_covariances([0.7, 0.5, 0.3][:k], [64.0] * k, [-0.1, 0.05, 0.2][:k], 8, 0.3)
     spec = MonteCarloSpec(2_000, seed=5)
-    draws = rebuilt_draws(covs, spec)
-    per_component = draws.shape[1]
-    assert per_component == math.ceil(2_000 / k) and per_component % 300 != 0
-    est = montecarlo._sampled(covs, spec)
-    assert abs(est.estimate + np.mean(draws) / np.log(2)) <= 1e-12
-    stderr = np.sqrt(np.sum(np.var(draws, axis=1, ddof=1)) / per_component) / k / np.log(2)
-    assert abs(est.stderr - stderr) <= 1e-12
+    for chunk in (300, 257):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        draws, pairs = rebuilt_draws(covs, spec)
+        per_component = draws.shape[1]
+        assert per_component == {2: 1_000, 3: 668}[k] and per_component % (chunk // 2 * 2) != 0
+        est = montecarlo._sampled(covs, spec)
+        assert abs(est.estimate + np.mean(draws) / np.log(2)) <= 1e-12
+        stderr = np.sqrt(np.sum(np.square(pairs))) / per_component / k / np.log(2)
+        assert abs(est.stderr - stderr) <= 1e-12
 
 
 @st.composite
@@ -191,6 +207,20 @@ def test_batched_call_equals_per_set_calls(case):
         assert batched.shape == (*covs.factors.shape[:-3], 2)
         for index in np.ndindex(*covs.factors.shape[:-3]):
             alone = mc_mutual_information(CovarianceSet(covs.n0, covs.factors[index]), spec)
+            assert tuple(batched[index]) == alone, index
+
+
+@settings(max_examples=25, deadline=None)
+@given(batched_sets(), st.integers(1, 4), st.integers(0, 40))
+def test_sets_passed_in_groups_equal_per_set_calls(case, groups, extra):
+    # a pass of _PASS draws takes up to `groups` sets of one chunk at once, the last group of
+    # a batch often short; every set keeps the bits of its own unbatched call
+    covs, spec, _ = case
+    per_component = math.ceil(spec.n_samples / covs.k)
+    with mock.patch.object(montecarlo, "_PASS", groups * (per_component + 1) + extra):
+        batched = montecarlo._sampled(covs, spec)
+        for index in np.ndindex(*covs.factors.shape[:-3]):
+            alone = montecarlo._sampled(CovarianceSet(covs.n0, covs.factors[index]), spec)
             assert tuple(batched[index]) == alone, index
 
 
@@ -362,6 +392,51 @@ def test_stderr_matches_seed_to_seed_spread(k, mode, n_r, n0):
                      for seed in range(200)])
     ratio = np.std(runs[:, 0], ddof=1) / np.mean(runs[:, 1])
     assert 0.8 <= ratio <= 1.25
+
+
+def plain_projected_rate(covs, n_samples, seed):
+    """Oracle: plain Monte-Carlo on the K s projections, in bits, with its i.i.d. stderr.
+
+    Under component c, q ~ CN(0, B_c), B_c = A + A_c A_c^H, is drawn through a
+    Cholesky factor of B_c from numpy's default generator, with no strata, so
+    it shares neither draws nor a root with the package sampler.
+    """
+    k, s = covs.k, covs.factors.shape[-1]
+    a = covs.gram / covs.n0
+    chol, ld = covs.cholesky
+    rng = np.random.default_rng(seed)
+    per_component = math.ceil(n_samples / k)
+    values = np.empty((k, per_component))
+    for c in range(k):
+        a_c = a[:, c * s:(c + 1) * s]
+        z = rng.standard_normal((2, k * s, per_component))
+        q = np.linalg.cholesky(a + a_c @ a_c.conj().T) @ (z[0] + 1j * z[1]) / np.sqrt(2.0)
+        energy = np.stack([
+            np.sum(np.abs(solve_triangular(chol[j], q[j * s:(j + 1) * s], lower=True)) ** 2,
+                   axis=0) for j in range(k)])
+        terms = energy - energy[c] - ld[:, None]
+        terms[c] = -ld[c]
+        values[c] = logsumexp(terms, axis=0) - np.log(k)
+    stderr = np.sqrt(np.sum(np.var(values, axis=1, ddof=1)) / per_component) / k
+    return -np.mean(values) / np.log(2), stderr / np.log(2)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_stderr_calibrated_and_unbiased_on_large_array_sets(k):
+    # sets shaped like the large-array benchmark's: exact beams at n_rx = 64, n0 = 0.1, 1500
+    # samples. The stratified stderr matches the seed-to-seed spread, and the seed mean lies
+    # within 4 standard errors of the dense oracle and of plain projected sampling
+    chan = sample_channel(make_rng(k, 64), 64, 64, k, gains=list(0.8 ** np.arange(k)))
+    eff = effective_channel(chan, build_abf(chan, k), "exact")
+    covs = covariances(eff, pattern_alphabet(k, 1), 0.1)
+    runs = np.array([montecarlo._sampled(covs, MonteCarloSpec(1_500, seed=seed))
+                     for seed in range(200)])
+    spread = np.std(runs[:, 0], ddof=1)
+    assert 0.8 <= spread / np.mean(runs[:, 1]) <= 1.25
+    mean, mean_stderr = np.mean(runs[:, 0]), spread / np.sqrt(len(runs))
+    for estimate, stderr in (dense_mutual_information(covs, MonteCarloSpec(20_000, seed=1)),
+                             plain_projected_rate(covs, 400_000, seed=2)):
+        assert abs(mean - estimate) <= 4 * math.hypot(mean_stderr, stderr)
 
 
 def test_stderr_scales_with_sample_count():
